@@ -21,18 +21,20 @@ from .core import (
     elementary_intersection,
     elementary_union_family,
     is_admissible,
-    is_member,
     is_null,
-    is_soft_subset,
+    pack,
 )
 from .errors import NotAdmissibleError, PreconditionError
 from .topology import (
     SoftTopology,
+    _cached,
+    _iter_bits,
     closed_sets,
     closure,
+    containing_masks,
     interior,
     space_elements,
-    _cached,
+    subset_mask,
 )
 
 
@@ -232,7 +234,8 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
     For each element x and open O containing x we look for an open U and a
     compact K with x in U, U inside K, K inside O.  Compactness of K only
     needs admissibility of K and its complement here, so the search builds
-    K from O directly, borrowing U's slice wherever O fills the space.
+    K from O directly, borrowing U's slice wherever O fills the space.  The
+    scan runs on packed members, opens and candidates in member order.
     """
     from .separation import is_hausdorff
 
@@ -240,32 +243,28 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
         raise PreconditionError(
             "local compactness is only defined over Hausdorff spaces"
         )
-    full = topo.universe.full_mask
+    fields = topo.universe.packing.fields
+    absolute = pack(topo.absolute)
+    packed = topo.packed
+    containing = containing_masks(topo)
     pairs = 0
     for x in space_elements(topo):
-        for o in topo.members:
-            if not is_member(x, o):
-                continue
+        cx = containing[x]
+        for oi in _iter_bits(cx):
+            o = packed[oi]
             pairs += 1
+            filled = sum(field for field in fields if o & field == field)
             found = False
-            for u in topo.members:
-                if not is_member(x, u) or not is_soft_subset(u, o):
-                    continue
-                k = SoftSet(
-                    topo.universe,
-                    tuple(
-                        om if om != full else um
-                        for om, um in zip(o.slices, u.slices)
-                    ),
-                )
+            for ui in _iter_bits(cx & subset_mask(topo, o)):
+                k = o & ~filled | packed[ui] & filled
                 # K is admissible by construction; its complement is
                 # admissible exactly when K is the absolute or every slice
                 # is proper, which is all compactness asks of a set here.
-                if k == topo.absolute or all(m != full for m in k.slices):
+                if k == absolute or all(k & field != field for field in fields):
                     found = True
                     break
             if not found:
-                return LocalCompactnessReport(False, (x, o), pairs)
+                return LocalCompactnessReport(False, (x, topo.members[oi]), pairs)
     return LocalCompactnessReport(True, None, pairs)
 
 

@@ -36,7 +36,7 @@ from .document import (
     serialize,
     set_names_in,
 )
-from .errors import DocumentError, PreconditionError, SoftTopoError
+from .errors import DocumentError, InputError, PreconditionError, SoftTopoError
 from .fuzzing.generate import GeneratorConfig
 from .fuzzing.harness import report_text, run_theorem, serialize_report
 from .maps import SoftFunction, definitional_continuity, preimage_continuity
@@ -410,11 +410,26 @@ def _cmd_map(args) -> int:
 # --- fuzz --------------------------------------------------------------------
 
 
+def _seed_from_env() -> int:
+    env = os.environ.get("SOFTTOPO_SEED")
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"SOFTTOPO_SEED must be an integer, got {env!r}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_fuzz(args) -> int:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("SOFTTOPO_SEED")
-        seed = int(env) if env else 0
+    seed = args.seed if args.seed is not None else _seed_from_env()
     config = GeneratorConfig(
         points=args.points,
         params=args.params,
@@ -426,9 +441,7 @@ def _cmd_fuzz(args) -> int:
     report = run_theorem(args.case, config, workers=args.workers)
     rendered = serialize_report(report) if args.format == "json" else report_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_report(report))
-    _emit(rendered)
+        _write(args.out, serialize_report(report))
     if report.counterexamples:
         first = report.counterexamples[0]
         path = (
@@ -436,10 +449,10 @@ def _cmd_fuzz(args) -> int:
             if args.out
             else f"{args.case}.counterexample.json"
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(first.document))
-        _emit(f"minimal counterexample written to {path}\n")
+        _write(path, _dumps(first.document))
+        _emit(rendered + f"minimal counterexample written to {path}\n")
         return 1
+    _emit(rendered)
     return 0
 
 

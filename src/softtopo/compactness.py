@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import PreconditionError, UniverseMismatchError
 from .separation import SeparationReport, is_hausdorff
-from .topology import SoftTopology, closed_sets, is_closed
+from .topology import SoftTopology, is_closed
 
 
 @d.dataclass(frozen=True)
@@ -244,7 +244,3 @@ def nested_intersection_check(
     meet = elementary_intersection_family(topo.universe, chain)
     return not is_null(meet)
 
-
-def closed_family(topo: SoftTopology) -> tuple[SoftSet, ...]:
-    """Convenience re-export used by callers assembling closed families."""
-    return closed_sets(topo)

@@ -6,6 +6,12 @@ canonical point order, so all pointwise algebra is integer arithmetic.  A
 soft element picks one point per parameter; a soft set contains an element
 only when every coordinate lands inside the matching slice.
 
+Hot loops use a packed form instead: one Python int per soft set, holding
+parameter ``k``'s slice at bit offset ``k * (n_points + 1)``.  The spare top
+bit of each field lets one addition test every slice for emptiness at once
+(see ``Packing``).  Only this module knows the layout; ``pack`` and
+``unpack`` convert at the edges.
+
 The admissible family consists of the empty soft set plus every soft set
 whose slices are all nonempty.  The elementary operations (union,
 intersection, complement, relative complement) are defined only there and
@@ -100,12 +106,58 @@ class Universe:
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
 
+    @property
+    def packing(self) -> "Packing":
+        packing = self.__dict__.get("_packing")
+        if packing is None:
+            packing = Packing.of(self.n_points, self.n_params)
+            object.__setattr__(self, "_packing", packing)
+        return packing
+
     def __hash__(self) -> int:
         h = self.__dict__.get("_h")
         if h is None:
             h = hash((self.points, self.params))
             object.__setattr__(self, "_h", h)
         return h
+
+
+@d.dataclass(frozen=True)
+class Packing:
+    """Layout constants of the packed form over one universe.
+
+    Each parameter owns a field of ``width = n_points + 1`` bits: the slice
+    in the low ``n_points`` bits and a spare top bit that packed values keep
+    clear.  ``fields`` holds each parameter's low bits, ``full`` their
+    union (the packed absolute) and ``spare`` the top bits.  Adding ``full``
+    to a packed value carries into a field's spare bit exactly when that
+    slice is nonempty, and never past it, so ``(m + full) & spare == spare``
+    says every slice of ``m`` is nonempty.  On packed values: union is
+    ``a | b``, pointwise meet ``a & b``, pointwise complement ``full ^ a``,
+    pointwise disjointness ``a & b == 0`` and containment ``a & ~b == 0``.
+    """
+
+    width: int
+    fields: tuple[int, ...]
+    full: int
+    spare: int
+
+    @classmethod
+    def of(cls, n_points: int, n_params: int) -> "Packing":
+        width = n_points + 1
+        fields = tuple(
+            ((1 << n_points) - 1) << k * width for k in range(n_params)
+        )
+        spare = sum(1 << k * width + n_points for k in range(n_params))
+        return cls(width, fields, sum(fields), spare)
+
+    def collapse(self, m: int) -> int:
+        """Elementary reading of a packed pointwise result: ``m`` itself
+        when every slice is nonempty, otherwise the null set ``0``."""
+        return m if (m + self.full) & self.spare == self.spare else 0
+
+    def is_admissible(self, m: int) -> bool:
+        return m == 0 or (m + self.full) & self.spare == self.spare
 
 
 def _require_same_universe(a, b) -> None:
@@ -213,6 +265,32 @@ class SoftElement:
         return "SoftElement(" + ",".join(
             self.universe.points[c] for c in self.coords
         ) + ")"
+
+
+def pack(s: SoftSet) -> int:
+    """The packed form of ``s`` (see ``Packing``)."""
+    width = s.universe.packing.width
+    out = 0
+    for k, m in enumerate(s.slices):
+        out |= m << k * width
+    return out
+
+
+def pack_element(x: SoftElement) -> int:
+    """The packed form of the span of ``x``: one bit in every field."""
+    width = x.universe.packing.width
+    out = 0
+    for k, c in enumerate(x.coords):
+        out |= 1 << k * width + c
+    return out
+
+
+def unpack(universe: Universe, packed: int) -> SoftSet:
+    """The soft set whose packed form is ``packed``."""
+    width, low = universe.packing.width, universe.full_mask
+    return SoftSet(
+        universe, tuple(packed >> k * width & low for k in range(universe.n_params))
+    )
 
 
 @d.dataclass(frozen=True)

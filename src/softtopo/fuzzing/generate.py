@@ -14,12 +14,13 @@ import random
 import typing as t
 
 from ..core import (
-    SoftElement,
     SoftSet,
     Universe,
     full_set,
     is_admissible,
     iter_elements,
+    pack,
+    unpack,
 )
 from ..errors import GenerationError, InputError, NotAdmissibleError
 from ..separation import is_hausdorff
@@ -127,41 +128,37 @@ def close_subbase(
     ``cap``.  Order is deterministic: mandatory members, subbase in given
     order, then derived sets in discovery order.
     """
-    n = universe.n_params
-    zeros = (0,) * n
-    fulls = (universe.full_mask,) * n
-    # Work on raw slice tuples.  Every member is admissible (checked below),
-    # so union never needs collapsing and meet collapses exactly when some
+    packing = universe.packing
+    # Work on packed sets.  Every member is admissible (checked below), so
+    # union never needs collapsing and meet collapses exactly when some
     # slice empties; this matches the elementary operations bit for bit.
-    rows: list[tuple[int, ...]] = [zeros, fulls]
-    seen = {zeros, fulls}
+    rows: list[int] = [0, packing.full]
+    seen = set(rows)
     for s in subbase:
         if s.universe != universe:
             raise InputError("subbase entry from a different universe")
         if not is_admissible(s):
             raise NotAdmissibleError(f"subbase: inadmissible generator {s!r}")
-        if s.slices not in seen:
+        p = pack(s)
+        if p not in seen:
             if cap is not None and len(rows) >= cap:
                 return None
-            seen.add(s.slices)
-            rows.append(s.slices)
+            seen.add(p)
+            rows.append(p)
+    collapse = packing.collapse
     i = 0
     while i < len(rows):
         a = rows[i]
         for j in range(i + 1):
             b = rows[j]
-            u = tuple(x | y for x, y in zip(a, b))
-            m = tuple(x & y for x, y in zip(a, b))
-            if 0 in m:
-                m = zeros
-            for w in (u, m):
+            for w in (a | b, collapse(a & b)):
                 if w not in seen:
                     if cap is not None and len(rows) >= cap:
                         return None
                     seen.add(w)
                     rows.append(w)
         i += 1
-    return tuple(SoftSet(universe, row) for row in rows)
+    return tuple(unpack(universe, row) for row in rows)
 
 
 def draw_subbase(
@@ -249,10 +246,3 @@ def gen_hausdorff_topology(
     if rng is None:
         rng = trial_rng(config, 0)
     return gen_hausdorff_with_stats(config, rng).topology
-
-
-def random_element(rng: random.Random, universe: Universe) -> SoftElement:
-    coords = tuple(
-        rng.randrange(universe.n_points) for _ in range(universe.n_params)
-    )
-    return SoftElement(universe, coords)

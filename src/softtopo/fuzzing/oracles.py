@@ -1,28 +1,40 @@
-"""Element-materializing cross-checks for the slice-wise set operations.
+"""Slow references for the fast paths.
 
-These deliberately take the slow road: enumerate every soft element of the
-operands, combine the element bags, and take the span of the result.  The
-fast implementations in ``core`` must agree with these on admissible inputs.
+The set-operation cross-checks deliberately take the slow road: enumerate
+every soft element of the operands, combine the element bags, and take the
+span of the result.  The fast implementations in ``core`` must agree with
+these on admissible inputs.  ``verify_topology_oracle`` checks the topology
+axioms with ``SoftSet`` values and the ``core`` operations, the reference for
+the packed ``topology.verify_topology``.
 """
 
 from __future__ import annotations
+
+import typing as t
 
 from ..core import (
     ElementBag,
     SoftElement,
     SoftSet,
     Universe,
+    elementary_intersection,
+    elementary_union,
     full_set,
+    is_admissible,
+    is_soft_subset,
     iter_elements,
     null_set,
     span,
 )
+from ..errors import UniverseMismatchError
+from ..topology import TopologyReport, Violation
 
 __all__ = [
     "complement_via_elements",
     "element_bag",
     "intersection_via_elements",
     "union_via_elements",
+    "verify_topology_oracle",
 ]
 
 
@@ -57,3 +69,52 @@ def complement_via_elements(f: SoftSet) -> SoftSet:
         if all(not (f.slices[k] >> x.coords[k]) & 1 for k in range(universe.n_params))
     )
     return _span_of(universe, bag)
+
+
+def verify_topology_oracle(
+    universe: Universe,
+    members: t.Sequence[SoftSet],
+    absolute: SoftSet | None = None,
+) -> TopologyReport:
+    """Every axiom violation, in the order ``verify_topology`` reports them,
+    found with one ``SoftSet`` per pairwise union and meet."""
+    absolute = absolute if absolute is not None else full_set(universe)
+    violations: list[Violation] = []
+
+    for m in members:
+        if m.universe != universe:
+            raise UniverseMismatchError("member from a different universe")
+    if absolute.universe != universe:
+        raise UniverseMismatchError("absolute from a different universe")
+
+    seen: set[SoftSet] = set()
+    for m in members:
+        if m in seen:
+            violations.append(Violation("duplicate-member", (m,), m))
+        seen.add(m)
+
+    if null_set(universe) not in seen:
+        violations.append(Violation("phi-member", (), null_set(universe)))
+    if absolute not in seen:
+        violations.append(Violation("absolute-member", (), absolute))
+
+    admissible: list[SoftSet] = []
+    for m in members:
+        if not is_admissible(m):
+            violations.append(Violation("member-admissible", (m,), m))
+            continue
+        admissible.append(m)
+        if not is_soft_subset(m, absolute):
+            violations.append(Violation("member-inside-absolute", (m,), m))
+
+    for i in range(len(admissible)):
+        for j in range(i + 1, len(admissible)):
+            f, g = admissible[i], admissible[j]
+            union = elementary_union(f, g)
+            if union not in seen:
+                violations.append(Violation("union-closure", (f, g), union))
+            meet = elementary_intersection(f, g)
+            if meet not in seen:
+                violations.append(Violation("intersection-closure", (f, g), meet))
+
+    return TopologyReport(valid=not violations, violations=tuple(violations))

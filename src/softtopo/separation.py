@@ -18,23 +18,17 @@ from __future__ import annotations
 
 import dataclasses as d
 import enum
-import typing as t
 
-from .core import (
-    SoftElement,
-    SoftSet,
-    elementary_intersection,
-    is_null,
-    is_soft_subset,
-)
+from .core import SoftElement, pack_element
 from .topology import (
     SoftTopology,
     _cached,
-    closed_sets,
+    _closed,
+    _iter_bits,
     containing_masks,
-    elementary_disjoint_masks,
-    pointwise_disjoint_masks,
+    disjoint_rows,
     space_elements,
+    superset_mask,
 )
 
 
@@ -60,13 +54,6 @@ class SeparationReport:
     counterexample: tuple | None
 
 
-def _iter_bits(mask: int) -> t.Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _fully_differing(x: SoftElement, y: SoftElement) -> bool:
     return all(a != b for a, b in zip(x.coords, y.coords))
 
@@ -79,10 +66,7 @@ def is_hausdorff(
     def build() -> SeparationReport:
         elements = space_elements(topo)
         cont = containing_masks(topo)
-        if disjointness is DisjointnessMode.POINTWISE:
-            disj = pointwise_disjoint_masks(topo)
-        else:
-            disj = elementary_disjoint_masks(topo)
+        disj = disjoint_rows(topo, disjointness is DisjointnessMode.ELEMENTARY)
         members = topo.members
         witness = None
         for xi in range(len(elements)):
@@ -122,20 +106,22 @@ def is_regular(
     def build() -> SeparationReport:
         members = topo.members
         cont = containing_masks(topo)
-        disj = elementary_disjoint_masks(topo)
+        disj = disjoint_rows(topo, True)
+        collapse = topo.universe.packing.collapse
+        elements = space_elements(topo)
+        packed_elements = [pack_element(x) for x in elements]
+        closed, closed_packed = _closed(topo)
         witness = None
-        for f in closed_sets(topo):
-            supersets = [
-                i for i, m in enumerate(members) if is_soft_subset(f, m)
-            ]
-            for x in space_elements(topo):
-                if any(m >> c & 1 for c, m in zip(x.coords, f.slices)):
+        for f, fp in zip(closed, closed_packed):
+            supersets = list(_iter_bits(superset_mask(topo, fp)))
+            for x, xp in zip(elements, packed_elements):
+                if xp & fp:
                     continue  # hypothesis wants avoidance at every parameter
                 cx = cont[x]
                 pair_witness = None
                 if literal_disjointness:
                     for gi in supersets:
-                        if is_null(elementary_intersection(f, members[gi])) and cx:
+                        if collapse(fp & topo.packed[gi]) == 0 and cx:
                             hi = (cx & -cx).bit_length() - 1
                             pair_witness = (f, x, members[gi], members[hi])
                             break
@@ -160,39 +146,29 @@ def is_normal(topo: SoftTopology) -> SeparationReport:
 
     def build() -> SeparationReport:
         members = topo.members
-        disj = elementary_disjoint_masks(topo)
-        closed = closed_sets(topo)
-        member_index = {m: i for i, m in enumerate(members)}
-        superset_mask_cache: dict[SoftSet, int] = {}
-
-        def superset_mask(s: SoftSet) -> int:
-            mask = superset_mask_cache.get(s)
-            if mask is None:
-                mask = 0
-                for i, m in enumerate(members):
-                    if is_soft_subset(s, m):
-                        mask |= 1 << i
-                superset_mask_cache[s] = mask
-            return mask
+        disj = disjoint_rows(topo, True)
+        closed, closed_packed = _closed(topo)
+        member_index = {m: i for i, m in enumerate(topo.packed)}
+        supersets = [superset_mask(topo, p) for p in closed_packed]
 
         witness = None
         for a in range(len(closed)):
-            f = closed[a]
+            fp = closed_packed[a]
             for b in range(a, len(closed)):
-                g = closed[b]
-                if any(x & y for x, y in zip(f.slices, g.slices)):
+                gp = closed_packed[b]
+                if fp & gp:
                     continue  # hypothesis: pointwise disjoint
+                f, g = closed[a], closed[b]
                 pair_witness = None
                 # Disjoint closed sets that are themselves open separate
                 # each other; try that before scanning.
-                fi = member_index.get(f)
-                gi = member_index.get(g)
+                fi = member_index.get(fp)
+                gi = member_index.get(gp)
                 if fi is not None and gi is not None and disj[fi] >> gi & 1:
                     pair_witness = (f, g, f, g)
                 else:
-                    gmask = superset_mask(g)
-                    for ui in _iter_bits(superset_mask(f)):
-                        hits = disj[ui] & gmask
+                    for ui in _iter_bits(supersets[a]):
+                        hits = disj[ui] & supersets[b]
                         if hits:
                             vi = (hits & -hits).bit_length() - 1
                             pair_witness = (f, g, members[ui], members[vi])

@@ -7,6 +7,10 @@ pairwise elementary intersection.  Closure under arbitrary unions reduces to
 the pairwise check for finite lists; the reduction itself is covered by a
 test rather than assumed silently.
 
+The kernels run on the packed form of ``core``: ``SoftTopology.packed``
+runs parallel to ``members``, and ``SoftSet`` objects are built only for
+results and report witnesses.  They assume a verified member list.
+
 The absolute member defaults to the full soft set; subspace topologies reuse
 the same verifier with the constant set on the carrier points as absolute.
 Operations that rely on complements relative to the whole universe (closed
@@ -24,10 +28,6 @@ from .core import (
     SoftElement,
     SoftSet,
     Universe,
-    elementary_intersection,
-    elementary_intersection_family,
-    elementary_union,
-    elementary_union_family,
     full_set,
     is_admissible,
     is_member,
@@ -35,8 +35,10 @@ from .core import (
     is_soft_subset,
     iter_elements,
     null_set,
+    pack,
+    pack_element,
     pointwise_complement,
-    pointwise_intersection,
+    unpack,
 )
 from .errors import (
     InputError,
@@ -99,6 +101,11 @@ class SoftTopology:
         return hash((self.universe, self.members, self.absolute))
 
     @property
+    def packed(self) -> tuple[int, ...]:
+        """The members in packed form, in member order."""
+        return _cached(self, "packed", lambda: tuple(pack(m) for m in self.members))
+
+    @property
     def member_set(self) -> frozenset[SoftSet]:
         return _cached(self, "member_set", lambda: frozenset(self.members))
 
@@ -123,7 +130,11 @@ def verify_topology(
     members: t.Sequence[SoftSet],
     absolute: SoftSet | None = None,
 ) -> TopologyReport:
-    """Check every axiom and report all violations, not just the first."""
+    """Check every axiom and report all violations, not just the first.
+
+    Runs on packed members; ``fuzzing.oracles.verify_topology_oracle`` is
+    the ``SoftSet`` reference it must match, violation for violation.
+    """
     absolute = absolute if absolute is not None else full_set(universe)
     violations: list[Violation] = []
 
@@ -133,36 +144,43 @@ def verify_topology(
     if absolute.universe != universe:
         raise UniverseMismatchError("absolute from a different universe")
 
-    seen: set[SoftSet] = set()
-    for m in members:
-        if m in seen:
+    packing = universe.packing
+    packed = [pack(m) for m in members]
+    seen: set[int] = set()
+    for m, p in zip(members, packed):
+        if p in seen:
             violations.append(Violation("duplicate-member", (m,), m))
-        seen.add(m)
+        seen.add(p)
 
-    if null_set(universe) not in seen:
+    if 0 not in seen:
         violations.append(Violation("phi-member", (), null_set(universe)))
-    if absolute not in seen:
+    absolute_packed = pack(absolute)
+    if absolute_packed not in seen:
         violations.append(Violation("absolute-member", (), absolute))
 
-    admissible: list[SoftSet] = []
-    for m in members:
-        if not is_admissible(m):
+    admissible: list[tuple[SoftSet, int]] = []
+    for m, p in zip(members, packed):
+        if not packing.is_admissible(p):
             violations.append(Violation("member-admissible", (m,), m))
             continue
-        admissible.append(m)
-        if not is_soft_subset(m, absolute):
+        admissible.append((m, p))
+        if p & ~absolute_packed:
             violations.append(Violation("member-inside-absolute", (m,), m))
 
     # Pairwise closure; finite families reduce to this by induction.
-    for i in range(len(admissible)):
-        for j in range(i + 1, len(admissible)):
-            f, g = admissible[i], admissible[j]
-            union = elementary_union(f, g)
+    collapse = packing.collapse
+    for i, (f, a) in enumerate(admissible):
+        for g, b in admissible[i + 1:]:
+            union = a | b
             if union not in seen:
-                violations.append(Violation("union-closure", (f, g), union))
-            meet = elementary_intersection(f, g)
+                violations.append(
+                    Violation("union-closure", (f, g), unpack(universe, union))
+                )
+            meet = collapse(a & b)
             if meet not in seen:
-                violations.append(Violation("intersection-closure", (f, g), meet))
+                violations.append(
+                    Violation("intersection-closure", (f, g), unpack(universe, meet))
+                )
 
     return TopologyReport(valid=not violations, violations=tuple(violations))
 
@@ -233,22 +251,34 @@ def is_closed(topo: SoftTopology, f: SoftSet) -> bool:
 
 def closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
     """All closed sets, in member order of their complements, deduplicated."""
+    return _closed(topo)[0]
+
+
+def _closed(topo: SoftTopology) -> tuple[tuple[SoftSet, ...], tuple[int, ...]]:
+    """The closed sets and, in parallel, their packed forms."""
     _require_full_absolute(topo, "closed_sets")
 
-    def build() -> tuple[SoftSet, ...]:
-        out: list[SoftSet] = []
-        seen: set[SoftSet] = set()
-        for o in topo.members:
-            comp = pointwise_complement(o)
-            if is_admissible(comp) and comp not in seen:
-                seen.add(comp)
-                out.append(comp)
-        return tuple(out)
+    def build() -> tuple[tuple[SoftSet, ...], tuple[int, ...]]:
+        packing = topo.universe.packing
+        out: dict[int, None] = {}
+        for o in topo.packed:
+            comp = packing.full ^ o
+            if packing.is_admissible(comp):
+                out[comp] = None
+        return tuple(unpack(topo.universe, c) for c in out), tuple(out)
 
-    return _cached(topo, "closed_sets", build)
+    return _cached(topo, "closed", build)
 
 
 # --- closure and interior ---------------------------------------------------
+
+def _require_subject(topo: SoftTopology, f: SoftSet, op: str) -> int:
+    if not is_admissible(f):
+        raise NotAdmissibleError(f"{op}: input outside the admissible family")
+    if f.universe != topo.universe:
+        raise UniverseMismatchError(f"{op}: input from a different universe")
+    return pack(f)
+
 
 def closure(topo: SoftTopology, f: SoftSet) -> SoftSet:
     """Elementary intersection of every closed superset of f.
@@ -256,10 +286,13 @@ def closure(topo: SoftTopology, f: SoftSet) -> SoftSet:
     The absolute is always a closed superset, so the family is nonempty.
     """
     _require_full_absolute(topo, "closure")
-    if not is_admissible(f):
-        raise NotAdmissibleError("closure: input outside the admissible family")
-    supersets = [c for c in closed_sets(topo) if is_soft_subset(f, c)]
-    return elementary_intersection_family(topo.universe, supersets)
+    p = _require_subject(topo, f, "closure")
+    packing = topo.universe.packing
+    meet = packing.full
+    for c in _closed(topo)[1]:
+        if p & ~c == 0:
+            meet &= c
+    return unpack(topo.universe, packing.collapse(meet))
 
 
 def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
@@ -269,10 +302,12 @@ def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
     admissible, so its slices are exactly the coordinates its elements reach.
     """
     _require_full_absolute(topo, "interior")
-    if not is_admissible(f):
-        raise NotAdmissibleError("interior: input outside the admissible family")
-    inside = [o for o in topo.members if is_soft_subset(o, f)]
-    return elementary_union_family(topo.universe, inside)
+    p = _require_subject(topo, f, "interior")
+    union = 0
+    for o in topo.packed:
+        if o & ~p == 0:
+            union |= o
+    return unpack(topo.universe, union)
 
 
 def interior_witness(
@@ -359,58 +394,83 @@ def space_elements(topo: SoftTopology) -> tuple[SoftElement, ...]:
     return _cached(topo, "space_elements", lambda: tuple(iter_elements(topo.absolute)))
 
 
+def _iter_bits(mask: int) -> t.Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _columns(topo: SoftTopology) -> dict[int, int]:
+    """For each bit index of the packed layout that some member sets: the
+    bitmask over member indices of those members."""
+
+    def build() -> dict[int, int]:
+        columns: dict[int, int] = {}
+        for j, m in enumerate(topo.packed):
+            for b in _iter_bits(m):
+                columns[b] = columns.get(b, 0) | 1 << j
+        return columns
+
+    return _cached(topo, "columns", build)
+
+
+def _meeting(columns: dict[int, int], p: int) -> int:
+    """Bitmask over member indices of the members sharing a bit with ``p``."""
+    hits = 0
+    for b in _iter_bits(p):
+        hits |= columns.get(b, 0)
+    return hits
+
+
+def subset_mask(topo: SoftTopology, p: int) -> int:
+    """Bitmask over member indices of the members inside packed ``p``."""
+    everyone = (1 << len(topo.members)) - 1
+    return everyone ^ _meeting(_columns(topo), topo.universe.packing.full ^ p)
+
+
+def superset_mask(topo: SoftTopology, p: int) -> int:
+    """Bitmask over member indices of the members containing packed ``p``."""
+    columns = _columns(topo)
+    mask = (1 << len(topo.members)) - 1
+    for b in _iter_bits(p):
+        mask &= columns.get(b, 0)
+    return mask
+
+
 def containing_masks(topo: SoftTopology) -> dict[SoftElement, int]:
     """For each space element, a bitmask over member indices containing it."""
 
     def build() -> dict[SoftElement, int]:
-        out: dict[SoftElement, int] = {}
-        for x in space_elements(topo):
-            mask = 0
-            for j, m in enumerate(topo.members):
-                if all(sl >> c & 1 for c, sl in zip(x.coords, m.slices)):
-                    mask |= 1 << j
-            out[x] = mask
-        return out
+        return {x: superset_mask(topo, pack_element(x)) for x in space_elements(topo)}
 
     return _cached(topo, "containing_masks", build)
 
 
-def pointwise_disjoint_masks(topo: SoftTopology) -> list[int]:
-    """Row i: bitmask of members whose pointwise meet with member i is null."""
+def disjoint_rows(topo: SoftTopology, elementary: bool) -> list[int]:
+    """Row i: bitmask of the members whose meet with member i is null.
+
+    Pointwise, the meet is null when every slice empties; with
+    ``elementary`` it collapses to null when some slice does.
+    """
 
     def build() -> list[int]:
-        n = len(topo.members)
-        rows = [0] * n
-        slices = [m.slices for m in topo.members]
-        for i in range(n):
-            si = slices[i]
-            for j in range(i, n):
-                sj = slices[j]
-                if all(a & b == 0 for a, b in zip(si, sj)):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
+        columns = _columns(topo)
+        fields = topo.universe.packing.fields
+        everyone = (1 << len(topo.members)) - 1
+        rows = []
+        for m in topo.packed:
+            if elementary:
+                row = 0
+                for field in fields:
+                    row |= everyone ^ _meeting(columns, m & field)
+            else:
+                row = everyone ^ _meeting(columns, m)
+            rows.append(row)
         return rows
 
-    return _cached(topo, "pw_disjoint", build)
-
-
-def elementary_disjoint_masks(topo: SoftTopology) -> list[int]:
-    """Row i: members whose elementary meet with member i collapses to null."""
-
-    def build() -> list[int]:
-        n = len(topo.members)
-        rows = [0] * n
-        slices = [m.slices for m in topo.members]
-        for i in range(n):
-            si = slices[i]
-            for j in range(i, n):
-                sj = slices[j]
-                if any(a & b == 0 for a, b in zip(si, sj)):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return rows
-
-    return _cached(topo, "e_disjoint", build)
+    return _cached(topo, ("disjoint", elementary), build)
 
 
 def pairwise_admissible_violations(
@@ -419,31 +479,19 @@ def pairwise_admissible_violations(
     """Member index pairs (i <= j) whose pointwise meet is inadmissible.
 
     Several statements assume there are none; callers that only need the
-    first violation can look at position zero.
+    first violation can look at position zero.  Such a meet is not null,
+    yet its elementary reading collapses.
     """
 
     def build() -> tuple[tuple[int, int], ...]:
-        ms = topo.members
+        pointwise = disjoint_rows(topo, False)
+        elementary = disjoint_rows(topo, True)
         bad: list[tuple[int, int]] = []
-        for i in range(len(ms)):
-            for j in range(i, len(ms)):
-                meet = pointwise_intersection(ms[i], ms[j])
-                if not is_admissible(meet):
-                    bad.append((i, j))
+        for i, (p_row, e_row) in enumerate(zip(pointwise, elementary)):
+            bad.extend((i, i + j) for j in _iter_bits((e_row & ~p_row) >> i))
         return tuple(bad)
 
     return _cached(topo, "pairwise_violations", build)
-
-
-def pairwise_pointwise_admissible(
-    topo: SoftTopology,
-) -> tuple[bool, tuple[SoftSet, SoftSet] | None]:
-    """Whether every pairwise pointwise intersection of opens is admissible."""
-    bad = pairwise_admissible_violations(topo)
-    if not bad:
-        return True, None
-    i, j = bad[0]
-    return False, (topo.members[i], topo.members[j])
 
 
 def verified(topo: SoftTopology) -> bool:

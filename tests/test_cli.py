@@ -273,6 +273,16 @@ def test_fuzz_seed_env_default(capsys, monkeypatch):
     assert code == 0 and "seed=3" in out
 
 
+def test_fuzz_seed_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SOFTTOPO_SEED", "abc")
+    code, out, err = run(
+        capsys, "fuzz", "--case", "thm_4_1", "--trials", "1",
+        "--points", "2", "--params", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: SOFTTOPO_SEED must be an integer, got 'abc'\n"
+
+
 def test_fuzz_unknown_case(capsys):
     code, _, err = run(capsys, "fuzz", "--case", "nope", "--trials", "1")
     assert code == 2
@@ -303,6 +313,28 @@ def test_fuzz_counterexample_sidecar(capsys, tmp_path, monkeypatch):
     )
     assert code == 1
     assert (tmp_path / "prop_4_1a.counterexample.json").exists()
+
+
+def test_fuzz_unwritable_out(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run(
+        capsys, "fuzz", "--case", "thm_4_1", "--trials", "1",
+        "--points", "2", "--params", "1", "--out", str(missing),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+
+
+def test_fuzz_unwritable_counterexample_prints_nothing(capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    # a directory where the sidecar should go makes its write fail
+    (tmp_path / "report.json.counterexample.json").mkdir()
+    code, out, err = run(
+        capsys, "fuzz", "--case", "prop_4_1a", "--trials", "100", "--seed", "23",
+        "--points", "2", "--params", "2", "--out", str(report_path),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 def test_fuzz_json_report_matches_out_file(capsys, tmp_path):

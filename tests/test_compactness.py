@@ -4,7 +4,6 @@ import pytest
 
 from softtopo.compactness import (
     SubcoverResult,
-    closed_family,
     fip_witness,
     is_compact_set,
     is_compact_space,
@@ -140,7 +139,3 @@ def test_nested_intersection(abcd_topo):
     with pytest.raises(PreconditionError):
         nested_intersection_check(TF, tuple(reversed(chain)))
 
-
-def test_closed_family_matches_closed_sets(abcd_topo, fgh_topo):
-    for topo in (abcd_topo, fgh_topo, TF):
-        assert closed_family(topo) == closed_sets(topo)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +26,14 @@ from softtopo.core import (
     is_soft_subset,
     iter_elements,
     null_set,
+    pack,
+    pack_element,
     pointwise_complement,
     pointwise_intersection,
     pointwise_union,
     relative_complement,
     span,
+    unpack,
 )
 from softtopo.errors import (
     InputError,
@@ -237,6 +242,59 @@ def test_elementary_relative_complement_collapses():
     assert elementary_relative_complement(w, ("x", "y")) == soft(
         XYZ, alpha=["y"], beta=["y"]
     )
+
+
+# --- packed form ----------------------------------------------------------------
+
+_PACKED_UNIVERSES = (
+    Universe.of(("a",), ("e1",)),
+    Universe.of(("a", "b"), ("e1",)),
+    Universe.of(("a", "b"), ("e1", "e2")),
+    Universe.of(("a", "b", "c"), ("e1", "e2")),
+    Universe.of(("a", "b"), ("e1", "e2", "e3")),
+)
+
+
+def _every_soft_set(u: Universe) -> list[SoftSet]:
+    return [
+        SoftSet(u, combo)
+        for combo in itertools.product(range(u.full_mask + 1), repeat=u.n_params)
+    ]
+
+
+def test_packing_layout_constants():
+    packing = Universe.of(("a", "b", "c"), ("e1", "e2")).packing
+    assert packing.width == 4
+    assert packing.fields == (0b0111, 0b0111_0000)
+    assert packing.full == 0b0111_0111
+    assert packing.spare == 0b1000_1000
+    u = Universe.of(("a", "b"), ("e1",))
+    assert u.packing is u.packing
+
+
+@pytest.mark.parametrize(
+    "u", _PACKED_UNIVERSES, ids=lambda u: f"{u.n_points}x{u.n_params}"
+)
+def test_packed_operations_match_core_exhaustively(u):
+    packing = u.packing
+    sets = _every_soft_set(u)
+    packed = [pack(f) for f in sets]
+    assert len(set(packed)) == len(sets)
+    assert pack(full_set(u)) == packing.full and pack(null_set(u)) == 0
+    for f, a in zip(sets, packed):
+        assert unpack(u, a) == f
+        assert a & packing.spare == 0
+        assert packing.is_admissible(a) == is_admissible(f)
+        assert unpack(u, packing.full ^ a) == pointwise_complement(f)
+        for g, b in zip(sets, packed):
+            assert unpack(u, a | b) == pointwise_union(f, g)
+            assert unpack(u, a & b) == pointwise_intersection(f, g)
+            assert (a & b == 0) == is_null(pointwise_intersection(f, g))
+            assert (a & ~b == 0) == is_soft_subset(f, g)
+            if is_admissible(f) and is_admissible(g):
+                assert unpack(u, packing.collapse(a & b)) == elementary_intersection(f, g)
+    for x in iter_elements(full_set(u)):
+        assert pack_element(x) == pack(span(ElementBag.of(u, [x])))
 
 
 # --- properties -----------------------------------------------------------------

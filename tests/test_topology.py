@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -9,20 +10,32 @@ from softtopo.core import (
     SoftElement,
     SoftSet,
     Universe,
+    constant_set,
+    elementary_intersection,
+    elementary_intersection_family,
+    elementary_union_family,
     full_set,
+    is_admissible,
     is_member,
+    is_null,
     is_soft_subset,
     iter_elements,
     null_set,
     pointwise_complement,
+    pointwise_intersection,
     span,
 )
+from softtopo.document import parse_file
+from softtopo.fuzzing.generate import GeneratorConfig, gen_topology, trial_rng
+from softtopo.fuzzing.oracles import verify_topology_oracle
 from softtopo.errors import NotAdmissibleError, UniverseMismatchError
 from softtopo.topology import (
     LimitingMode,
     SoftTopology,
     closed_sets,
     closure,
+    containing_masks,
+    disjoint_rows,
     full_topology,
     indiscrete_topology,
     interior,
@@ -39,7 +52,7 @@ from softtopo.topology import (
     verify_topology,
 )
 
-from conftest import soft
+from conftest import FIXTURES, soft
 
 
 def all_admissible(u: Universe):
@@ -106,6 +119,65 @@ def test_full_topology_size_formula():
         expected = (2**points - 1) ** params + 1
         assert len(full_topology(u)) == expected
         assert verify_topology(u, full_topology(u).members).valid
+
+
+def test_full_topology_verifies_at_five_by_two():
+    u = Universe.of(tuple(f"p{i}" for i in range(5)), ("e1", "e2"))
+    members = full_topology(u).members
+    assert len(members) == 962
+    assert verify_topology(u, members).valid
+
+
+def _mutated_member_lists(count: int, seed: int):
+    """Seeded member lists around valid topologies: members dropped,
+    duplicated, added (admissible or not) and non-full absolutes."""
+    rng = random.Random(seed)
+    bases = [full_topology(Universe.of(("a", "b"), ("e1", "e2"))),
+             full_topology(Universe.of(("a", "b", "c"), ("e1",)))]
+    for path in sorted(FIXTURES.glob("*.json")):
+        topo = parse_file(str(path)).topology
+        if topo is not None:
+            bases.append(topo)
+    for points, params in ((3, 2), (2, 3)):
+        config = GeneratorConfig(points=points, params=params, seed=seed)
+        bases += [gen_topology(config, trial_rng(config, i)) for i in range(4)]
+    for _ in range(count):
+        base = rng.choice(bases)
+        u = base.universe
+        members = list(base.members)
+        absolute = base.absolute
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(5)
+            if kind == 0 and members:
+                members.pop(rng.randrange(len(members)))
+            elif kind == 1 and members:
+                members.insert(rng.randrange(len(members) + 1), rng.choice(members))
+            elif kind == 2:
+                # mixed empty and nonempty slices whenever there are two
+                slices = [rng.randint(1, u.full_mask) for _ in u.params]
+                slices[rng.randrange(u.n_params)] = 0
+                members.insert(rng.randrange(len(members) + 1), SoftSet(u, tuple(slices)))
+            elif kind == 3:
+                extra = SoftSet(u, tuple(rng.randint(1, u.full_mask) for _ in u.params))
+                members.insert(rng.randrange(len(members) + 1), extra)
+            else:
+                absolute = rng.choice(
+                    [m for m in members if is_admissible(m)]
+                    + [constant_set(u, u.points[:1])]
+                )
+        yield u, members, absolute
+
+
+def test_verifier_matches_the_soft_set_oracle():
+    axioms = set()
+    for u, members, absolute in _mutated_member_lists(300, seed=5):
+        report = verify_topology(u, members, absolute)
+        assert report == verify_topology_oracle(u, members, absolute)
+        axioms.update(v.axiom for v in report.violations)
+    assert axioms == {
+        "duplicate-member", "phi-member", "absolute-member", "member-admissible",
+        "member-inside-absolute", "union-closure", "intersection-closure",
+    }
 
 
 def test_full_topology_is_memoized():
@@ -281,3 +353,48 @@ def test_pairwise_admissibility_scan(abcd_topo):
     u21 = Universe.of(("a", "b"), ("e1",))
     assert not pairwise_admissible_violations(full_topology(u21))
     assert not pairwise_admissible_violations(abcd_topo)
+
+
+def _full_absolute_fixture_topologies():
+    out = [full_topology(Universe.of(("a", "b"), ("e1", "e2"))),
+           full_topology(Universe.of(("a", "b", "c"), ("e1",)))]
+    for path in sorted(FIXTURES.glob("*.json")):
+        topo = parse_file(str(path)).topology
+        if (topo is not None and topo.absolute == full_set(topo.universe)
+                and verify_topology(topo.universe, topo.members).valid):
+            out.append(topo)
+    return out
+
+
+def test_packed_kernels_match_core_operations():
+    topologies = _full_absolute_fixture_topologies()
+    assert len(topologies) >= 6
+    for topo in topologies:
+        u, members = topo.universe, topo.members
+        expected_closed = []
+        for o in members:
+            comp = pointwise_complement(o)
+            if is_admissible(comp) and comp not in expected_closed:
+                expected_closed.append(comp)
+        assert closed_sets(topo) == tuple(expected_closed)
+        for f in all_admissible(u):
+            inside = [o for o in members if is_soft_subset(o, f)]
+            assert interior(topo, f) == elementary_union_family(u, inside)
+            around = [c for c in expected_closed if is_soft_subset(f, c)]
+            assert closure(topo, f) == elementary_intersection_family(u, around)
+        pointwise = disjoint_rows(topo, elementary=False)
+        elementary = disjoint_rows(topo, elementary=True)
+        for i, f in enumerate(members):
+            for j, g in enumerate(members):
+                assert pointwise[i] >> j & 1 == is_null(pointwise_intersection(f, g))
+                assert elementary[i] >> j & 1 == is_null(elementary_intersection(f, g))
+        assert pairwise_admissible_violations(topo) == tuple(
+            (i, j)
+            for i in range(len(members))
+            for j in range(i, len(members))
+            if not is_admissible(pointwise_intersection(members[i], members[j]))
+        )
+        for x, mask in containing_masks(topo).items():
+            assert [mask >> j & 1 for j in range(len(members))] == [
+                is_member(x, m) for m in members
+            ]
