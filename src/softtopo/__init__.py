@@ -23,16 +23,11 @@ from .baire import (
 from .compactness import (
     CompactSetReport,
     CompactSpaceReport,
-    Cover,
     QuasiCompactnessReport,
-    SubcoverResult,
     fip_witness,
     is_compact_set,
     is_compact_space,
-    is_cover,
     is_quasi_compact,
-    make_cover,
-    minimal_subcover,
     nested_intersection_check,
 )
 from .core import (

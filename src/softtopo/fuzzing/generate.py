@@ -54,6 +54,11 @@ ALGORITHM_ID = "split-sha256/mt19937-v1"
 _TOPOLOGY_REDRAWS = 20
 _HAUSDORFF_ATTEMPTS = 2
 
+# Largest full topology a separated draw may fall back to.  The fallback
+# builds every admissible set, (2**points - 1)**params + 1 of them, so the
+# budget bounds memory before any draw; 5x2 (962 members) fits, 7x2 does not.
+_FULL_TOPOLOGY_BUDGET = 4096
+
 
 @d.dataclass(frozen=True)
 class GeneratorConfig:
@@ -211,14 +216,22 @@ class HausdorffDraw:
 def gen_hausdorff_with_stats(
     config: GeneratorConfig, rng: random.Random
 ) -> HausdorffDraw:
-    """Rejection-sample a separated topology; never fails.
+    """Rejection-sample a separated topology.
 
     Each attempt seeds the random subbase with a few single-element spans,
     which is what separation needs most.  After the attempt budget the draw
     falls back to the topology of all admissible sets (closure of every
     span); the fallback ignores ``max_topology`` so the draw stays total.
+    Raises GenerationError, before any draw, for a universe whose full
+    topology exceeds ``_FULL_TOPOLOGY_BUDGET`` members.
     """
     universe = universe_for(config)
+    size = full_size(universe)
+    if size > _FULL_TOPOLOGY_BUDGET:
+        raise GenerationError(
+            f"separated draws at {config.points}x{config.params} may need the full "
+            f"topology of {size} members, over the budget of {_FULL_TOPOLOGY_BUDGET}"
+        )
     spans = all_spans(universe)
     for attempt in range(1, _HAUSDORFF_ATTEMPTS + 1):
         base = list(draw_subbase(rng, universe, config.subbase_size))
@@ -232,7 +245,7 @@ def gen_hausdorff_with_stats(
         # With two or more points a separated topology must contain every
         # admissible set (covered by a unit test), so a cheap size check
         # filters hopeless candidates before the full scan runs.
-        if universe.n_points >= 2 and len(members) != full_size(universe):
+        if universe.n_points >= 2 and len(members) != size:
             continue
         topo = SoftTopology.of(universe, members)
         if is_hausdorff(topo).holds:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses as d
 import json
+import os
 import typing as t
 
 from ..document import to_payload
@@ -100,11 +101,16 @@ def run_theorem(
     case_id: str, config: GeneratorConfig, workers: int = 1
 ) -> TrialReport:
     case = _case_for(case_id)
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     indices = range(config.trials)
-    if workers <= 1:
+    # Trials are pure Python under the GIL, so threads beyond the core count
+    # only add OS threads; reports do not depend on the pool size.
+    pool_size = min(workers, config.trials, os.cpu_count() or 1)
+    if pool_size <= 1:
         outcomes = [_run_trial(case, config, i) for i in indices]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=pool_size) as pool:
             # Executor.map yields in argument order, which pins aggregation
             # to trial index regardless of completion order.
             outcomes = list(pool.map(lambda i: _run_trial(case, config, i), indices))

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses as d
 import enum
+import functools
+import itertools
 import typing as t
 
 from .core import (
@@ -202,23 +204,15 @@ def indiscrete_topology(universe: Universe) -> SoftTopology:
     return SoftTopology.of(universe, (null_set(universe), full_set(universe)))
 
 
-_FULL_TOPOLOGIES: dict[Universe, SoftTopology] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def full_topology(universe: Universe) -> SoftTopology:
     """Every admissible soft set is open; members in lexicographic slice order."""
-    topo = _FULL_TOPOLOGIES.get(universe)
-    if topo is None:
-        import itertools
-
-        nonempty = range(1, universe.full_mask + 1)
-        members = [null_set(universe)] + [
-            SoftSet(universe, masks)
-            for masks in itertools.product(nonempty, repeat=universe.n_params)
-        ]
-        topo = SoftTopology.of(universe, members)
-        _FULL_TOPOLOGIES[universe] = topo
-    return topo
+    nonempty = range(1, universe.full_mask + 1)
+    members = [null_set(universe)] + [
+        SoftSet(universe, masks)
+        for masks in itertools.product(nonempty, repeat=universe.n_params)
+    ]
+    return SoftTopology.of(universe, members)
 
 
 def _require_full_absolute(topo: SoftTopology, op: str) -> None:

@@ -83,7 +83,21 @@ def test_check_baire(capsys):
 def test_check_compactness_family(capsys):
     code, out, _ = run(capsys, "check", "quasi-compact", fixture_path("ex23.json"))
     assert code == 0
-    assert "every open cover is a subfamily" in out
+    assert out == (
+        "quasi-compact: holds\n"
+        "  justification: every open cover is a subfamily of the finite member "
+        "list, hence finite\n"
+    )
+    code, out, _ = run(
+        capsys, "check", "quasi-compact", "--format", "json", fixture_path("ex23.json")
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "command": "check",\n  "holds": true,\n'
+        '  "justification": "every open cover is a subfamily of the finite member '
+        'list, hence finite",\n'
+        '  "property": "quasi-compact"\n}\n'
+    )
 
     code, out, _ = run(capsys, "check", "compact", fixture_path("ex23.json"))
     assert code == 1
@@ -96,6 +110,16 @@ def test_check_compactness_family(capsys):
     assert out == (
         "compact-set: holds\n  set: M1\n"
         "  admissible: True\n  complement_admissible: True\n"
+    )
+    code, out, _ = run(
+        capsys, "check", "compact-set", "--format", "json",
+        fixture_path("tau_full_2x2.json"), "--set", "M1",
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "admissible": true,\n  "command": "check",\n'
+        '  "complement_admissible": true,\n  "holds": true,\n'
+        '  "property": "compact-set",\n  "set": "M1"\n}\n'
     )
 
     code, out, _ = run(capsys, "check", "locally-compact", fixture_path("tau_full_2x2.json"))
@@ -281,6 +305,28 @@ def test_fuzz_seed_env_not_an_integer(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert err == "error: SOFTTOPO_SEED must be an integer, got 'abc'\n"
+
+
+def test_fuzz_workers_must_be_positive(capsys):
+    code, out, err = run(
+        capsys, "fuzz", "--case", "thm_4_1", "--trials", "1",
+        "--points", "2", "--params", "1", "--workers", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: workers must be at least 1, got 0\n"
+
+
+def test_fuzz_separated_draw_over_budget(capsys):
+    # 7x2 has a 16130-member full topology, just over the budget
+    code, out, err = run(
+        capsys, "fuzz", "--case", "thm_4_2", "--trials", "1",
+        "--points", "7", "--params", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: separated draws at 7x2 may need the full topology of 16130 "
+        "members, over the budget of 4096\n"
+    )
 
 
 def test_fuzz_unknown_case(capsys):

@@ -3,14 +3,10 @@ from __future__ import annotations
 import pytest
 
 from softtopo.compactness import (
-    SubcoverResult,
     fip_witness,
     is_compact_set,
     is_compact_space,
-    is_cover,
     is_quasi_compact,
-    make_cover,
-    minimal_subcover,
     nested_intersection_check,
 )
 from softtopo.core import Universe, full_set, null_set
@@ -23,55 +19,14 @@ U22 = Universe.of(("a", "b"), ("e1", "e2"))
 TF = full_topology(U22)
 
 
-def test_cover_recognition(fgh_doc, fgh_topo):
-    f, g, h = (fgh_doc.sets[n] for n in "FGH")
-    # F and G union exactly to H, so they cover it but miss the absolute
-    assert is_cover(fgh_topo, (f, g), h)
-    assert not is_cover(fgh_topo, (f, g), full_set(fgh_doc.universe))
-    assert is_cover(fgh_topo, (full_set(fgh_doc.universe),), h)
-
-
-def test_cover_preconditions(fgh_doc, fgh_topo):
-    u = fgh_doc.universe
-    h = fgh_doc.sets["H"]
-    stray = soft(u, e1="b", e2="b")
-    with pytest.raises(PreconditionError):
-        is_cover(fgh_topo, (stray,), h)
-    with pytest.raises(UniverseMismatchError):
-        is_cover(fgh_topo, (h,), full_set(U22))
-    mixed = soft(u, e1=[], e2="a")
-    with pytest.raises(PreconditionError):
-        is_cover(fgh_topo, (h,), mixed)
-    with pytest.raises(PreconditionError):
-        make_cover(fgh_topo, (fgh_doc.sets["F"],), h)
-
-
-def test_minimal_subcover_exact(fgh_doc, fgh_topo):
-    f, g, h = (fgh_doc.sets[n] for n in "FGH")
-    both = make_cover(fgh_topo, (f, g), h)
-    assert minimal_subcover(both) == SubcoverResult((0, 1), 2, True)
-    # H alone already covers, so the search stops at size one
-    redundant = make_cover(fgh_topo, (h, f), h)
-    assert minimal_subcover(redundant) == SubcoverResult((0,), 1, True)
-    trivial = make_cover(fgh_topo, (f,), null_set(fgh_doc.universe))
-    assert minimal_subcover(trivial) == SubcoverResult((), 0, True)
-
-
-def test_minimal_subcover_greedy_fallback(fgh_doc, fgh_topo):
-    f, g, h = (fgh_doc.sets[n] for n in "FGH")
-    result = minimal_subcover(make_cover(fgh_topo, (f, g), h), exact_bound=1)
-    assert result == SubcoverResult((0, 1), 2, False)
-
-
 def test_quasi_compactness_always_holds(fgh_topo, abcd_topo):
     for topo in (fgh_topo, abcd_topo, TF):
         report = is_quasi_compact(topo)
         assert report.holds
         assert report.topology_size == len(topo.members)
-        assert "finite" in report.justification
-        assert report.demonstration.exact
-    # the member list starts PHI, ABS, so the one-set demonstration is ABS
-    assert is_quasi_compact(fgh_topo).demonstration == SubcoverResult((1,), 1, True)
+        assert report.justification == (
+            "every open cover is a subfamily of the finite member list, hence finite"
+        )
 
 
 def test_compact_space_needs_separation(fgh_topo, abcd_topo):
@@ -82,13 +37,11 @@ def test_compact_space_needs_separation(fgh_topo, abcd_topo):
     assert is_compact_space(TF).compact
 
 
-def test_compact_set_demonstration():
+def test_compact_set_with_admissible_complement():
     k1 = soft(U22, e1="a", e2="a")
     report = is_compact_set(TF, k1)
+    assert report.subject == k1
     assert report.compact and report.admissible and report.complement_admissible
-    # k1 is itself open here and leads the restricted family
-    assert report.demonstration == SubcoverResult((0,), 1, True)
-    assert report.demonstration_cover.family[0] == k1
 
 
 def test_compact_set_union_can_fail():
@@ -100,7 +53,6 @@ def test_compact_set_union_can_fail():
         True,
         False,
     )
-    assert report.demonstration_cover is None and report.demonstration is None
 
 
 def test_compact_set_requires_hausdorff(abcd_topo, abcd_doc):

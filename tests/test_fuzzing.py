@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
+import os
 import random
 
 import pytest
@@ -271,6 +273,39 @@ def test_parallel_runs_are_byte_identical():
     sequential = serialize_report(run_theorem("thm_4_5", config, workers=1))
     parallel = serialize_report(run_theorem("thm_4_5", config, workers=3))
     assert sequential == parallel
+
+
+def test_worker_pool_is_capped(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the requested pool size and maps sequentially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    many = GeneratorConfig(points=2, params=1, seed=1, trials=6)
+    few = GeneratorConfig(points=2, params=1, seed=1, trials=3)
+    for config in (many, few):
+        expected = serialize_report(run_theorem("thm_4_5", config))
+        assert serialize_report(run_theorem("thm_4_5", config, workers=10**6)) == expected
+    assert sizes == [4, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_theorem("thm_4_5", many, workers=10**6)
+    assert sizes == [4, 3]
+    with pytest.raises(InputError):
+        run_theorem("thm_4_5", many, workers=0)
 
 
 def test_oracles_match_fast_operations():
