@@ -78,7 +78,6 @@ from .maps import (
     preimage_continuity,
 )
 from .separation import (
-    DisjointnessMode,
     SeparationReport,
     is_hausdorff,
     is_normal,

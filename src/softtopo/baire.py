@@ -22,7 +22,6 @@ from .core import (
     elementary_union_family,
     is_admissible,
     is_null,
-    pack,
 )
 from .errors import NotAdmissibleError, PreconditionError
 from .topology import (
@@ -171,12 +170,12 @@ def is_first_category(
     if union != f:
         return CategoryReport(f, "second-category", (), "fast-path")
     chosen: list[SoftSet] = []
-    covered = [0] * topo.universe.n_params
+    covered = 0
     for p in pieces:
-        if any(m & ~c for m, c in zip(p.slices, covered)):
+        if p.bits & ~covered:
             chosen.append(p)
-            covered = [c | m for c, m in zip(covered, p.slices)]
-        if tuple(covered) == f.slices:
+            covered |= p.bits
+        if covered == f.bits:
             break
     return CategoryReport(f, "first-category", tuple(chosen), "fast-path")
 
@@ -207,7 +206,7 @@ def first_category_oracle(
     for combo in itertools.product(*(
         list(_nonempty_submasks(m)) for m in f.slices
     )):
-        n = SoftSet(topo.universe, tuple(combo))
+        n = SoftSet.of(topo.universe, combo)
         if is_nowhere_dense(topo, n):
             if any(m & ~c for m, c in zip(combo, covered)):
                 chosen.append(n)
@@ -235,7 +234,7 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
     compact K with x in U, U inside K, K inside O.  Compactness of K only
     needs admissibility of K and its complement here, so the search builds
     K from O directly, borrowing U's slice wherever O fills the space.  The
-    scan runs on packed members, opens and candidates in member order.
+    scan runs on member bits, opens and candidates in member order.
     """
     from .separation import is_hausdorff
 
@@ -244,7 +243,7 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
             "local compactness is only defined over Hausdorff spaces"
         )
     fields = topo.universe.packing.fields
-    absolute = pack(topo.absolute)
+    absolute = topo.absolute.bits
     packed = topo.packed
     containing = containing_masks(topo)
     pairs = 0

@@ -34,7 +34,6 @@ from .document import (
     parse_file,
     resolve_set,
     serialize,
-    set_names_in,
 )
 from .errors import DocumentError, InputError, PreconditionError, SoftTopoError
 from .fuzzing.generate import GeneratorConfig
@@ -111,10 +110,6 @@ def _load_topology(path: str) -> tuple[SpaceDocument, SoftTopology]:
         details = "; ".join(v.describe() for v in report.violations[:4])
         raise PreconditionError(f"{path}: topology is not valid: {details}")
     return doc, doc.topology
-
-
-def _named_set(doc: SpaceDocument, name: str) -> SoftSet:
-    return resolve_set(doc, name)
 
 
 # --- verify ------------------------------------------------------------------
@@ -205,7 +200,7 @@ def _cmd_check(args) -> int:
             {"quasi_compact": rep.quasi.holds, "hausdorff": rep.hausdorff.holds},
         )
     if prop == "compact-set":
-        rep = is_compact_set(topo, _named_set(doc, args.set))
+        rep = is_compact_set(topo, resolve_set(doc, args.set))
         return _check_outcome(
             args, prop, rep.compact,
             {
@@ -226,10 +221,10 @@ def _cmd_check(args) -> int:
             {"rare_closed": len(rep.rare_closed), "union_interior": rep.union_interior},
         )
     if prop == "nowhere-dense":
-        verdict = is_nowhere_dense(topo, _named_set(doc, args.set))
+        verdict = is_nowhere_dense(topo, resolve_set(doc, args.set))
         return _check_outcome(args, prop, verdict, {"set": args.set})
     if prop == "first-category":
-        rep = is_first_category(topo, _named_set(doc, args.set))
+        rep = is_first_category(topo, resolve_set(doc, args.set))
         return _check_outcome(
             args, prop, rep.first_category,
             {"set": args.set, "verdict": rep.verdict, "pieces": len(rep.decomposition)},
@@ -242,7 +237,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_compute(args) -> int:
     doc, topo = _load_topology(args.file)
-    subject = _named_set(doc, args.set)
+    subject = resolve_set(doc, args.set)
     if args.operation == "closure":
         result: t.Any = closure(topo, subject)
     elif args.operation == "interior":
@@ -277,7 +272,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_elements(args) -> int:
     doc = parse_file(args.file)
-    subject = _named_set(doc, args.set)
+    subject = resolve_set(doc, args.set)
     count = element_count(subject)
     if count > _ELEMENT_GUARD and not args.force:
         raise PreconditionError(

@@ -1,16 +1,15 @@
 """Finite soft sets, soft elements, and the elementary operations.
 
 A soft set over a universe assigns one subset of the points (a "slice") to
-every parameter.  Slices are stored as fixed-width bitmasks indexed by the
-canonical point order, so all pointwise algebra is integer arithmetic.  A
-soft element picks one point per parameter; a soft set contains an element
-only when every coordinate lands inside the matching slice.
-
-Hot loops use a packed form instead: one Python int per soft set, holding
-parameter ``k``'s slice at bit offset ``k * (n_points + 1)``.  The spare top
-bit of each field lets one addition test every slice for emptiness at once
-(see ``Packing``).  Only this module knows the layout; ``pack`` and
-``unpack`` convert at the edges.
+every parameter.  It is stored as one Python int, ``SoftSet.bits``, holding
+parameter ``k``'s slice at bit offset ``k * (n_points + 1)`` with points in
+canonical order.  The spare top bit of each field lets one addition test
+every slice for emptiness at once (see ``Packing``), so every operation is
+a handful of integer instructions.  Only this module knows the layout;
+``SoftSet.of`` builds a set from per-parameter slice masks and
+``SoftSet.slices`` reads them back for documents and display.  A soft
+element picks one point per parameter; a soft set contains an element only
+when every coordinate lands inside the matching slice.
 
 The admissible family consists of the empty soft set plus every soft set
 whose slices are all nonempty.  The elementary operations (union,
@@ -23,6 +22,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import dataclasses as d
+import functools
 import itertools
 import math
 import typing as t
@@ -124,15 +124,15 @@ class Universe:
 
 @d.dataclass(frozen=True)
 class Packing:
-    """Layout constants of the packed form over one universe.
+    """Layout constants of ``SoftSet.bits`` over one universe.
 
     Each parameter owns a field of ``width = n_points + 1`` bits: the slice
-    in the low ``n_points`` bits and a spare top bit that packed values keep
+    in the low ``n_points`` bits and a spare top bit that set bits keep
     clear.  ``fields`` holds each parameter's low bits, ``full`` their
-    union (the packed absolute) and ``spare`` the top bits.  Adding ``full``
-    to a packed value carries into a field's spare bit exactly when that
-    slice is nonempty, and never past it, so ``(m + full) & spare == spare``
-    says every slice of ``m`` is nonempty.  On packed values: union is
+    union (the absolute) and ``spare`` the top bits.  Adding ``full`` to
+    set bits carries into a field's spare bit exactly when that slice is
+    nonempty, and never past it, so ``(m + full) & spare == spare`` says
+    every slice of ``m`` is nonempty.  On set bits: union is
     ``a | b``, pointwise meet ``a & b``, pointwise complement ``full ^ a``,
     pointwise disjointness ``a & b == 0`` and containment ``a & ~b == 0``.
     """
@@ -152,7 +152,7 @@ class Packing:
         return cls(width, fields, sum(fields), spare)
 
     def collapse(self, m: int) -> int:
-        """Elementary reading of a packed pointwise result: ``m`` itself
+        """Elementary reading of a pointwise result: ``m`` itself
         when every slice is nonempty, otherwise the null set ``0``."""
         return m if (m + self.full) & self.spare == self.spare else 0
 
@@ -169,20 +169,37 @@ def _require_same_universe(a, b) -> None:
 
 @d.dataclass(frozen=True)
 class SoftSet:
-    """One bitmask slice per parameter, in parameter order."""
+    """A soft set as its ``bits`` in the ``Packing`` layout of its universe."""
 
     universe: Universe
-    slices: tuple[int, ...]
+    bits: int
 
     def __post_init__(self) -> None:
-        if len(self.slices) != self.universe.n_params:
+        # Spare bits would corrupt the one-addition admissibility test.
+        if self.bits < 0 or self.bits & ~self.universe.packing.full:
+            raise InputError(f"soft set bits {self.bits:#x} outside the universe layout")
+
+    @classmethod
+    def of(cls, universe: Universe, slices: t.Iterable[int]) -> "SoftSet":
+        """Build from one point bitmask per parameter, in parameter order."""
+        slices = tuple(slices)
+        if len(slices) != universe.n_params:
             raise InputError(
-                f"expected {self.universe.n_params} slices, got {len(self.slices)}"
+                f"expected {universe.n_params} slices, got {len(slices)}"
             )
-        full = self.universe.full_mask
-        for mask in self.slices:
+        full, width = universe.full_mask, universe.packing.width
+        bits = 0
+        for k, mask in enumerate(slices):
             if mask < 0 or mask & ~full:
                 raise InputError(f"slice mask {mask:#x} outside the universe")
+            bits |= mask << k * width
+        return cls(universe, bits)
+
+    @property
+    def slices(self) -> tuple[int, ...]:
+        """One point bitmask per parameter, in parameter order."""
+        width, low = self.universe.packing.width, self.universe.full_mask
+        return tuple(self.bits >> k * width & low for k in range(self.universe.n_params))
 
     @classmethod
     def from_points(
@@ -195,9 +212,7 @@ class SoftSet:
         extra = [a for a in by_param if a not in universe.params]
         if extra:
             raise InputError(f"unknown parameters {extra}")
-        return cls(
-            universe, tuple(universe.mask_of(by_param[a]) for a in universe.params)
-        )
+        return cls.of(universe, (universe.mask_of(by_param[a]) for a in universe.params))
 
     def slice_points(self, param: str) -> tuple[str, ...]:
         return self.universe.names_of(self.slices[self.universe.param_index(param)])
@@ -206,11 +221,7 @@ class SoftSet:
         return {a: self.universe.names_of(m) for a, m in zip(self.universe.params, self.slices)}
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((self.universe, self.slices))
-            object.__setattr__(self, "_h", h)
-        return h
+        return hash(self.bits)
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -248,6 +259,12 @@ class SoftElement:
             tuple(universe.point_index(by_param[a]) for a in universe.params),
         )
 
+    @functools.cached_property
+    def bits(self) -> int:
+        """The ``SoftSet.bits`` of this element's span: one bit per field."""
+        width = self.universe.packing.width
+        return sum(1 << k * width + c for k, c in enumerate(self.coords))
+
     def point(self, param: str) -> str:
         return self.universe.points[self.coords[self.universe.param_index(param)]]
 
@@ -265,32 +282,6 @@ class SoftElement:
         return "SoftElement(" + ",".join(
             self.universe.points[c] for c in self.coords
         ) + ")"
-
-
-def pack(s: SoftSet) -> int:
-    """The packed form of ``s`` (see ``Packing``)."""
-    width = s.universe.packing.width
-    out = 0
-    for k, m in enumerate(s.slices):
-        out |= m << k * width
-    return out
-
-
-def pack_element(x: SoftElement) -> int:
-    """The packed form of the span of ``x``: one bit in every field."""
-    width = x.universe.packing.width
-    out = 0
-    for k, c in enumerate(x.coords):
-        out |= 1 << k * width + c
-    return out
-
-
-def unpack(universe: Universe, packed: int) -> SoftSet:
-    """The soft set whose packed form is ``packed``."""
-    width, low = universe.packing.width, universe.full_mask
-    return SoftSet(
-        universe, tuple(packed >> k * width & low for k in range(universe.n_params))
-    )
 
 
 @d.dataclass(frozen=True)
@@ -324,41 +315,41 @@ class ElementBag:
 
 def null_set(universe: Universe) -> SoftSet:
     """The empty soft set: every slice empty."""
-    return SoftSet(universe, (0,) * universe.n_params)
+    return SoftSet(universe, 0)
 
 
 def full_set(universe: Universe) -> SoftSet:
     """The absolute soft set: every slice is the whole point set."""
-    return SoftSet(universe, (universe.full_mask,) * universe.n_params)
+    return SoftSet(universe, universe.packing.full)
 
 
 def constant_set(universe: Universe, points: t.Iterable[str]) -> SoftSet:
     """The soft set assigning the same point subset to every parameter."""
     mask = universe.mask_of(points)
-    return SoftSet(universe, (mask,) * universe.n_params)
+    return SoftSet.of(universe, (mask,) * universe.n_params)
 
 
 # --- predicates and measures ---------------------------------------------
 
 def is_admissible(s: SoftSet) -> bool:
     """True when the set is everywhere-empty or everywhere-nonempty."""
-    return all(m == 0 for m in s.slices) or all(m != 0 for m in s.slices)
+    return s.universe.packing.is_admissible(s.bits)
 
 
 def is_null(s: SoftSet) -> bool:
-    return all(m == 0 for m in s.slices)
+    return s.bits == 0
 
 
 def is_soft_subset(f: SoftSet, g: SoftSet) -> bool:
     """Slice-wise containment of f in g."""
     _require_same_universe(f, g)
-    return all(fm & ~gm == 0 for fm, gm in zip(f.slices, g.slices))
+    return f.bits & ~g.bits == 0
 
 
 def is_member(x: SoftElement, f: SoftSet) -> bool:
     """Membership requires the coordinate to land in the slice at every parameter."""
     _require_same_universe(x, f)
-    return all(m >> c & 1 for c, m in zip(x.coords, f.slices))
+    return x.bits & ~f.bits == 0
 
 
 def element_count(f: SoftSet) -> int:
@@ -384,28 +375,26 @@ def span(bag: ElementBag) -> SoftSet:
 
     The span is lossy: distinct bags can produce the same soft set.
     """
-    masks = [0] * bag.universe.n_params
+    bits = 0
     for x in bag.elements:
-        for i, c in enumerate(x.coords):
-            masks[i] |= 1 << c
-    return SoftSet(bag.universe, tuple(masks))
+        bits |= x.bits
+    return SoftSet(bag.universe, bits)
 
 
 # --- pointwise operations -------------------------------------------------
 
 def pointwise_union(f: SoftSet, g: SoftSet) -> SoftSet:
     _require_same_universe(f, g)
-    return SoftSet(f.universe, tuple(a | b for a, b in zip(f.slices, g.slices)))
+    return SoftSet(f.universe, f.bits | g.bits)
 
 
 def pointwise_intersection(f: SoftSet, g: SoftSet) -> SoftSet:
     _require_same_universe(f, g)
-    return SoftSet(f.universe, tuple(a & b for a, b in zip(f.slices, g.slices)))
+    return SoftSet(f.universe, f.bits & g.bits)
 
 
 def pointwise_complement(f: SoftSet) -> SoftSet:
-    full = f.universe.full_mask
-    return SoftSet(f.universe, tuple(full & ~m for m in f.slices))
+    return SoftSet(f.universe, f.universe.packing.full ^ f.bits)
 
 
 # --- elementary operations ------------------------------------------------
@@ -415,14 +404,6 @@ def _require_admissible(s: SoftSet, op: str) -> None:
         raise NotAdmissibleError(
             f"{op}: operand has a mix of empty and nonempty slices: {s!r}"
         )
-
-
-def _collapse(universe: Universe, masks: t.Sequence[int]) -> SoftSet:
-    # The elementary reading: a result keeps its pointwise slices only when
-    # every slice is nonempty, otherwise it collapses to the empty soft set.
-    if all(masks):
-        return SoftSet(universe, tuple(masks))
-    return null_set(universe)
 
 
 def elementary_union(f: SoftSet, g: SoftSet) -> SoftSet:
@@ -437,28 +418,27 @@ def elementary_intersection(f: SoftSet, g: SoftSet) -> SoftSet:
     _require_admissible(f, "elementary_intersection")
     _require_admissible(g, "elementary_intersection")
     _require_same_universe(f, g)
-    return _collapse(f.universe, [a & b for a, b in zip(f.slices, g.slices)])
+    return SoftSet(f.universe, f.universe.packing.collapse(f.bits & g.bits))
 
 
 def elementary_complement(f: SoftSet) -> SoftSet:
     """Elementary complement: pointwise complement unless a slice empties."""
     _require_admissible(f, "elementary_complement")
-    full = f.universe.full_mask
-    return _collapse(f.universe, [full & ~m for m in f.slices])
+    packing = f.universe.packing
+    return SoftSet(f.universe, packing.collapse(packing.full ^ f.bits))
 
 
 def elementary_union_family(
     universe: Universe, sets: t.Iterable[SoftSet]
 ) -> SoftSet:
     """Fold of the elementary union; the empty family yields the null set."""
-    masks = [0] * universe.n_params
+    bits = 0
     for s in sets:
         _require_admissible(s, "elementary_union_family")
         if s.universe != universe:
             raise UniverseMismatchError("family member from a different universe")
-        for i, m in enumerate(s.slices):
-            masks[i] |= m
-    return SoftSet(universe, tuple(masks))
+        bits |= s.bits
+    return SoftSet(universe, bits)
 
 
 def elementary_intersection_family(
@@ -469,14 +449,13 @@ def elementary_intersection_family(
     Order-independent: the fold collapses exactly when the joint pointwise
     intersection has an empty slice, because slices only shrink along the way.
     """
-    masks = [universe.full_mask] * universe.n_params
+    bits = universe.packing.full
     for s in sets:
         _require_admissible(s, "elementary_intersection_family")
         if s.universe != universe:
             raise UniverseMismatchError("family member from a different universe")
-        for i, m in enumerate(s.slices):
-            masks[i] &= m
-    return _collapse(universe, masks)
+        bits &= s.bits
+    return SoftSet(universe, universe.packing.collapse(bits))
 
 
 # --- relative complements --------------------------------------------------
@@ -486,13 +465,12 @@ def relative_complement(z: SoftSet, y_points: t.Iterable[str]) -> SoftSet:
 
     Precondition: z must sit inside that constant set.
     """
-    ymask = z.universe.mask_of(y_points)
-    for m in z.slices:
-        if m & ~ymask:
-            raise PreconditionError(
-                "relative_complement: operand is not contained in the carrier"
-            )
-    return SoftSet(z.universe, tuple(ymask & ~m for m in z.slices))
+    carrier = constant_set(z.universe, y_points).bits
+    if z.bits & ~carrier:
+        raise PreconditionError(
+            "relative_complement: operand is not contained in the carrier"
+        )
+    return SoftSet(z.universe, carrier ^ z.bits)
 
 
 def elementary_relative_complement(
@@ -500,4 +478,4 @@ def elementary_relative_complement(
 ) -> SoftSet:
     """Relative complement with the elementary collapse rule applied."""
     w = relative_complement(z, y_points)
-    return _collapse(w.universe, w.slices)
+    return SoftSet(w.universe, w.universe.packing.collapse(w.bits))

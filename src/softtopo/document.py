@@ -152,7 +152,7 @@ def decode_set(
             ok = False
     if not ok:
         return None
-    return SoftSet(universe, tuple(masks))
+    return SoftSet.of(universe, masks)
 
 
 def _decode_universe(raw, issues: _Issues) -> Universe | None:

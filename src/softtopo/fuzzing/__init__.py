@@ -1,6 +1,6 @@
 """Seeded random instance generation, theorem registry, and shrinking."""
 
-from .generate import ALGORITHM_ID, GeneratorConfig, gen_hausdorff_topology, gen_topology
+from .generate import ALGORITHM_ID, GeneratorConfig, gen_topology
 from .harness import TrialReport, run_theorem
 from .registry import REGISTRY, TheoremCase
 
@@ -10,7 +10,6 @@ __all__ = [
     "REGISTRY",
     "TheoremCase",
     "TrialReport",
-    "gen_hausdorff_topology",
     "gen_topology",
     "run_theorem",
 ]

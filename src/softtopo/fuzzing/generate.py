@@ -19,8 +19,6 @@ from ..core import (
     full_set,
     is_admissible,
     iter_elements,
-    pack,
-    unpack,
 )
 from ..errors import GenerationError, InputError, NotAdmissibleError
 from ..separation import is_hausdorff
@@ -34,7 +32,6 @@ __all__ = [
     "close_subbase",
     "draw_subbase",
     "full_size",
-    "gen_hausdorff_topology",
     "gen_topology",
     "random_admissible",
     "trial_rng",
@@ -59,6 +56,11 @@ _HAUSDORFF_ATTEMPTS = 2
 # budget bounds memory before any draw; 5x2 (962 members) fits, 7x2 does not.
 _FULL_TOPOLOGY_BUDGET = 4096
 
+# Bound on points, params and the absolute's soft-element count
+# points ** params of a generator config, checked before ``universe_for``
+# builds any name.
+_ELEMENT_BUDGET = 4096
+
 
 @d.dataclass(frozen=True)
 class GeneratorConfig:
@@ -74,6 +76,15 @@ class GeneratorConfig:
             raise InputError("points must be at least 1")
         if self.params < 1:
             raise InputError("params must be at least 1")
+        # Bound each side first so the power below stays small.
+        if (
+            max(self.points, self.params) > _ELEMENT_BUDGET
+            or self.points**self.params > _ELEMENT_BUDGET
+        ):
+            raise InputError(
+                f"a {self.points}x{self.params} universe is over the budget: points, "
+                f"params and points ** params must each be at most {_ELEMENT_BUDGET}"
+            )
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must fit in 64 bits")
         if self.subbase_size < 0:
@@ -105,8 +116,8 @@ def trial_rng(config: GeneratorConfig, index: int) -> random.Random:
 def random_admissible(rng: random.Random, universe: Universe) -> SoftSet:
     """A uniformly random soft set with every slice nonempty."""
     full = universe.full_mask
-    return SoftSet(
-        universe, tuple(rng.randrange(1, full + 1) for _ in range(universe.n_params))
+    return SoftSet.of(
+        universe, (rng.randrange(1, full + 1) for _ in range(universe.n_params))
     )
 
 
@@ -117,10 +128,7 @@ def full_size(universe: Universe) -> int:
 
 def all_spans(universe: Universe) -> tuple[SoftSet, ...]:
     """Single-element spans in lexicographic element order."""
-    out = []
-    for x in iter_elements(full_set(universe)):
-        out.append(SoftSet(universe, tuple(1 << c for c in x.coords)))
-    return tuple(out)
+    return tuple(SoftSet(universe, x.bits) for x in iter_elements(full_set(universe)))
 
 
 def close_subbase(
@@ -134,7 +142,7 @@ def close_subbase(
     order, then derived sets in discovery order.
     """
     packing = universe.packing
-    # Work on packed sets.  Every member is admissible (checked below), so
+    # Work on set bits.  Every member is admissible (checked below), so
     # union never needs collapsing and meet collapses exactly when some
     # slice empties; this matches the elementary operations bit for bit.
     rows: list[int] = [0, packing.full]
@@ -144,7 +152,7 @@ def close_subbase(
             raise InputError("subbase entry from a different universe")
         if not is_admissible(s):
             raise NotAdmissibleError(f"subbase: inadmissible generator {s!r}")
-        p = pack(s)
+        p = s.bits
         if p not in seen:
             if cap is not None and len(rows) >= cap:
                 return None
@@ -163,7 +171,7 @@ def close_subbase(
                     seen.add(w)
                     rows.append(w)
         i += 1
-    return tuple(unpack(universe, row) for row in rows)
+    return tuple(SoftSet(universe, row) for row in rows)
 
 
 def draw_subbase(
@@ -233,9 +241,16 @@ def gen_hausdorff_with_stats(
             f"topology of {size} members, over the budget of {_FULL_TOPOLOGY_BUDGET}"
         )
     spans = all_spans(universe)
+    # With two or more points only the full topology passes the size check
+    # below (one point always fits max_topology).  When it is over
+    # max_topology, close_subbase cannot return it, so the attempts only
+    # draw, keeping the RNG stream, and the draw falls back.
+    closable = size <= config.max_topology
     for attempt in range(1, _HAUSDORFF_ATTEMPTS + 1):
         base = list(draw_subbase(rng, universe, config.subbase_size))
         picked = rng.sample(spans, min(len(spans), max(1, config.subbase_size)))
+        if not closable:
+            continue
         for s in picked:
             if s not in base:
                 base.append(s)
@@ -251,11 +266,3 @@ def gen_hausdorff_with_stats(
         if is_hausdorff(topo).holds:
             return HausdorffDraw(tuple(base), topo, attempt, True)
     return HausdorffDraw(spans, full_topology(universe), _HAUSDORFF_ATTEMPTS, False)
-
-
-def gen_hausdorff_topology(
-    config: GeneratorConfig, rng: random.Random | None = None
-) -> SoftTopology:
-    if rng is None:
-        rng = trial_rng(config, 0)
-    return gen_hausdorff_with_stats(config, rng).topology

@@ -178,12 +178,11 @@ def _drop_bit(mask: int, index: int) -> int:
 
 
 def _project_point(s: SoftSet, universe: Universe, index: int) -> SoftSet:
-    return SoftSet(universe, tuple(_drop_bit(m, index) for m in s.slices))
+    return SoftSet.of(universe, (_drop_bit(m, index) for m in s.slices))
 
 
 def _project_param(s: SoftSet, universe: Universe, index: int) -> SoftSet:
-    slices = s.slices[:index] + s.slices[index + 1 :]
-    return SoftSet(universe, slices)
+    return SoftSet.of(universe, s.slices[:index] + s.slices[index + 1 :])
 
 
 def _dedup(sets: t.Iterable[SoftSet]) -> tuple[SoftSet, ...]:

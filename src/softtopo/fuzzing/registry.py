@@ -122,7 +122,7 @@ def _random_subset(rng: random.Random, k: SoftSet) -> SoftSet:
             bits = [i for i in range(k.universe.n_points) if m >> i & 1]
             kept = 1 << rng.choice(bits)
         slices.append(kept)
-    return SoftSet(k.universe, tuple(slices))
+    return SoftSet.of(k.universe, slices)
 
 
 def _maybe_null(rng: random.Random, inst_universe) -> SoftSet:

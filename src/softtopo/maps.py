@@ -107,9 +107,8 @@ def image(f: SoftFunction, s: SoftSet) -> SoftSet:
     """Slice-wise forward image; preserves admissibility."""
     if s.universe != f.domain:
         raise UniverseMismatchError("set from a different universe")
-    return SoftSet(
-        f.codomain,
-        tuple(_forward_mask(pm, m) for pm, m in zip(f.point_maps, s.slices)),
+    return SoftSet.of(
+        f.codomain, (_forward_mask(pm, m) for pm, m in zip(f.point_maps, s.slices))
     )
 
 
@@ -117,9 +116,8 @@ def preimage(f: SoftFunction, s: SoftSet) -> SoftSet:
     """Slice-wise inverse image; admissibility may be lost."""
     if s.universe != f.codomain:
         raise UniverseMismatchError("set from a different universe")
-    return SoftSet(
-        f.domain,
-        tuple(_inverse_mask(pm, m) for pm, m in zip(f.point_maps, s.slices)),
+    return SoftSet.of(
+        f.domain, (_inverse_mask(pm, m) for pm, m in zip(f.point_maps, s.slices))
     )
 
 

@@ -17,24 +17,18 @@ elementary-disjoint opens.
 from __future__ import annotations
 
 import dataclasses as d
-import enum
 
-from .core import SoftElement, pack_element
+from .core import SoftElement
 from .topology import (
     SoftTopology,
     _cached,
-    _closed,
     _iter_bits,
+    closed_sets,
     containing_masks,
     disjoint_rows,
     space_elements,
     superset_mask,
 )
-
-
-class DisjointnessMode(enum.Enum):
-    POINTWISE = "pointwise"
-    ELEMENTARY = "elementary"
 
 
 @d.dataclass(frozen=True)
@@ -58,15 +52,13 @@ def _fully_differing(x: SoftElement, y: SoftElement) -> bool:
     return all(a != b for a, b in zip(x.coords, y.coords))
 
 
-def is_hausdorff(
-    topo: SoftTopology, disjointness: DisjointnessMode = DisjointnessMode.POINTWISE
-) -> SeparationReport:
-    """Every pair differing at all parameters gets disjoint open hulls."""
+def is_hausdorff(topo: SoftTopology) -> SeparationReport:
+    """Every pair differing at all parameters gets pointwise-disjoint open hulls."""
 
     def build() -> SeparationReport:
         elements = space_elements(topo)
         cont = containing_masks(topo)
-        disj = disjoint_rows(topo, disjointness is DisjointnessMode.ELEMENTARY)
+        disj = disjoint_rows(topo, False)
         members = topo.members
         witness = None
         for xi in range(len(elements)):
@@ -90,7 +82,7 @@ def is_hausdorff(
                     witness = pair_witness
         return SeparationReport("hausdorff", True, witness, None)
 
-    return _cached(topo, ("hausdorff", disjointness.value), build)
+    return _cached(topo, "hausdorff", build)
 
 
 def is_regular(
@@ -109,12 +101,12 @@ def is_regular(
         disj = disjoint_rows(topo, True)
         collapse = topo.universe.packing.collapse
         elements = space_elements(topo)
-        packed_elements = [pack_element(x) for x in elements]
-        closed, closed_packed = _closed(topo)
+        element_bits = [x.bits for x in elements]
         witness = None
-        for f, fp in zip(closed, closed_packed):
+        for f in closed_sets(topo):
+            fp = f.bits
             supersets = list(_iter_bits(superset_mask(topo, fp)))
-            for x, xp in zip(elements, packed_elements):
+            for x, xp in zip(elements, element_bits):
                 if xp & fp:
                     continue  # hypothesis wants avoidance at every parameter
                 cx = cont[x]
@@ -147,18 +139,18 @@ def is_normal(topo: SoftTopology) -> SeparationReport:
     def build() -> SeparationReport:
         members = topo.members
         disj = disjoint_rows(topo, True)
-        closed, closed_packed = _closed(topo)
+        closed = closed_sets(topo)
         member_index = {m: i for i, m in enumerate(topo.packed)}
-        supersets = [superset_mask(topo, p) for p in closed_packed]
+        supersets = [superset_mask(topo, c.bits) for c in closed]
 
         witness = None
-        for a in range(len(closed)):
-            fp = closed_packed[a]
+        for a, f in enumerate(closed):
+            fp = f.bits
             for b in range(a, len(closed)):
-                gp = closed_packed[b]
+                g = closed[b]
+                gp = g.bits
                 if fp & gp:
                     continue  # hypothesis: pointwise disjoint
-                f, g = closed[a], closed[b]
                 pair_witness = None
                 # Disjoint closed sets that are themselves open separate
                 # each other; try that before scanning.

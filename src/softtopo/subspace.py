@@ -78,11 +78,11 @@ def check_subspace_preconditions(
     if is_null(carrier) or not is_admissible(carrier):
         raise PreconditionError("carrier must be admissible and nonnull")
     pair_violations = pairwise_admissible_violations(topo)
-    trace_violations = []
-    for i, m in enumerate(topo.members):
-        meet = [a & b for a, b in zip(m.slices, carrier.slices)]
-        if any(meet) and not all(meet):
-            trace_violations.append(i)
+    is_admissible_bits = topo.universe.packing.is_admissible
+    trace_violations = [
+        i for i, m in enumerate(topo.packed)
+        if not is_admissible_bits(m & carrier.bits)
+    ]
     satisfied = not pair_violations and not trace_violations
     return SubspacePreconditionReport(
         satisfied, carrier, pair_violations, tuple(trace_violations)

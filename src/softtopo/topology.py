@@ -7,9 +7,11 @@ pairwise elementary intersection.  Closure under arbitrary unions reduces to
 the pairwise check for finite lists; the reduction itself is covered by a
 test rather than assumed silently.
 
-The kernels run on the packed form of ``core``: ``SoftTopology.packed``
-runs parallel to ``members``, and ``SoftSet`` objects are built only for
-results and report witnesses.  They assume a verified member list.
+The kernels work on ``SoftSet.bits``, the packed layout of ``core``:
+``SoftTopology.packed`` holds the members' bits in member order so scans
+can index into it, and a per-topology column index turns the superset,
+subset and disjointness masks into big-int ORs and ANDs.  They assume a
+verified member list.
 
 The absolute member defaults to the full soft set; subspace topologies reuse
 the same verifier with the constant set on the carrier points as absolute.
@@ -37,13 +39,9 @@ from .core import (
     is_soft_subset,
     iter_elements,
     null_set,
-    pack,
-    pack_element,
     pointwise_complement,
-    unpack,
 )
 from .errors import (
-    InputError,
     InvalidTopologyError,
     NotAdmissibleError,
     PreconditionError,
@@ -104,8 +102,8 @@ class SoftTopology:
 
     @property
     def packed(self) -> tuple[int, ...]:
-        """The members in packed form, in member order."""
-        return _cached(self, "packed", lambda: tuple(pack(m) for m in self.members))
+        """The members' bits, in member order."""
+        return _cached(self, "packed", lambda: tuple(m.bits for m in self.members))
 
     @property
     def member_set(self) -> frozenset[SoftSet]:
@@ -119,6 +117,9 @@ class SoftTopology:
 
 
 def _cached(topo: SoftTopology, key, builder):
+    # The check-then-set is unguarded, yet benign under threads: builders
+    # are pure functions of the immutable fields, so a lost race only
+    # stores an equal value.
     cache = topo._cache
     if key not in cache:
         cache[key] = builder()
@@ -134,7 +135,7 @@ def verify_topology(
 ) -> TopologyReport:
     """Check every axiom and report all violations, not just the first.
 
-    Runs on packed members; ``fuzzing.oracles.verify_topology_oracle`` is
+    Runs on member bits; ``fuzzing.oracles.verify_topology_oracle`` is
     the ``SoftSet`` reference it must match, violation for violation.
     """
     absolute = absolute if absolute is not None else full_set(universe)
@@ -147,41 +148,40 @@ def verify_topology(
         raise UniverseMismatchError("absolute from a different universe")
 
     packing = universe.packing
-    packed = [pack(m) for m in members]
     seen: set[int] = set()
-    for m, p in zip(members, packed):
-        if p in seen:
+    for m in members:
+        if m.bits in seen:
             violations.append(Violation("duplicate-member", (m,), m))
-        seen.add(p)
+        seen.add(m.bits)
 
     if 0 not in seen:
         violations.append(Violation("phi-member", (), null_set(universe)))
-    absolute_packed = pack(absolute)
-    if absolute_packed not in seen:
+    if absolute.bits not in seen:
         violations.append(Violation("absolute-member", (), absolute))
 
-    admissible: list[tuple[SoftSet, int]] = []
-    for m, p in zip(members, packed):
-        if not packing.is_admissible(p):
+    admissible: list[SoftSet] = []
+    for m in members:
+        if not packing.is_admissible(m.bits):
             violations.append(Violation("member-admissible", (m,), m))
             continue
-        admissible.append((m, p))
-        if p & ~absolute_packed:
+        admissible.append(m)
+        if m.bits & ~absolute.bits:
             violations.append(Violation("member-inside-absolute", (m,), m))
 
     # Pairwise closure; finite families reduce to this by induction.
     collapse = packing.collapse
-    for i, (f, a) in enumerate(admissible):
-        for g, b in admissible[i + 1:]:
-            union = a | b
+    for i, f in enumerate(admissible):
+        a = f.bits
+        for g in admissible[i + 1:]:
+            union = a | g.bits
             if union not in seen:
                 violations.append(
-                    Violation("union-closure", (f, g), unpack(universe, union))
+                    Violation("union-closure", (f, g), SoftSet(universe, union))
                 )
-            meet = collapse(a & b)
+            meet = collapse(a & g.bits)
             if meet not in seen:
                 violations.append(
-                    Violation("intersection-closure", (f, g), unpack(universe, meet))
+                    Violation("intersection-closure", (f, g), SoftSet(universe, meet))
                 )
 
     return TopologyReport(valid=not violations, violations=tuple(violations))
@@ -209,7 +209,7 @@ def full_topology(universe: Universe) -> SoftTopology:
     """Every admissible soft set is open; members in lexicographic slice order."""
     nonempty = range(1, universe.full_mask + 1)
     members = [null_set(universe)] + [
-        SoftSet(universe, masks)
+        SoftSet.of(universe, masks)
         for masks in itertools.product(nonempty, repeat=universe.n_params)
     ]
     return SoftTopology.of(universe, members)
@@ -245,21 +245,16 @@ def is_closed(topo: SoftTopology, f: SoftSet) -> bool:
 
 def closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
     """All closed sets, in member order of their complements, deduplicated."""
-    return _closed(topo)[0]
-
-
-def _closed(topo: SoftTopology) -> tuple[tuple[SoftSet, ...], tuple[int, ...]]:
-    """The closed sets and, in parallel, their packed forms."""
     _require_full_absolute(topo, "closed_sets")
 
-    def build() -> tuple[tuple[SoftSet, ...], tuple[int, ...]]:
+    def build() -> tuple[SoftSet, ...]:
         packing = topo.universe.packing
         out: dict[int, None] = {}
         for o in topo.packed:
             comp = packing.full ^ o
             if packing.is_admissible(comp):
                 out[comp] = None
-        return tuple(unpack(topo.universe, c) for c in out), tuple(out)
+        return tuple(SoftSet(topo.universe, c) for c in out)
 
     return _cached(topo, "closed", build)
 
@@ -271,7 +266,7 @@ def _require_subject(topo: SoftTopology, f: SoftSet, op: str) -> int:
         raise NotAdmissibleError(f"{op}: input outside the admissible family")
     if f.universe != topo.universe:
         raise UniverseMismatchError(f"{op}: input from a different universe")
-    return pack(f)
+    return f.bits
 
 
 def closure(topo: SoftTopology, f: SoftSet) -> SoftSet:
@@ -283,10 +278,10 @@ def closure(topo: SoftTopology, f: SoftSet) -> SoftSet:
     p = _require_subject(topo, f, "closure")
     packing = topo.universe.packing
     meet = packing.full
-    for c in _closed(topo)[1]:
-        if p & ~c == 0:
-            meet &= c
-    return unpack(topo.universe, packing.collapse(meet))
+    for c in closed_sets(topo):
+        if p & ~c.bits == 0:
+            meet &= c.bits
+    return SoftSet(topo.universe, packing.collapse(meet))
 
 
 def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
@@ -301,7 +296,7 @@ def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
     for o in topo.packed:
         if o & ~p == 0:
             union |= o
-    return unpack(topo.universe, union)
+    return SoftSet(topo.universe, union)
 
 
 def interior_witness(
@@ -340,15 +335,17 @@ def is_limiting(
 ) -> bool:
     if x.universe != topo.universe or f.universe != topo.universe:
         raise UniverseMismatchError("mixed universes in is_limiting")
-    for g in topo.members:
-        if mode is LimitingMode.WHOLE_OPEN and not is_member(x, g):
+    xb = x.bits
+    fields = topo.universe.packing.fields
+    for g in topo.packed:
+        if mode is LimitingMode.WHOLE_OPEN and xb & ~g:
             continue
-        for i, coord in enumerate(x.coords):
-            gm = g.slices[i]
-            if mode is LimitingMode.PER_PARAMETER and not (gm >> coord & 1):
+        # f's bits inside g's slices punctured at x's coordinates
+        near = f.bits & g & ~xb
+        for field in fields:
+            if mode is LimitingMode.PER_PARAMETER and not g & xb & field:
                 continue
-            punctured = gm & ~(1 << coord)
-            if f.slices[i] & punctured == 0:
+            if near & field == 0:
                 return False
     return True
 
@@ -397,7 +394,7 @@ def _iter_bits(mask: int) -> t.Iterator[int]:
 
 
 def _columns(topo: SoftTopology) -> dict[int, int]:
-    """For each bit index of the packed layout that some member sets: the
+    """For each layout bit index that some member sets: the
     bitmask over member indices of those members."""
 
     def build() -> dict[int, int]:
@@ -419,13 +416,13 @@ def _meeting(columns: dict[int, int], p: int) -> int:
 
 
 def subset_mask(topo: SoftTopology, p: int) -> int:
-    """Bitmask over member indices of the members inside packed ``p``."""
+    """Bitmask over member indices of the members inside bits ``p``."""
     everyone = (1 << len(topo.members)) - 1
     return everyone ^ _meeting(_columns(topo), topo.universe.packing.full ^ p)
 
 
 def superset_mask(topo: SoftTopology, p: int) -> int:
-    """Bitmask over member indices of the members containing packed ``p``."""
+    """Bitmask over member indices of the members containing bits ``p``."""
     columns = _columns(topo)
     mask = (1 << len(topo.members)) - 1
     for b in _iter_bits(p):
@@ -437,7 +434,7 @@ def containing_masks(topo: SoftTopology) -> dict[SoftElement, int]:
     """For each space element, a bitmask over member indices containing it."""
 
     def build() -> dict[SoftElement, int]:
-        return {x: superset_mask(topo, pack_element(x)) for x in space_elements(topo)}
+        return {x: superset_mask(topo, x.bits) for x in space_elements(topo)}
 
     return _cached(topo, "containing_masks", build)
 

@@ -59,7 +59,7 @@ def admissible_family(u: Universe):
     yield null_set(u)
     full = u.full_mask
     for masks in itertools.product(range(1, full + 1), repeat=u.n_params):
-        yield SoftSet(u, masks)
+        yield SoftSet.of(u, masks)
 
 
 def test_worked_example_regressions():

@@ -44,7 +44,7 @@ def test_nowhere_dense(abcd_topo):
     with pytest.raises(PreconditionError):
         is_nowhere_dense(abcd_topo, null_set(u))
     with pytest.raises(NotAdmissibleError):
-        is_nowhere_dense(abcd_topo, SoftSet(u, (u.mask_of("a"), 0)))
+        is_nowhere_dense(abcd_topo, SoftSet.of(u, (u.mask_of("a"), 0)))
 
 
 def test_rare_closed_sets(abcd_topo):
@@ -130,7 +130,7 @@ def test_category_guards(abcd_topo):
     with pytest.raises(PreconditionError):
         is_first_category(abcd_topo, null_set(u))
     with pytest.raises(NotAdmissibleError):
-        first_category_oracle(abcd_topo, SoftSet(u, (u.mask_of("a"), 0)))
+        first_category_oracle(abcd_topo, SoftSet.of(u, (u.mask_of("a"), 0)))
     with pytest.raises(PreconditionError):
         first_category_oracle(abcd_topo, full_set(u), gate=8)
 

@@ -329,6 +329,19 @@ def test_fuzz_separated_draw_over_budget(capsys):
     )
 
 
+def test_fuzz_shape_over_budget(capsys):
+    # 65 ** 2 = 4225 soft elements, just over the budget
+    code, out, err = run(
+        capsys, "fuzz", "--case", "lem_3_1", "--trials", "1",
+        "--points", "65", "--params", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a 65x2 universe is over the budget: points, params and "
+        "points ** params must each be at most 4096\n"
+    )
+
+
 def test_fuzz_unknown_case(capsys):
     code, _, err = run(capsys, "fuzz", "--case", "nope", "--trials", "1")
     assert code == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +27,11 @@ from softtopo.core import (
     is_soft_subset,
     iter_elements,
     null_set,
-    pack,
-    pack_element,
     pointwise_complement,
     pointwise_intersection,
     pointwise_union,
     relative_complement,
     span,
-    unpack,
 )
 from softtopo.errors import (
     InputError,
@@ -73,10 +71,10 @@ def test_universe_lookups():
 
 
 def test_soft_set_construction_guards():
-    with pytest.raises(InputError):
-        SoftSet(XYZ, (1,))  # one slice for two parameters
-    with pytest.raises(InputError):
-        SoftSet(XYZ, (1, 0b1000))  # mask reaches outside the point list
+    with pytest.raises(InputError, match="expected 2 slices, got 1"):
+        SoftSet.of(XYZ, (1,))  # one slice for two parameters
+    with pytest.raises(InputError, match="slice mask 0x8 outside the universe"):
+        SoftSet.of(XYZ, (1, 0b1000))  # mask reaches outside the point list
     with pytest.raises(InputError):
         SoftSet.from_points(XYZ, {"alpha": ["x"]})
     with pytest.raises(InputError):
@@ -257,7 +255,7 @@ _PACKED_UNIVERSES = (
 
 def _every_soft_set(u: Universe) -> list[SoftSet]:
     return [
-        SoftSet(u, combo)
+        SoftSet.of(u, combo)
         for combo in itertools.product(range(u.full_mask + 1), repeat=u.n_params)
     ]
 
@@ -272,29 +270,106 @@ def test_packing_layout_constants():
     assert u.packing is u.packing
 
 
+def test_soft_set_bits_stay_inside_the_layout():
+    packing = XYZ.packing
+    assert SoftSet(XYZ, packing.full) == full_set(XYZ)
+    assert SoftSet(XYZ, 0) == null_set(XYZ)
+    for bad in (
+        -1,
+        packing.full + 1,  # carries into the first spare bit
+        packing.spare,
+        1 << packing.width * XYZ.n_params,  # past the last field
+    ):
+        with pytest.raises(InputError, match="outside the universe layout"):
+            SoftSet(XYZ, bad)
+
+
+# Slice-wise definitions of the core operations, as the paper states them:
+# the reference the packed layout is held to.
+
+
+def _ref_admissible(f: tuple[int, ...]) -> bool:
+    return not any(f) or all(f)
+
+
+def _ref_collapse(f: tuple[int, ...]) -> tuple[int, ...]:
+    return f if all(f) else (0,) * len(f)
+
+
+def _ref_union(f, g):
+    return tuple(a | b for a, b in zip(f, g))
+
+
+def _ref_meet(f, g):
+    return tuple(a & b for a, b in zip(f, g))
+
+
+def _ref_complement(u: Universe, f):
+    return tuple(u.full_mask & ~m for m in f)
+
+
+def _ref_subset(f, g) -> bool:
+    return all(a & ~b == 0 for a, b in zip(f, g))
+
+
+def _ref_member(coords, f) -> bool:
+    return all(m >> c & 1 for c, m in zip(coords, f))
+
+
 @pytest.mark.parametrize(
     "u", _PACKED_UNIVERSES, ids=lambda u: f"{u.n_points}x{u.n_params}"
 )
 def test_packed_operations_match_core_exhaustively(u):
-    packing = u.packing
+    """The packed core agrees with the slice-wise reference on every set."""
     sets = _every_soft_set(u)
-    packed = [pack(f) for f in sets]
-    assert len(set(packed)) == len(sets)
-    assert pack(full_set(u)) == packing.full and pack(null_set(u)) == 0
-    for f, a in zip(sets, packed):
-        assert unpack(u, a) == f
-        assert a & packing.spare == 0
-        assert packing.is_admissible(a) == is_admissible(f)
-        assert unpack(u, packing.full ^ a) == pointwise_complement(f)
-        for g, b in zip(sets, packed):
-            assert unpack(u, a | b) == pointwise_union(f, g)
-            assert unpack(u, a & b) == pointwise_intersection(f, g)
-            assert (a & b == 0) == is_null(pointwise_intersection(f, g))
-            assert (a & ~b == 0) == is_soft_subset(f, g)
-            if is_admissible(f) and is_admissible(g):
-                assert unpack(u, packing.collapse(a & b)) == elementary_intersection(f, g)
-    for x in iter_elements(full_set(u)):
-        assert pack_element(x) == pack(span(ElementBag.of(u, [x])))
+    assert len({f.bits for f in sets}) == len(sets)
+    assert [f.slices for f in sets] == list(
+        itertools.product(range(u.full_mask + 1), repeat=u.n_params)
+    )
+    assert full_set(u).slices == (u.full_mask,) * u.n_params
+    assert null_set(u).slices == (0,) * u.n_params
+    elements = list(iter_elements(full_set(u)))
+    carriers = [
+        (names, u.mask_of(names))
+        for k in range(1, u.n_points + 1)
+        for names in itertools.combinations(u.points, k)
+    ]
+    for f in sets:
+        fs = f.slices
+        assert SoftSet.of(u, fs) == f
+        assert is_admissible(f) == _ref_admissible(fs)
+        assert is_null(f) == (not any(fs))
+        assert element_count(f) == math.prod(m.bit_count() for m in fs)
+        assert pointwise_complement(f).slices == _ref_complement(u, fs)
+        for x in elements:
+            assert is_member(x, f) == _ref_member(x.coords, fs)
+        for names, ymask in carriers:
+            if _ref_subset(fs, (ymask,) * u.n_params):
+                rel = tuple(ymask & ~m for m in fs)
+                assert relative_complement(f, names).slices == rel
+                assert elementary_relative_complement(f, names).slices == _ref_collapse(rel)
+            else:
+                with pytest.raises(PreconditionError):
+                    relative_complement(f, names)
+        if _ref_admissible(fs):
+            assert elementary_complement(f).slices == _ref_collapse(
+                _ref_complement(u, fs)
+            )
+        for g in sets:
+            gs = g.slices
+            assert pointwise_union(f, g).slices == _ref_union(fs, gs)
+            assert pointwise_intersection(f, g).slices == _ref_meet(fs, gs)
+            assert is_soft_subset(f, g) == _ref_subset(fs, gs)
+            if _ref_admissible(fs) and _ref_admissible(gs):
+                assert elementary_union(f, g).slices == _ref_union(fs, gs)
+                meet = _ref_collapse(_ref_meet(fs, gs))
+                assert elementary_intersection(f, g).slices == meet
+                assert elementary_intersection_family(u, [f, g]).slices == meet
+                assert elementary_union_family(u, [f, g]).slices == _ref_union(fs, gs)
+    for x in elements:
+        spanned = tuple(1 << c for c in x.coords)
+        assert span(ElementBag.of(u, [x])).slices == spanned
+        assert SoftSet(u, x.bits).slices == spanned
 
 
 # --- properties -----------------------------------------------------------------
@@ -314,7 +389,7 @@ def admissible_sets(draw, universe=None):
         return null_set(u)
     full = u.full_mask
     slices = tuple(draw(st.integers(1, full)) for _ in u.params)
-    return SoftSet(u, slices)
+    return SoftSet.of(u, slices)
 
 
 @st.composite

@@ -17,10 +17,11 @@ from softtopo.core import (
     null_set,
 )
 from softtopo.errors import GenerationError, InputError, PreconditionError
-from softtopo.fuzzing import REGISTRY, GeneratorConfig, TheoremCase, run_theorem
+from softtopo.fuzzing import REGISTRY, GeneratorConfig, TheoremCase, generate, run_theorem
 from softtopo.fuzzing.generate import (
     all_spans,
     close_subbase,
+    draw_subbase,
     full_size,
     gen_hausdorff_with_stats,
     gen_topology,
@@ -101,6 +102,12 @@ def test_config_validation():
         GeneratorConfig(points=1, params=1, seed=-1)
     with pytest.raises(InputError):
         GeneratorConfig(points=1, params=1, seed=0, max_topology=1)
+    # shapes are bounded before any name is built
+    GeneratorConfig(points=64, params=2, seed=0)  # 4096 soft elements
+    GeneratorConfig(points=1, params=4096, seed=0)
+    for points, params in ((65, 2), (2, 13), (4097, 1), (1, 4097), (10**8, 10**8)):
+        with pytest.raises(InputError, match="over the budget"):
+            GeneratorConfig(points=points, params=params, seed=0)
 
 
 def test_close_subbase_frozen():
@@ -154,6 +161,35 @@ def test_gen_hausdorff_draw():
     assert 1 <= draw.attempts <= 2
     if not draw.sampled:
         assert draw.topology.members == full_topology(universe_for(config)).members
+
+
+def test_separated_draw_skips_closures_that_cannot_fit(monkeypatch):
+    calls = []
+    real = generate.close_subbase
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generate, "close_subbase", counting)
+    # 5x2: the 962-member full topology is over max_topology = 512
+    config = GeneratorConfig(points=5, params=2, seed=9)
+    rng = trial_rng(config, 0)
+    draw = gen_hausdorff_with_stats(config, rng)
+    assert calls == []
+    assert (draw.sampled, draw.attempts) == (False, 2)
+    assert draw.topology is full_topology(universe_for(config))
+    # both attempts still drew, so the stream matches a draw that closes
+    expected = trial_rng(config, 0)
+    spans = all_spans(universe_for(config))
+    for _ in range(2):
+        draw_subbase(expected, universe_for(config), config.subbase_size)
+        expected.sample(spans, config.subbase_size)
+    assert rng.getstate() == expected.getstate()
+
+    config = GeneratorConfig(points=4, params=1, seed=9)
+    gen_hausdorff_with_stats(config, trial_rng(config, 0))
+    assert calls
 
 
 def test_instance_text_round_trip():

@@ -57,7 +57,7 @@ def test_apply_and_images():
     assert image(IDENTITY, s) == s
     v = soft(U22, e1="a", e2="b")
     # nothing maps onto b in e2, so that slice of the preimage is empty
-    assert preimage(CONST_A, v) == SoftSet(U22, (U22.mask_of("ab"), 0))
+    assert preimage(CONST_A, v) == SoftSet.of(U22, (U22.mask_of("ab"), 0))
     assert preimage(IDENTITY, v) == v
 
 
@@ -83,7 +83,7 @@ def test_universe_guards():
 )
 def test_image_preserves_admissibility(point_maps, masks):
     f = SoftFunction(U22, U22, point_maps)
-    s = SoftSet(U22, masks)
+    s = SoftSet.of(U22, masks)
     assert is_admissible(s)
     assert is_admissible(image(f, s))
 
@@ -104,7 +104,7 @@ def test_criteria_diverge_on_degenerate_preimage():
     assert not strict.continuous
     verdicts = [e.verdict for e in strict.trace]
     assert verdicts == ["open", "open", "degenerate"]
-    assert strict.trace[2].preimage == SoftSet(U22, (U22.mask_of("ab"), 0))
+    assert strict.trace[2].preimage == SoftSet.of(U22, (U22.mask_of("ab"), 0))
 
     lenient = preimage_continuity(CONST_A, dt, ct, degenerate="skip")
     assert lenient.continuous

@@ -58,7 +58,7 @@ from conftest import FIXTURES, soft
 def all_admissible(u: Universe):
     yield null_set(u)
     for combo in itertools.product(range(1, 2**u.n_points), repeat=u.n_params):
-        yield SoftSet(u, combo)
+        yield SoftSet.of(u, combo)
 
 
 # --- verification ---------------------------------------------------------------
@@ -156,9 +156,9 @@ def _mutated_member_lists(count: int, seed: int):
                 # mixed empty and nonempty slices whenever there are two
                 slices = [rng.randint(1, u.full_mask) for _ in u.params]
                 slices[rng.randrange(u.n_params)] = 0
-                members.insert(rng.randrange(len(members) + 1), SoftSet(u, tuple(slices)))
+                members.insert(rng.randrange(len(members) + 1), SoftSet.of(u, tuple(slices)))
             elif kind == 3:
-                extra = SoftSet(u, tuple(rng.randint(1, u.full_mask) for _ in u.params))
+                extra = SoftSet.of(u, tuple(rng.randint(1, u.full_mask) for _ in u.params))
                 members.insert(rng.randrange(len(members) + 1), extra)
             else:
                 absolute = rng.choice(
