@@ -27,7 +27,6 @@ __all__ = [
     "parse_file",
     "resolve_set",
     "serialize",
-    "set_names_in",
     "to_payload",
 ]
 
@@ -72,17 +71,6 @@ def resolve_set(doc: SpaceDocument, name: str) -> SoftSet:
         return doc.sets[name]
     except KeyError:
         raise InputError(f"no set named {name!r} in document") from None
-
-
-def set_names_in(doc: SpaceDocument) -> dict[SoftSet, str]:
-    """First name for each distinct set value, including the reserved two."""
-    names: dict[SoftSet, str] = {}
-    for name, value in doc.sets.items():
-        names.setdefault(value, name)
-    # Reserved names win so round-tripped topologies stay terse.
-    names[doc.absolute] = "ABS"
-    names[null_set(doc.universe)] = "PHI"
-    return names
 
 
 # --- decoding ---------------------------------------------------------------

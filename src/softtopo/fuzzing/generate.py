@@ -9,6 +9,7 @@ identical randomness.
 from __future__ import annotations
 
 import dataclasses as d
+import functools
 import hashlib
 import random
 import typing as t
@@ -115,10 +116,11 @@ def trial_rng(config: GeneratorConfig, index: int) -> random.Random:
 
 def random_admissible(rng: random.Random, universe: Universe) -> SoftSet:
     """A uniformly random soft set with every slice nonempty."""
-    full = universe.full_mask
-    return SoftSet.of(
-        universe, (rng.randrange(1, full + 1) for _ in range(universe.n_params))
-    )
+    full, width = universe.full_mask, universe.packing.width
+    bits = 0
+    for k in range(universe.n_params):
+        bits |= rng.randrange(1, full + 1) << k * width
+    return SoftSet(universe, bits)
 
 
 def full_size(universe: Universe) -> int:
@@ -126,8 +128,10 @@ def full_size(universe: Universe) -> int:
     return (2**universe.n_points - 1) ** universe.n_params + 1
 
 
+@functools.lru_cache(maxsize=8)
 def all_spans(universe: Universe) -> tuple[SoftSet, ...]:
-    """Single-element spans in lexicographic element order."""
+    """Single-element spans in lexicographic element order.  Cached like
+    ``full_topology``; the tuple holds frozen sets, so sharing it is safe."""
     return tuple(SoftSet(universe, x.bits) for x in iter_elements(full_set(universe)))
 
 
@@ -221,6 +225,25 @@ class HausdorffDraw:
     sampled: bool  # False when the full-topology fallback was taken
 
 
+def _closes_to_full(full: int, generators: t.Sequence[int]) -> bool:
+    """Whether the raw ``|``/``&`` lattice generated by ``generators``,
+    ``0`` and ``full`` is every subset of the layout bits of ``full``: the
+    meet of the generators containing each bit is that bit alone.  See
+    ``gen_hausdorff_with_stats`` for why this decides a full closure.
+    """
+    rest = full
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        meet = full
+        for g in generators:
+            if g & bit:
+                meet &= g
+        if meet != bit:
+            return False
+    return True
+
+
 def gen_hausdorff_with_stats(
     config: GeneratorConfig, rng: random.Random
 ) -> HausdorffDraw:
@@ -232,6 +255,29 @@ def gen_hausdorff_with_stats(
     span); the fallback ignores ``max_topology`` so the draw stays total.
     Raises GenerationError, before any draw, for a universe whose full
     topology exceeds ``_FULL_TOPOLOGY_BUDGET`` members.
+
+    With two or more points only the full topology is separated, so an
+    attempt is decided from its generators ``G`` (subbase plus picked
+    spans) before any closure is built: ``close_subbase(G)`` is the full
+    topology exactly when, for every layout bit ``b``, the meet of the
+    members of ``G`` containing ``b`` (starting from ``full``) is ``b``
+    alone.  Only attempts that pass are closed and scanned.
+
+    Proof.  Let ``D`` be the set lattice on the layout bits generated by
+    ``G`` together with ``0`` and ``full`` under raw ``|`` and ``&``.
+    ``close_subbase(G)`` holds exactly the admissible members of ``D``
+    plus ``0``.  It is inside ``D`` because collapse maps a value to itself
+    or to ``0``, and ``0`` is in ``D``.  It holds every admissible ``C`` in
+    ``D``: by distributivity ``C`` is a meet of unions of generators; each
+    union is admissible and each partial meet contains ``C``, so no step
+    collapses.  With two or more points every single bit is the raw meet
+    of two spans (same point at its parameter, different points
+    elsewhere), so the closure is full exactly when ``D`` is the whole
+    power set.  By Birkhoff's representation of finite distributive
+    lattices that holds exactly when the smallest member of ``D``
+    containing each bit ``b``, the meet of the generators containing it,
+    is ``{b}``.  At one point the closure is always full but the test can
+    say no, so one-point draws keep closing every attempt.
     """
     universe = universe_for(config)
     size = full_size(universe)
@@ -241,11 +287,13 @@ def gen_hausdorff_with_stats(
             f"topology of {size} members, over the budget of {_FULL_TOPOLOGY_BUDGET}"
         )
     spans = all_spans(universe)
-    # With two or more points only the full topology passes the size check
-    # below (one point always fits max_topology).  When it is over
-    # max_topology, close_subbase cannot return it, so the attempts only
-    # draw, keeping the RNG stream, and the draw falls back.
+    # With two or more points only the full topology is separated (covered
+    # by a unit test), and one point always fits max_topology.  When the
+    # full topology is over max_topology, close_subbase cannot return it,
+    # so the attempts only draw, keeping the RNG stream, and the draw
+    # falls back.
     closable = size <= config.max_topology
+    full = universe.packing.full
     for attempt in range(1, _HAUSDORFF_ATTEMPTS + 1):
         base = list(draw_subbase(rng, universe, config.subbase_size))
         picked = rng.sample(spans, min(len(spans), max(1, config.subbase_size)))
@@ -254,13 +302,10 @@ def gen_hausdorff_with_stats(
         for s in picked:
             if s not in base:
                 base.append(s)
+        if universe.n_points >= 2 and not _closes_to_full(full, [s.bits for s in base]):
+            continue
         members = close_subbase(universe, base, config.max_topology)
         if members is None:
-            continue
-        # With two or more points a separated topology must contain every
-        # admissible set (covered by a unit test), so a cheap size check
-        # filters hopeless candidates before the full scan runs.
-        if universe.n_points >= 2 and len(members) != size:
             continue
         topo = SoftTopology.of(universe, members)
         if is_hausdorff(topo).holds:

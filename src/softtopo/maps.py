@@ -19,7 +19,6 @@ from .core import (
     Universe,
     is_admissible,
     is_member,
-    is_soft_subset,
 )
 from .errors import InputError, PreconditionError, UniverseMismatchError
 from .topology import SoftTopology
@@ -138,23 +137,24 @@ def is_continuous_at(
 ) -> bool:
     """Every open around the image pulls back to an open around x whose
     image it contains."""
-    return _failure_at(f, domain_topology, codomain_topology, x) is None
+    images = [image(f, u) for u in domain_topology.members]
+    return _failure_at(f, domain_topology, codomain_topology, images, x) is None
 
 
 def _failure_at(
     f: SoftFunction,
     dt: SoftTopology,
     ct: SoftTopology,
+    images: t.Sequence[SoftSet],
     x: SoftElement,
 ) -> SoftSet | None:
+    """First codomain open around f(x) containing the image of no domain
+    open around x; ``images`` holds the image of each domain member."""
     fx = apply_function(f, x)
+    around = [w.bits for u, w in zip(dt.members, images) if is_member(x, u)]
     for v in ct.members:
-        if not is_member(fx, v):
-            continue
-        for u in dt.members:
-            if is_member(x, u) and is_soft_subset(image(f, u), v):
-                break
-        else:
+        # is_member guards the universe; then no image may lie inside v
+        if is_member(fx, v) and all(w & ~v.bits for w in around):
             return v
     return None
 
@@ -168,8 +168,9 @@ def definitional_continuity(
     _check_spaces(f, domain_topology, codomain_topology)
     from .topology import space_elements
 
+    images = [image(f, u) for u in domain_topology.members]
     for x in space_elements(domain_topology):
-        v = _failure_at(f, domain_topology, codomain_topology, x)
+        v = _failure_at(f, domain_topology, codomain_topology, images, x)
         if v is not None:
             return DefinitionalContinuityReport(False, (x, v))
     return DefinitionalContinuityReport(True, None)

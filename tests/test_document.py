@@ -12,7 +12,6 @@ from softtopo.document import (
     parse_file,
     resolve_set,
     serialize,
-    set_names_in,
 )
 from softtopo.errors import DocumentError, InputError
 
@@ -103,10 +102,6 @@ def test_name_resolution(abcd_doc):
     assert resolve_set(abcd_doc, "F1") == soft(u, e1="a", e2="b")
     with pytest.raises(InputError):
         resolve_set(abcd_doc, "F9")
-    names = set_names_in(abcd_doc)
-    assert names[full_set(u)] == "ABS"
-    assert names[null_set(u)] == "PHI"
-    assert names[soft(u, e1="a", e2="b")] == "F1"
 
 
 def test_elements_decode(abcd_doc):

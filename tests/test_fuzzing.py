@@ -19,6 +19,7 @@ from softtopo.core import (
 from softtopo.errors import GenerationError, InputError, PreconditionError
 from softtopo.fuzzing import REGISTRY, GeneratorConfig, TheoremCase, generate, run_theorem
 from softtopo.fuzzing.generate import (
+    _closes_to_full,
     all_spans,
     close_subbase,
     draw_subbase,
@@ -48,7 +49,7 @@ from softtopo.fuzzing.oracles import (
 from softtopo.fuzzing.shrink import is_minimal, shrink_instance, still_falsifies
 from softtopo.maps import SoftFunction
 from softtopo.separation import is_hausdorff
-from softtopo.topology import full_topology, verify_topology
+from softtopo.topology import SoftTopology, full_topology, verify_topology
 
 from conftest import soft
 
@@ -190,6 +191,115 @@ def test_separated_draw_skips_closures_that_cannot_fit(monkeypatch):
     config = GeneratorConfig(points=4, params=1, seed=9)
     gen_hausdorff_with_stats(config, trial_rng(config, 0))
     assert calls
+
+
+def test_random_admissible_keeps_the_slice_stream():
+    # one randrange per parameter, in parameter order: the stream that
+    # every pinned report digest depends on
+    for points, params in ((1, 3), (2, 2), (3, 2), (4, 1), (2, 4)):
+        u = universe_for(GeneratorConfig(points, params, seed=0))
+        rng, twin = random.Random(points * 10 + params), random.Random(points * 10 + params)
+        for _ in range(200):
+            want = SoftSet.of(u, [twin.randrange(1, u.full_mask + 1) for _ in range(params)])
+            assert random_admissible(rng, u) == want
+        assert rng.getstate() == twin.getstate()
+
+
+def test_bit_separation_decides_full_closure():
+    """With two or more points, ``close_subbase(G)`` is the full topology
+    exactly when, for every layout bit ``b``, the meet of the generators
+    containing ``b`` is ``b`` alone.
+
+    The closure holds the admissible members of the raw lattice ``D``
+    generated by ``G``, ``0`` and ``full``, plus ``0``: collapse sends a
+    value to itself or to ``0``, and an admissible ``C`` in ``D`` is a meet
+    of unions of generators whose partial meets all contain ``C``.  Every
+    single bit is the meet of two spans, so the closure is full exactly
+    when ``D`` is the power set, that is (Birkhoff) when the least member
+    of ``D`` containing each bit is that bit.
+    """
+    shapes = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4))
+    checked = full = 0
+    for points, params in shapes:
+        u = universe_for(GeneratorConfig(points, params, seed=0))
+        rng = random.Random(points * 10 + params)
+        spans = all_spans(u)
+        for _ in range(600):
+            base = list(draw_subbase(rng, u, rng.randrange(4)))
+            for s in rng.sample(spans, min(len(spans), rng.randrange(5))):
+                if s not in base:
+                    base.append(s)
+            closes = len(close_subbase(u, base, None)) == full_size(u)
+            assert _closes_to_full(u.packing.full, [s.bits for s in base]) == closes, base
+            checked += 1
+            full += closes
+    assert checked >= 6000
+    # both answers occur often enough for the agreement to mean something
+    assert 500 <= full <= checked - 500
+
+
+def _closing_every_attempt(config, rng):
+    """The separated draw as it was before the bit-separation test: close
+    every attempt, then filter by size and scan."""
+    universe = universe_for(config)
+    size = full_size(universe)
+    spans = all_spans(universe)
+    for attempt in range(1, 3):
+        base = list(draw_subbase(rng, universe, config.subbase_size))
+        for s in rng.sample(spans, min(len(spans), max(1, config.subbase_size))):
+            if s not in base:
+                base.append(s)
+        members = close_subbase(universe, base, config.max_topology)
+        if members is None or len(members) != size:
+            continue
+        topo = SoftTopology.of(universe, members)
+        if is_hausdorff(topo).holds:
+            return (tuple(base), topo.members, attempt, True)
+    return (spans, full_topology(universe).members, 2, False)
+
+
+def _count_closures(monkeypatch):
+    """Patch ``close_subbase`` to record each call in the returned list."""
+    calls = []
+    real = generate.close_subbase
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generate, "close_subbase", counting)
+    return calls
+
+
+def test_separated_draw_closes_only_accepted_attempts(monkeypatch):
+    config = GeneratorConfig(points=3, params=2, seed=4)
+    expected = []
+    for index in range(300):
+        rng = trial_rng(config, index)
+        expected.append((_closing_every_attempt(config, rng), rng.getstate()))
+
+    calls = _count_closures(monkeypatch)
+    sampled = 0
+    for index, (want, state) in enumerate(expected):
+        rng = trial_rng(config, index)
+        before = len(calls)
+        draw = gen_hausdorff_with_stats(config, rng)
+        got = (draw.subbase, draw.topology.members, draw.attempts, draw.sampled)
+        assert got == want
+        assert rng.getstate() == state
+        # the one closure is the accepted attempt's
+        assert len(calls) - before == int(draw.sampled)
+        sampled += draw.sampled
+    assert 0 < sampled < len(expected)
+
+
+def test_one_point_separated_draw_still_closes(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    config = GeneratorConfig(points=1, params=3, seed=9)
+    draw = gen_hausdorff_with_stats(config, trial_rng(config, 0))
+    assert len(calls) == 1
+    assert (draw.sampled, draw.attempts) == (True, 1)
+    assert draw.topology.members == full_topology(universe_for(config)).members
 
 
 def test_instance_text_round_trip():

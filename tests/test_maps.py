@@ -4,9 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from softtopo.core import SoftElement, SoftSet, Universe, is_admissible
+import random
+
+from softtopo.core import (
+    SoftElement,
+    SoftSet,
+    Universe,
+    is_admissible,
+    is_member,
+    is_soft_subset,
+)
 from softtopo.errors import InputError, PreconditionError, UniverseMismatchError
+from softtopo.fuzzing.generate import GeneratorConfig, gen_topology
 from softtopo.maps import (
+    DefinitionalContinuityReport,
     SoftFunction,
     apply_function,
     definitional_continuity,
@@ -15,7 +26,7 @@ from softtopo.maps import (
     preimage,
     preimage_continuity,
 )
-from softtopo.topology import full_topology, indiscrete_topology
+from softtopo.topology import full_topology, indiscrete_topology, space_elements
 
 from conftest import fixture_path, soft
 
@@ -132,6 +143,56 @@ def test_definitional_failure_details():
     assert x == SoftElement(U22, (0, 0))
     assert not is_continuous_at(IDENTITY, dt, ct, x)
     assert is_continuous_at(CONST_A, dt, indiscrete_topology(U22), x)
+
+
+def _reference_failure_at(f, dt, ct, x):
+    """The elementwise definition read literally: images recomputed for
+    every open around f(x)."""
+    fx = apply_function(f, x)
+    for v in ct.members:
+        if not is_member(fx, v):
+            continue
+        for u in dt.members:
+            if is_member(x, u) and is_soft_subset(image(f, u), v):
+                break
+        else:
+            return v
+    return None
+
+
+def _reference_definitional(f, dt, ct):
+    for x in space_elements(dt):
+        v = _reference_failure_at(f, dt, ct, x)
+        if v is not None:
+            return DefinitionalContinuityReport(False, (x, v))
+    return DefinitionalContinuityReport(True, None)
+
+
+@pytest.mark.parametrize("points", [2, 3])
+def test_definitional_continuity_matches_reference(points):
+    rng = random.Random(points)
+    continuous = 0
+    for trial in range(120):
+        dom_points, cod_points = points, rng.choice((2, 3))
+        dt = gen_topology(GeneratorConfig(dom_points, 2, seed=trial), rng)
+        ct = gen_topology(GeneratorConfig(cod_points, 2, seed=trial), rng)
+        f = SoftFunction(
+            dt.universe,
+            ct.universe,
+            tuple(
+                tuple(rng.randrange(cod_points) for _ in range(dom_points))
+                for _ in range(2)
+            ),
+        )
+        report = definitional_continuity(f, dt, ct)
+        assert report == _reference_definitional(f, dt, ct)
+        for x in space_elements(dt):
+            assert is_continuous_at(f, dt, ct, x) == (
+                _reference_failure_at(f, dt, ct, x) is None
+            )
+        continuous += report.continuous
+    # both verdicts occur, so witnesses are compared too
+    assert 0 < continuous < 120
 
 
 def test_fixture_functions_round_trip():
