@@ -9,6 +9,7 @@ as one string and written once, so partial output never escapes on error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -454,7 +455,13 @@ def _cmd_fuzz(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.
+
+    Parsing leaves it unchanged: each parse returns a fresh namespace, and
+    help reads the terminal width when it is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="softtopo",
         description="Inspect soft topological space documents and fuzz statements about them.",
@@ -533,8 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: t.Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:

@@ -192,7 +192,7 @@ def _build_closed_chain(config: GeneratorConfig, rng: random.Random) -> Instance
         current = pool[rng.randrange(len(pool))]
         chain.append(current)
         for _ in range(rng.randrange(0, 3)):
-            nested = [c for c in pool if is_soft_subset(c, current)]
+            nested = [c for c in pool if c.bits & ~current.bits == 0]
             if not nested:
                 break
             current = nested[rng.randrange(len(nested))]

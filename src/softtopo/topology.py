@@ -5,7 +5,12 @@ containing the empty soft set and a designated absolute member, with every
 member admissible and the list closed under pairwise elementary union and
 pairwise elementary intersection.  Closure under arbitrary unions reduces to
 the pairwise check for finite lists; the reduction itself is covered by a
-test rather than assumed silently.
+test rather than assumed silently.  ``verify_topology`` settles that check
+without visiting the pairs when it can: a list is closed exactly when the
+admissible sets in the ring of unions of its minimal-neighbourhood masks are
+its members (``_ring_accepts``; Birkhoff's rings of sets).  A list the ring
+does not accept within the scan's own pair count gets the pairwise scan,
+which reports every violation.
 
 The kernels work on ``SoftSet.bits``, the packed layout of ``core``:
 ``SoftTopology.packed`` holds the members' bits in member order so scans
@@ -29,6 +34,7 @@ import itertools
 import typing as t
 
 from .core import (
+    Packing,
     SoftElement,
     SoftSet,
     Universe,
@@ -168,6 +174,11 @@ def verify_topology(
         if m.bits & ~absolute.bits:
             violations.append(Violation("member-inside-absolute", (m,), m))
 
+    # The ring may do as many unions as the scan would visit pairs.
+    budget = len(seen) * (len(seen) - 1) // 2
+    if not violations and _ring_accepts(packing, seen, budget):
+        return TopologyReport(valid=True, violations=())
+
     # Pairwise closure; finite families reduce to this by induction.
     collapse = packing.collapse
     for i, f in enumerate(admissible):
@@ -185,6 +196,57 @@ def verify_topology(
                 )
 
     return TopologyReport(valid=not violations, violations=tuple(violations))
+
+
+def _ring_accepts(packing: Packing, seen: set[int], budget: float) -> bool:
+    """Whether the member bits ``seen`` are closed under elementary union
+    and meet, given that they hold 0 and are all admissible.
+
+    For each layout bit ``b`` some member sets, ``M_b`` is the pointwise
+    meet of the members containing ``b``.  Let ``D`` be the set of unions
+    of the ``M_b``, the empty union 0 included.  The list is closed exactly
+    when the admissible sets in ``D`` are the members (0 counts as
+    admissible).
+
+    Every member ``m`` lies in ``D``: ``m`` is the union of the ``M_b`` over
+    its bits, since ``b`` is in ``M_b`` and ``M_b`` is inside ``m``.  Call a
+    set of bits an up-set when, with each bit ``b``, it contains ``M_b``.
+    Members are up-sets, pointwise unions and meets of up-sets are up-sets,
+    and an up-set made of bits some member sets is the union of the ``M_b``
+    over its bits, so ``D`` is the lattice the members generate under
+    pointwise union and meet (FINDINGS.md, "Which generators close to the
+    full topology", with ``G`` the member list).
+
+    If the admissible sets in ``D`` are the members: the union of two
+    admissible members is admissible and lies in ``D``, and the meet of two
+    members lies in ``D`` and collapses to itself or to 0, so every pairwise
+    elementary union and meet is a member.  Conversely, if the list is
+    closed, take an admissible nonnull ``d`` in ``D``.  By distributivity
+    ``d`` is the pointwise meet of unions of members, each union containing
+    ``d``.  Those unions are members, and every partial meet of them
+    contains the admissible ``d``, so no elementary meet collapses on the way
+    and ``d`` is a member.
+
+    Since every member lies in ``D``, the test counts the admissible sets
+    in ``D`` instead of listing them.  The masks take one step per member
+    bit, linear in the input; building ``D`` may take at most ``budget``
+    unions, past which the answer is False and the caller scans.
+    """
+    minimal: dict[int, int] = {}
+    for m in seen:
+        for b in _iter_bits(m):
+            minimal[b] = minimal.get(b, m) & m
+    ring = {0}
+    # Smallest first, so that a mask which is a union of others is skipped:
+    # it adds no new unions.
+    for mask in sorted(set(minimal.values()), key=int.bit_count):
+        if mask in ring:
+            continue
+        budget -= len(ring)
+        if budget < 0:
+            return False
+        ring |= {r | mask for r in ring}
+    return sum(map(packing.is_admissible, ring)) == len(seen)
 
 
 def topology_from(

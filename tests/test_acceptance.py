@@ -7,9 +7,11 @@ before being pinned.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import pathlib
+import re
 import time
 
 from softtopo.baire import baire_subfamily_oracle, is_baire, rare_closed_sets
@@ -29,7 +31,7 @@ from softtopo.core import (
     pointwise_union,
 )
 from softtopo.document import parse, parse_file, serialize
-from softtopo.fuzzing.generate import GeneratorConfig, gen_topology, trial_rng
+from softtopo.fuzzing.generate import ALGORITHM_ID, GeneratorConfig, gen_topology, trial_rng
 from softtopo.fuzzing.harness import run_theorem
 from softtopo.fuzzing.instances import from_document
 from softtopo.fuzzing.oracles import (
@@ -235,6 +237,26 @@ def test_fuzz_reports_are_byte_identical_across_runs_and_workers(tmp_path):
     assert main([*argv, "--workers", "4", "--out", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_fuzz_reports_match_the_pinned_digests(tmp_path, capsys):
+    # The benchmark's pins, keyed "case@PxQ/seed=S/trials=T", hold the
+    # SHA-256 of the --out bytes; they change only with ALGORITHM_ID.
+    with open(REPO_ROOT / "perfbench" / "digests.json", encoding="utf-8") as fh:
+        pins = json.load(fh)[ALGORITHM_ID]
+    assert pins
+    for key, digest in sorted(pins.items()):
+        case, points, params, seed, trials = re.fullmatch(
+            r"(\w+)@(\d+)x(\d+)/seed=(\d+)/trials=(\d+)", key
+        ).groups()
+        out = tmp_path / f"{case}.json"
+        code = main([
+            "fuzz", "--case", case, "--points", points, "--params", params,
+            "--seed", seed, "--trials", trials, "--out", str(out),
+        ])
+        capsys.readouterr()
+        assert code in (0, 1), key
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, key
 
 
 def test_cli_exit_codes_and_fixture_round_trip():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from softtopo import cli
 from softtopo.cli import main
 from softtopo.document import parse
 
@@ -407,3 +408,54 @@ def test_fuzz_json_report_matches_out_file(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["algorithm"] == "split-sha256/mt19937-v1"
     assert payload["verdict"] == "all-skipped"
+
+
+# --- parser ---------------------------------------------------------------------
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on --help and on bad argv
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    regular = ("check", "regular", fixture_path("tau_full_2x2.json"))
+    limiting = ("compute", "limiting", fixture_path("ex23.json"), "--set", "F")
+    vacuity = ("fuzz", "--case", "thm_4_6_vacuity", "--trials", "5")
+    cases = [
+        (regular + ("--literal-disjointness",), None),
+        (regular, None),
+        (vacuity + ("--seed", "3"), None),
+        (vacuity, "7"),
+        (limiting + ("--reading", "whole-open"), None),
+        (limiting, None),
+        (("bogus",), None),
+        (("--help",), None),
+        (regular, None),
+    ]
+    cli.build_parser.cache_clear()
+    outcomes = []
+    for argv, env_seed in cases:
+        if env_seed is None:
+            monkeypatch.delenv("SOFTTOPO_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SOFTTOPO_SEED", env_seed)
+        cached = _outcome(capsys, list(argv))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            assert _outcome(capsys, list(argv)) == cached
+        outcomes.append(cached)
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(cases) - 1)
+
+    codes = [code for code, _, _ in outcomes]
+    assert codes == [1, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert outcomes[0][1] != outcomes[1][1]  # the flag did not stick
+    assert "seed=3" in outcomes[2][1] and "seed=7" in outcomes[3][1]
+    assert "[whole-open]" in outcomes[4][1] and "[per-parameter]" in outcomes[5][1]
+    assert outcomes[6][1] == "" and outcomes[6][2].startswith("usage: softtopo")
+    assert outcomes[7][1].startswith("usage: softtopo") and outcomes[7][2] == ""
+    assert outcomes[8] == outcomes[1]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
 from softtopo.core import (
     ElementBag,
+    Packing,
     SoftElement,
     SoftSet,
     Universe,
@@ -31,6 +33,7 @@ from softtopo.fuzzing.oracles import verify_topology_oracle
 from softtopo.errors import NotAdmissibleError, UniverseMismatchError
 from softtopo.topology import (
     LimitingMode,
+    _ring_accepts,
     SoftTopology,
     closed_sets,
     closure,
@@ -178,6 +181,88 @@ def test_verifier_matches_the_soft_set_oracle():
         "duplicate-member", "phi-member", "absolute-member", "member-admissible",
         "member-inside-absolute", "union-closure", "intersection-closure",
     }
+
+
+def _pairwise_closed(packing: Packing, seen: set[int]) -> bool:
+    return all(
+        a | b in seen and packing.collapse(a & b) in seen
+        for a, b in itertools.combinations(seen, 2)
+    )
+
+
+def _ring_cases():
+    """Seeded closures, each also with a member dropped and with a set
+    added, then every full topology up to 5x2 and the full 2x3, 3x3, 2x4."""
+    rng = random.Random(17)
+    shapes = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4))
+    for points, params in shapes:
+        config = GeneratorConfig(points=points, params=params, seed=points * 10 + params)
+        for i in range(200):
+            topo = gen_topology(config, trial_rng(config, i))
+            u, seen = topo.universe, set(topo.packed)
+            yield u, seen
+            droppable = sorted(seen - {0, u.packing.full})
+            if droppable:
+                yield u, seen - {rng.choice(droppable)}
+            extra = SoftSet.of(u, tuple(rng.randint(1, u.full_mask) for _ in u.params))
+            yield u, seen | {extra.bits}
+    full_shapes = [(p, q) for p in range(1, 6) for q in (1, 2)] + [(2, 3), (3, 3), (2, 4)]
+    for points, params in full_shapes:
+        u = Universe.of(tuple(f"p{i}" for i in range(points)),
+                        tuple(f"e{i}" for i in range(params)))
+        yield u, set(full_topology(u).packed)
+
+
+def test_ring_decides_pairwise_closure():
+    lists = closed = 0
+    for u, seen in _ring_cases():
+        expected = _pairwise_closed(u.packing, seen)
+        assert _ring_accepts(u.packing, seen, math.inf) == expected
+        members = [SoftSet(u, b) for b in sorted(seen)]
+        if full_set(u).bits in seen:
+            assert verify_topology(u, members).valid == expected
+        lists += 1
+        closed += expected
+    assert lists >= 6000 and closed >= 2000
+
+
+def _count_collapses(monkeypatch) -> list[int]:
+    """Patch ``Packing.collapse`` to append each argument to the returned list."""
+    calls: list[int] = []
+    collapse = Packing.collapse
+
+    def counting(self, m):
+        calls.append(m)
+        return collapse(self, m)
+
+    monkeypatch.setattr(Packing, "collapse", counting)
+    return calls
+
+
+def test_ring_accepts_full_topologies_without_a_scan(monkeypatch):
+    calls = _count_collapses(monkeypatch)
+    for points, params in ((3, 3), (5, 2)):
+        u = Universe.of(tuple(f"p{i}" for i in range(points)),
+                        tuple(f"e{i}" for i in range(params)))
+        assert verify_topology(u, full_topology(u).members).valid
+    assert calls == []
+
+
+def test_ring_over_budget_falls_back_to_the_scan(monkeypatch):
+    # A valid five-member topology whose ring takes 11 unions, one over
+    # the 10 pairs of the scan: the meet of F and G collapses, so the ring
+    # also holds the mixed set ({a},{}).
+    u = Universe.of(("a", "b"), ("e1", "e2"))
+    f, g = soft(u, e1="a", e2="a"), soft(u, e1="a", e2="b")
+    members = [null_set(u), f, g, soft(u, e1="a", e2="ab"), full_set(u)]
+    seen = {m.bits for m in members}
+    assert not _ring_accepts(u.packing, seen, 10)
+    assert _ring_accepts(u.packing, seen, 11)
+
+    calls = _count_collapses(monkeypatch)
+    report = verify_topology(u, members)
+    assert len(calls) == 10  # the scan ran: one meet per pair
+    assert report.valid and report == verify_topology_oracle(u, members)
 
 
 def test_full_topology_is_memoized():
