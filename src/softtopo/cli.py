@@ -437,7 +437,7 @@ def _cmd_fuzz(args) -> int:
     report = run_theorem(args.case, config, workers=args.workers)
     rendered = serialize_report(report) if args.format == "json" else report_text(report)
     if args.out:
-        _write(args.out, serialize_report(report))
+        _write(args.out, rendered if args.format == "json" else serialize_report(report))
     if report.counterexamples:
         first = report.counterexamples[0]
         path = (

@@ -65,35 +65,37 @@ class Universe:
     def of(cls, points: t.Iterable[str], params: t.Iterable[str]) -> "Universe":
         return cls(tuple(points), tuple(params))
 
-    @property
+    # The layout is computed on first use and stored on the instance, which
+    # a frozen dataclass allows because cached_property writes __dict__.
+    @functools.cached_property
     def n_points(self) -> int:
         return len(self.points)
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
         return len(self.params)
 
-    @property
+    @functools.cached_property
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
+    @functools.cached_property
+    def _point_indices(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.points)}
+
+    @functools.cached_property
+    def _param_indices(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.params)}
+
     def point_index(self, name: str) -> int:
-        idx = self.__dict__.get("_pidx")
-        if idx is None:
-            idx = {p: i for i, p in enumerate(self.points)}
-            object.__setattr__(self, "_pidx", idx)
         try:
-            return idx[name]
+            return self._point_indices[name]
         except KeyError:
             raise InputError(f"unknown point {name!r}") from None
 
     def param_index(self, name: str) -> int:
-        idx = self.__dict__.get("_aidx")
-        if idx is None:
-            idx = {a: i for i, a in enumerate(self.params)}
-            object.__setattr__(self, "_aidx", idx)
         try:
-            return idx[name]
+            return self._param_indices[name]
         except KeyError:
             raise InputError(f"unknown parameter {name!r}") from None
 
@@ -106,20 +108,25 @@ class Universe:
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
 
-    @property
+    @functools.cached_property
     def packing(self) -> "Packing":
-        packing = self.__dict__.get("_packing")
-        if packing is None:
-            packing = Packing.of(self.n_points, self.n_params)
-            object.__setattr__(self, "_packing", packing)
-        return packing
+        return Packing.of(self.n_points, self.n_params)
+
+    def __eq__(self, other: object) -> bool:
+        # Generated universes are shared per shape, so most comparisons
+        # are of an object with itself.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.params) == (other.points, other.params)
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.points, self.params))
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((self.points, self.params))
-            object.__setattr__(self, "_h", h)
-        return h
+        return self._hash
 
 
 @d.dataclass(frozen=True)

@@ -97,11 +97,15 @@ class GeneratorConfig:
 
 
 def universe_for(config: GeneratorConfig) -> Universe:
-    """Canonical generated universe: points x0..xN, parameters e0..eM."""
-    return Universe.of(
-        [f"x{i}" for i in range(config.points)],
-        [f"e{k}" for k in range(config.params)],
-    )
+    """Canonical generated universe: points x0..xN, parameters e0..eM.
+    Every config of one shape gets the same object, so its draws, spans and
+    fallbacks share one cached layout."""
+    return _shared_universe(config.points, config.params)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_universe(points: int, params: int) -> Universe:
+    return Universe.of([f"x{i}" for i in range(points)], [f"e{k}" for k in range(params)])
 
 
 def trial_seed(seed: int, index: int) -> int:
@@ -162,18 +166,29 @@ def close_subbase(
                 return None
             seen.add(p)
             rows.append(p)
-    collapse = packing.collapse
-    i = 0
+    # The hot loop, with ``Packing.collapse`` inlined as its spare-bit test.
+    # A row paired with row 0 (null), row 1 (the absolute) or itself gives
+    # back 0, the absolute or itself, so it meets only the rows from 2 up
+    # to it.
+    full, spare = packing.full, packing.spare
+    i = 2
     while i < len(rows):
         a = rows[i]
-        for j in range(i + 1):
-            b = rows[j]
-            for w in (a | b, collapse(a & b)):
-                if w not in seen:
-                    if cap is not None and len(rows) >= cap:
-                        return None
-                    seen.add(w)
-                    rows.append(w)
+        for b in rows[2:i]:
+            w = a | b
+            if w not in seen:
+                if cap is not None and len(rows) >= cap:
+                    return None
+                seen.add(w)
+                rows.append(w)
+            w = a & b
+            if (w + full) & spare != spare:
+                w = 0
+            if w not in seen:
+                if cap is not None and len(rows) >= cap:
+                    return None
+                seen.add(w)
+                rows.append(w)
         i += 1
     return tuple(SoftSet(universe, row) for row in rows)
 

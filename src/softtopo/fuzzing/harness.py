@@ -106,7 +106,7 @@ def run_theorem(
     indices = range(config.trials)
     # Trials are pure Python under the GIL, so threads beyond the core count
     # only add OS threads; reports do not depend on the pool size.
-    pool_size = min(workers, config.trials, os.cpu_count() or 1)
+    pool_size = 1 if workers == 1 else min(workers, config.trials, os.cpu_count() or 1)
     if pool_size <= 1:
         outcomes = [_run_trial(case, config, i) for i in indices]
     else:

@@ -170,7 +170,7 @@ def _build_compact_family(config: GeneratorConfig, rng: random.Random) -> Instan
 
 def _build_closed_null_family(config: GeneratorConfig, rng: random.Random) -> Instance:
     base = _build_topology(config, rng)
-    pool = [c for c in closed_sets(base.topology) if not is_null(c)]
+    pool = [c for c in closed_sets(base.topology) if c.bits]
     family: tuple[SoftSet, ...] = ()
     for _ in range(8):
         if not pool:
@@ -186,7 +186,7 @@ def _build_closed_null_family(config: GeneratorConfig, rng: random.Random) -> In
 
 def _build_closed_chain(config: GeneratorConfig, rng: random.Random) -> Instance:
     base = _build_hausdorff(config, rng)
-    pool = [c for c in closed_sets(base.topology) if not is_null(c)]
+    pool = [c for c in closed_sets(base.topology) if c.bits]
     chain: list[SoftSet] = []
     if pool:
         current = pool[rng.randrange(len(pool))]

@@ -462,8 +462,12 @@ def _columns(topo: SoftTopology) -> dict[int, int]:
     def build() -> dict[int, int]:
         columns: dict[int, int] = {}
         for j, m in enumerate(topo.packed):
-            for b in _iter_bits(m):
-                columns[b] = columns.get(b, 0) | 1 << j
+            member = 1 << j
+            while m:
+                low = m & -m
+                b = low.bit_length() - 1
+                columns[b] = columns.get(b, 0) | member
+                m ^= low
         return columns
 
     return _cached(topo, "columns", build)

@@ -7,6 +7,7 @@ import pytest
 from softtopo import cli
 from softtopo.cli import main
 from softtopo.document import parse
+from softtopo.fuzzing.harness import serialize_report
 
 from conftest import fixture_path
 
@@ -397,17 +398,31 @@ def test_fuzz_unwritable_counterexample_prints_nothing(capsys, tmp_path):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
-def test_fuzz_json_report_matches_out_file(capsys, tmp_path):
-    out_path = tmp_path / "r.json"
-    code, out, _ = run(
-        capsys, "fuzz", "--format", "json", "--case", "thm_4_6_vacuity",
-        "--trials", "5", "--seed", "3", "--out", str(out_path),
+def test_fuzz_json_report_matches_out_file(capsys, tmp_path, monkeypatch):
+    serialized = []
+
+    def counting(report):
+        serialized.append(report.case_id)
+        return serialize_report(report)
+
+    monkeypatch.setattr(cli, "serialize_report", counting)
+    runs = (
+        ("thm_4_6_vacuity", ("--trials", "5", "--seed", "3"), "all-skipped"),
+        ("thm_4_3", ("--points", "4", "--params", "1", "--trials", "5", "--seed", "0"),
+         "confirmed"),
     )
-    assert code == 0
-    assert out == out_path.read_text(encoding="utf-8")
-    payload = json.loads(out)
-    assert payload["algorithm"] == "split-sha256/mt19937-v1"
-    assert payload["verdict"] == "all-skipped"
+    for case, extra, verdict in runs:
+        out_path = tmp_path / f"{case}.json"
+        code, out, _ = run(
+            capsys, "fuzz", "--format", "json", "--case", case, *extra,
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert out.encode("utf-8") == out_path.read_bytes()
+        payload = json.loads(out)
+        assert payload["algorithm"] == "split-sha256/mt19937-v1"
+        assert payload["verdict"] == verdict
+    assert serialized == [case for case, _, _ in runs]
 
 
 # --- parser ---------------------------------------------------------------------

@@ -70,6 +70,19 @@ def test_universe_lookups():
         XYZ.param_index("gamma")
 
 
+def test_universe_equality_is_structural():
+    twin = Universe.of(("x", "y", "z"), ("alpha", "beta"))
+    assert twin is not XYZ
+    assert twin == XYZ and hash(twin) == hash(XYZ)
+    assert XYZ == XYZ
+    assert XYZ != Universe.of(("x", "y", "z"), ("alpha",))
+    assert XYZ != Universe.of(("z", "y", "x"), ("alpha", "beta"))
+    assert XYZ.__eq__(("x", "y", "z")) is NotImplemented
+    assert XYZ != (("x", "y", "z"), ("alpha", "beta"))
+    # Sets from equal universes still combine.
+    assert pointwise_union(SoftSet(twin, 0b1), SoftSet(XYZ, 0b10)).bits == 0b11
+
+
 def test_soft_set_construction_guards():
     with pytest.raises(InputError, match="expected 2 slices, got 1"):
         SoftSet.of(XYZ, (1,))  # one slice for two parameters

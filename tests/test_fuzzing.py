@@ -126,6 +126,66 @@ def test_close_subbase_frozen():
     assert close_subbase(u, (f1, f2), cap=4) is None
 
 
+def _close_subbase_reference(universe, subbase, cap):
+    """The pairwise closure loop as written before its collapse test was
+    inlined: one loop over (union, collapsed meet) per pair."""
+    packing = universe.packing
+    rows = [0, packing.full]
+    seen = set(rows)
+    for s in subbase:
+        p = s.bits
+        if p not in seen:
+            if cap is not None and len(rows) >= cap:
+                return None
+            seen.add(p)
+            rows.append(p)
+    collapse = packing.collapse
+    i = 0
+    while i < len(rows):
+        a = rows[i]
+        for j in range(i + 1):
+            b = rows[j]
+            for w in (a | b, collapse(a & b)):
+                if w not in seen:
+                    if cap is not None and len(rows) >= cap:
+                        return None
+                    seen.add(w)
+                    rows.append(w)
+        i += 1
+    return tuple(SoftSet(universe, row) for row in rows)
+
+
+def test_close_subbase_matches_the_reference_loop():
+    rng = random.Random(20261018)
+    closures = capped = 0
+    for points, params in ((1, 3), (4, 1), (2, 2), (3, 2), (2, 3), (3, 3)):
+        u = universe_for(GeneratorConfig(points, params, seed=0))
+        for _ in range(40):
+            # Raw draws, so repeats and the absolute reach the dedup path.
+            subbase = [random_admissible(rng, u) for _ in range(rng.randrange(5))]
+            if rng.random() < 0.2:
+                subbase.append(full_set(u))
+            whole = _close_subbase_reference(u, subbase, None)
+            assert close_subbase(u, subbase, None) == whole
+            size = len(whole)
+            for cap in (3, 5, 8, size - 1, size, size + 1):
+                expected = _close_subbase_reference(u, subbase, cap)
+                assert close_subbase(u, subbase, cap) == expected
+                closures += 1
+                capped += expected is None
+    # Both outcomes are exercised, at every tight cap.
+    assert closures == 6 * 40 * 6 and 0 < capped < closures
+
+
+def test_universe_for_shares_one_universe_per_shape():
+    a = universe_for(GeneratorConfig(3, 2, seed=1, trials=5))
+    assert a is universe_for(GeneratorConfig(3, 2, seed=99, subbase_size=1))
+    assert a == Universe.of(("x0", "x1", "x2"), ("e0", "e1"))
+    b = universe_for(GeneratorConfig(2, 3, seed=1))
+    assert b is not a and b != a
+    assert b == Universe.of(("x0", "x1"), ("e0", "e1", "e2"))
+
+
 def test_close_subbase_of_spans_is_the_full_topology():
     for points, params in ((2, 1), (2, 2)):
         u = Universe.of(
@@ -452,6 +512,17 @@ def test_worker_pool_is_capped(monkeypatch):
     assert sizes == [4, 3]
     with pytest.raises(InputError):
         run_theorem("thm_4_5", many, workers=0)
+
+
+def test_single_worker_runs_skip_the_cpu_count(monkeypatch):
+    config = GeneratorConfig(points=2, params=1, seed=1, trials=3)
+    expected = serialize_report(run_theorem("thm_4_5", config))
+
+    def refuse():
+        raise AssertionError("os.cpu_count called for a one-worker run")
+
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    assert serialize_report(run_theorem("thm_4_5", config, workers=1)) == expected
 
 
 def test_oracles_match_fast_operations():
