@@ -359,6 +359,12 @@ def is_member(x: SoftElement, f: SoftSet) -> bool:
     return x.bits & ~f.bits == 0
 
 
+# Most soft elements an enumeration may build: the bound on generated
+# shapes (points, params and points ** params) and on the absolute whose
+# elements ``topology.space_elements`` lists.
+_ELEMENT_BUDGET = 4096
+
+
 def element_count(f: SoftSet) -> int:
     """Number of soft elements of f (product of slice sizes)."""
     return math.prod(m.bit_count() for m in f.slices)

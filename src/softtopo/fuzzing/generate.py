@@ -3,7 +3,9 @@
 Determinism contract: a run is a pure function of (seed, trial index).  Each
 trial derives its own Mersenne Twister stream by hashing the master seed with
 the trial index, so trials can run in any order or in parallel and still see
-identical randomness.
+identical randomness.  Every random soft set comes from ``_random_bits``,
+one ``randrange`` per parameter; draws are made and deduplicated as ints,
+and ``SoftSet``s are built only for what a caller receives or closes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 import typing as t
 
 from ..core import (
+    _ELEMENT_BUDGET,
     SoftSet,
     Universe,
     full_set,
@@ -57,12 +60,6 @@ _HAUSDORFF_ATTEMPTS = 2
 # budget bounds memory before any draw; 5x2 (962 members) fits, 7x2 does not.
 _FULL_TOPOLOGY_BUDGET = 4096
 
-# Bound on points, params and the absolute's soft-element count
-# points ** params of a generator config, checked before ``universe_for``
-# builds any name.
-_ELEMENT_BUDGET = 4096
-
-
 @d.dataclass(frozen=True)
 class GeneratorConfig:
     points: int
@@ -77,7 +74,8 @@ class GeneratorConfig:
             raise InputError("points must be at least 1")
         if self.params < 1:
             raise InputError("params must be at least 1")
-        # Bound each side first so the power below stays small.
+        # Bound each side first so the power below stays small; the check
+        # runs before ``universe_for`` builds any name.
         if (
             max(self.points, self.params) > _ELEMENT_BUDGET
             or self.points**self.params > _ELEMENT_BUDGET
@@ -118,13 +116,26 @@ def trial_rng(config: GeneratorConfig, index: int) -> random.Random:
     return random.Random(trial_seed(config.seed, index))
 
 
-def random_admissible(rng: random.Random, universe: Universe) -> SoftSet:
-    """A uniformly random soft set with every slice nonempty."""
+def _random_bits(rng: random.Random, universe: Universe) -> int:
+    """Bits of a uniformly random soft set with every slice nonempty: one
+    ``randrange`` per parameter, in parameter order.  Every random set of
+    the generator comes from here, so this fixes the stream the pinned
+    report digests depend on."""
     full, width = universe.full_mask, universe.packing.width
     bits = 0
     for k in range(universe.n_params):
         bits |= rng.randrange(1, full + 1) << k * width
-    return SoftSet(universe, bits)
+    return bits
+
+
+def _subbase_bits(rng: random.Random, universe: Universe, size: int) -> list[int]:
+    """``size`` draws of ``_random_bits``, deduplicated, draw order kept."""
+    return list(dict.fromkeys(_random_bits(rng, universe) for _ in range(size)))
+
+
+def random_admissible(rng: random.Random, universe: Universe) -> SoftSet:
+    """A uniformly random soft set with every slice nonempty."""
+    return SoftSet(universe, _random_bits(rng, universe))
 
 
 def full_size(universe: Universe) -> int:
@@ -137,6 +148,12 @@ def all_spans(universe: Universe) -> tuple[SoftSet, ...]:
     """Single-element spans in lexicographic element order.  Cached like
     ``full_topology``; the tuple holds frozen sets, so sharing it is safe."""
     return tuple(SoftSet(universe, x.bits) for x in iter_elements(full_set(universe)))
+
+
+@functools.lru_cache(maxsize=8)
+def _span_bits(universe: Universe) -> tuple[int, ...]:
+    """The bits of ``all_spans``, in the same order."""
+    return tuple(s.bits for s in all_spans(universe))
 
 
 def close_subbase(
@@ -197,14 +214,7 @@ def draw_subbase(
     rng: random.Random, universe: Universe, size: int
 ) -> tuple[SoftSet, ...]:
     """``size`` random admissible sets, deduplicated, draw order kept."""
-    out: list[SoftSet] = []
-    seen: set[SoftSet] = set()
-    for _ in range(size):
-        s = random_admissible(rng, universe)
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return tuple(out)
+    return tuple(SoftSet(universe, p) for p in _subbase_bits(rng, universe, size))
 
 
 def gen_topology_with_subbase(
@@ -301,7 +311,10 @@ def gen_hausdorff_with_stats(
             f"separated draws at {config.points}x{config.params} may need the full "
             f"topology of {size} members, over the budget of {_FULL_TOPOLOGY_BUDGET}"
         )
-    spans = all_spans(universe)
+    # Attempts draw and dedup bits.  ``rng.sample`` picks by index, so
+    # sampling the span bits picks the same spans as sampling ``all_spans``.
+    span_bits = _span_bits(universe)
+    picks = min(len(span_bits), max(1, config.subbase_size))
     # With two or more points only the full topology is separated (covered
     # by a unit test), and one point always fits max_topology.  When the
     # full topology is over max_topology, close_subbase cannot return it,
@@ -310,19 +323,20 @@ def gen_hausdorff_with_stats(
     closable = size <= config.max_topology
     full = universe.packing.full
     for attempt in range(1, _HAUSDORFF_ATTEMPTS + 1):
-        base = list(draw_subbase(rng, universe, config.subbase_size))
-        picked = rng.sample(spans, min(len(spans), max(1, config.subbase_size)))
+        base = _subbase_bits(rng, universe, config.subbase_size)
+        picked = rng.sample(span_bits, picks)
         if not closable:
             continue
-        for s in picked:
-            if s not in base:
-                base.append(s)
-        if universe.n_points >= 2 and not _closes_to_full(full, [s.bits for s in base]):
+        base = list(dict.fromkeys(base + picked))
+        if universe.n_points >= 2 and not _closes_to_full(full, base):
             continue
-        members = close_subbase(universe, base, config.max_topology)
+        subbase = tuple(SoftSet(universe, p) for p in base)
+        members = close_subbase(universe, subbase, config.max_topology)
         if members is None:
             continue
         topo = SoftTopology.of(universe, members)
         if is_hausdorff(topo).holds:
-            return HausdorffDraw(tuple(base), topo, attempt, True)
-    return HausdorffDraw(spans, full_topology(universe), _HAUSDORFF_ATTEMPTS, False)
+            return HausdorffDraw(subbase, topo, attempt, True)
+    return HausdorffDraw(
+        all_spans(universe), full_topology(universe), _HAUSDORFF_ATTEMPTS, False
+    )

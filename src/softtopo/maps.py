@@ -6,11 +6,17 @@ admissible (a nonempty slice cannot map to an empty one); preimages can
 turn admissible sets into mixed ones, which is exactly where the two
 continuity readings part ways, so the preimage checker exposes a policy
 for those degenerate slices instead of hiding them.
+
+Both run on ``SoftSet.bits``: a function keeps, per layout bit, the bit it
+maps to and the bits mapping onto it, so an image or preimage is one OR
+per set bit.  The continuity scans work on the image bits of each member
+and test membership with ``&``/``~``.
 """
 
 from __future__ import annotations
 
 import dataclasses as d
+import functools
 import typing as t
 
 from .core import (
@@ -18,10 +24,9 @@ from .core import (
     SoftSet,
     Universe,
     is_admissible,
-    is_member,
 )
 from .errors import InputError, PreconditionError, UniverseMismatchError
-from .topology import SoftTopology
+from .topology import SoftTopology, space_elements
 
 
 @d.dataclass(frozen=True)
@@ -75,6 +80,27 @@ class SoftFunction:
             maps.append(tuple(row))
         return cls(domain, codomain, tuple(maps))
 
+    @functools.cached_property
+    def _forward(self) -> tuple[int, ...]:
+        """For each domain layout bit, the codomain bit it maps to (0 on
+        spare bits)."""
+        dw, cw = self.domain.packing.width, self.codomain.packing.width
+        table = [0] * (dw * self.domain.n_params)
+        for k, pm in enumerate(self.point_maps):
+            for i, v in enumerate(pm):
+                table[k * dw + i] = 1 << k * cw + v
+        return tuple(table)
+
+    @functools.cached_property
+    def _backward(self) -> tuple[int, ...]:
+        """For each codomain layout bit, the domain bits mapping onto it."""
+        dw, cw = self.domain.packing.width, self.codomain.packing.width
+        table = [0] * (cw * self.codomain.n_params)
+        for k, pm in enumerate(self.point_maps):
+            for i, v in enumerate(pm):
+                table[k * cw + v] |= 1 << k * dw + i
+        return tuple(table)
+
 
 def apply_function(f: SoftFunction, x: SoftElement) -> SoftElement:
     if x.universe != f.domain:
@@ -83,41 +109,32 @@ def apply_function(f: SoftFunction, x: SoftElement) -> SoftElement:
     return SoftElement(f.codomain, coords)
 
 
-def _forward_mask(pm: tuple[int, ...], mask: int) -> int:
+def _gather(table: tuple[int, ...], p: int) -> int:
+    """OR of ``table[b]`` over the set bits ``b`` of ``p``."""
     out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << pm[i]
-        mask >>= 1
-        i += 1
+    while p:
+        low = p & -p
+        out |= table[low.bit_length() - 1]
+        p ^= low
     return out
 
 
-def _inverse_mask(pm: tuple[int, ...], mask: int) -> int:
-    out = 0
-    for i, v in enumerate(pm):
-        if mask >> v & 1:
-            out |= 1 << i
-    return out
+def _image_bits(f: SoftFunction, p: int) -> int:
+    return _gather(f._forward, p)
 
 
 def image(f: SoftFunction, s: SoftSet) -> SoftSet:
     """Slice-wise forward image; preserves admissibility."""
     if s.universe != f.domain:
         raise UniverseMismatchError("set from a different universe")
-    return SoftSet.of(
-        f.codomain, (_forward_mask(pm, m) for pm, m in zip(f.point_maps, s.slices))
-    )
+    return SoftSet(f.codomain, _image_bits(f, s.bits))
 
 
 def preimage(f: SoftFunction, s: SoftSet) -> SoftSet:
     """Slice-wise inverse image; admissibility may be lost."""
     if s.universe != f.codomain:
         raise UniverseMismatchError("set from a different universe")
-    return SoftSet.of(
-        f.domain, (_inverse_mask(pm, m) for pm, m in zip(f.point_maps, s.slices))
-    )
+    return SoftSet(f.domain, _gather(f._backward, s.bits))
 
 
 # --- continuity --------------------------------------------------------------
@@ -137,7 +154,13 @@ def is_continuous_at(
 ) -> bool:
     """Every open around the image pulls back to an open around x whose
     image it contains."""
-    images = [image(f, u) for u in domain_topology.members]
+    if (
+        x.universe != f.domain
+        or domain_topology.universe != f.domain
+        or codomain_topology.universe != f.codomain
+    ):
+        raise UniverseMismatchError("element or topology from a different universe")
+    images = [_image_bits(f, u) for u in domain_topology.packed]
     return _failure_at(f, domain_topology, codomain_topology, images, x) is None
 
 
@@ -145,16 +168,17 @@ def _failure_at(
     f: SoftFunction,
     dt: SoftTopology,
     ct: SoftTopology,
-    images: t.Sequence[SoftSet],
+    images: t.Sequence[int],
     x: SoftElement,
 ) -> SoftSet | None:
     """First codomain open around f(x) containing the image of no domain
-    open around x; ``images`` holds the image of each domain member."""
-    fx = apply_function(f, x)
-    around = [w.bits for u, w in zip(dt.members, images) if is_member(x, u)]
-    for v in ct.members:
-        # is_member guards the universe; then no image may lie inside v
-        if is_member(fx, v) and all(w & ~v.bits for w in around):
+    open around x; ``images`` holds the image bits of each domain member."""
+    xb = x.bits
+    fx = _image_bits(f, xb)
+    around = [w for u, w in zip(dt.packed, images) if xb & ~u == 0]
+    for v, vb in zip(ct.members, ct.packed):
+        # f(x) in v, and no image of an open around x inside v
+        if fx & ~vb == 0 and all(w & ~vb for w in around):
             return v
     return None
 
@@ -166,9 +190,7 @@ def definitional_continuity(
 ) -> DefinitionalContinuityReport:
     """Elementwise reading, scanned in canonical element order."""
     _check_spaces(f, domain_topology, codomain_topology)
-    from .topology import space_elements
-
-    images = [image(f, u) for u in domain_topology.members]
+    images = [_image_bits(f, u) for u in domain_topology.packed]
     for x in space_elements(domain_topology):
         v = _failure_at(f, domain_topology, codomain_topology, images, x)
         if v is not None:

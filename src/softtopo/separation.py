@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses as d
 
-from .core import SoftElement
 from .topology import (
     SoftTopology,
     _cached,
@@ -48,38 +47,47 @@ class SeparationReport:
     counterexample: tuple | None
 
 
-def _fully_differing(x: SoftElement, y: SoftElement) -> bool:
-    return all(a != b for a, b in zip(x.coords, y.coords))
-
-
 def is_hausdorff(topo: SoftTopology) -> SeparationReport:
-    """Every pair differing at all parameters gets pointwise-disjoint open hulls."""
+    """Every pair differing at all parameters gets pointwise-disjoint open hulls.
+
+    Runs on element bits: two elements differ at every parameter exactly
+    when their bits are disjoint, and a pair is separated exactly when the
+    second element lies in some member pointwise-disjoint from a member
+    around the first, which one OR over the first element's members
+    decides.  The witness is the first separated pair with its first
+    separating members in member order.
+    """
 
     def build() -> SeparationReport:
         elements = space_elements(topo)
         cont = containing_masks(topo)
         disj = disjoint_rows(topo, False)
         members = topo.members
+        bits = [x.bits for x in elements]
+        masks = [cont[x] for x in elements]
         witness = None
-        for xi in range(len(elements)):
-            x = elements[xi]
-            cx = cont[x]
-            for yi in range(xi + 1, len(elements)):
-                y = elements[yi]
-                if not _fully_differing(x, y):
-                    continue
-                cy = cont[y]
-                pair_witness = None
-                for i in _iter_bits(cx):
-                    hits = disj[i] & cy
-                    if hits:
-                        j = (hits & -hits).bit_length() - 1
-                        pair_witness = (x, y, members[i], members[j])
-                        break
-                if pair_witness is None:
-                    return SeparationReport("hausdorff", False, None, (x, y))
+        for xi, xb in enumerate(bits):
+            cx = masks[xi]
+            # members pointwise-disjoint from some member around x
+            reach = 0
+            rest = cx
+            while rest:
+                low = rest & -rest
+                reach |= disj[low.bit_length() - 1]
+                rest ^= low
+            for yi in range(xi + 1, len(bits)):
+                if xb & bits[yi]:
+                    continue  # a shared coordinate: outside the hypothesis
+                cy = masks[yi]
+                if not reach & cy:
+                    return SeparationReport(
+                        "hausdorff", False, None, (elements[xi], elements[yi])
+                    )
                 if witness is None:
-                    witness = pair_witness
+                    i = next(i for i in _iter_bits(cx) if disj[i] & cy)
+                    hits = disj[i] & cy
+                    j = (hits & -hits).bit_length() - 1
+                    witness = (elements[xi], elements[yi], members[i], members[j])
         return SeparationReport("hausdorff", True, witness, None)
 
     return _cached(topo, "hausdorff", build)

@@ -16,7 +16,11 @@ The kernels work on ``SoftSet.bits``, the packed layout of ``core``:
 ``SoftTopology.packed`` holds the members' bits in member order so scans
 can index into it, and a per-topology column index turns the superset,
 subset and disjointness masks into big-int ORs and ANDs.  They assume a
-verified member list.
+verified member list.  ``space_elements`` is the one value shared across
+topologies: a process-wide cache holds one element tuple per absolute, so
+every topology over that absolute reuses the same elements, bits and
+hashes, and an absolute over the element budget is refused before any
+element is built.
 
 The absolute member defaults to the full soft set; subspace topologies reuse
 the same verifier with the constant set on the carrier points as absolute.
@@ -34,10 +38,12 @@ import itertools
 import typing as t
 
 from .core import (
+    _ELEMENT_BUDGET,
     Packing,
     SoftElement,
     SoftSet,
     Universe,
+    element_count,
     full_set,
     is_admissible,
     is_member,
@@ -278,7 +284,8 @@ def full_topology(universe: Universe) -> SoftTopology:
 
 
 def _require_full_absolute(topo: SoftTopology, op: str) -> None:
-    if topo.absolute != full_set(topo.universe):
+    absolute = topo.absolute
+    if absolute.bits != topo.universe.packing.full or absolute.universe != topo.universe:
         raise PreconditionError(
             f"{op} needs a topology whose absolute is the full soft set"
         )
@@ -443,8 +450,24 @@ def is_nbd(topo: SoftTopology, n: SoftSet, x: SoftElement) -> bool:
 # --- cached kernels shared by the checker modules --------------------------
 
 def space_elements(topo: SoftTopology) -> tuple[SoftElement, ...]:
-    """All soft elements of the absolute member, canonical order."""
-    return _cached(topo, "space_elements", lambda: tuple(iter_elements(topo.absolute)))
+    """All soft elements of the absolute member, canonical order.
+
+    Every topology over an equal absolute gets the identical tuple, so the
+    elements, with their cached bits and hashes, are built once per
+    absolute.  Raises PreconditionError, before building any element, for
+    an absolute with more than ``_ELEMENT_BUDGET`` elements.
+    """
+    return _elements_of(topo.absolute)
+
+
+@functools.lru_cache(maxsize=16)
+def _elements_of(absolute: SoftSet) -> tuple[SoftElement, ...]:
+    count = element_count(absolute)
+    if count > _ELEMENT_BUDGET:
+        raise PreconditionError(
+            f"the absolute has {count} soft elements, over the budget of {_ELEMENT_BUDGET}"
+        )
+    return tuple(iter_elements(absolute))
 
 
 def _iter_bits(mask: int) -> t.Iterator[int]:
@@ -476,8 +499,10 @@ def _columns(topo: SoftTopology) -> dict[int, int]:
 def _meeting(columns: dict[int, int], p: int) -> int:
     """Bitmask over member indices of the members sharing a bit with ``p``."""
     hits = 0
-    for b in _iter_bits(p):
-        hits |= columns.get(b, 0)
+    while p:
+        low = p & -p
+        hits |= columns.get(low.bit_length() - 1, 0)
+        p ^= low
     return hits
 
 
@@ -491,8 +516,10 @@ def superset_mask(topo: SoftTopology, p: int) -> int:
     """Bitmask over member indices of the members containing bits ``p``."""
     columns = _columns(topo)
     mask = (1 << len(topo.members)) - 1
-    for b in _iter_bits(p):
-        mask &= columns.get(b, 0)
+    while p and mask:
+        low = p & -p
+        mask &= columns.get(low.bit_length() - 1, 0)
+        p ^= low
     return mask
 
 

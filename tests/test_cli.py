@@ -344,6 +344,30 @@ def test_fuzz_shape_over_budget(capsys):
     )
 
 
+def _constant_doc(tmp_path, points, params):
+    path = tmp_path / f"doc{points}x{params}.json"
+    path.write_text(json.dumps({
+        "format": "soft-space/1",
+        "topology": ["PHI", "ABS"],
+        "universe": {
+            "params": [f"e{k}" for k in range(params)],
+            "points": [f"p{i}" for i in range(points)],
+        },
+    }))
+    return path
+
+
+def test_check_over_the_element_budget(capsys, tmp_path):
+    # 12 ** 4 = 20736 soft elements: refused before any is built
+    code, out, err = run(capsys, "check", "hausdorff", _constant_doc(tmp_path, 12, 4))
+    assert (code, out) == (2, "")
+    assert err == "error: the absolute has 20736 soft elements, over the budget of 4096\n"
+    # 8 ** 4 = 4096 is the budget itself
+    code, out, err = run(capsys, "check", "hausdorff", _constant_doc(tmp_path, 8, 4))
+    assert (code, err) == (1, "")
+    assert out.startswith("hausdorff: fails\n")
+
+
 def test_fuzz_unknown_case(capsys):
     code, _, err = run(capsys, "fuzz", "--case", "nope", "--trials", "1")
     assert code == 2

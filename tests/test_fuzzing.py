@@ -353,6 +353,62 @@ def test_separated_draw_closes_only_accepted_attempts(monkeypatch):
     assert 0 < sampled < len(expected)
 
 
+def _separated_draw_on_soft_sets(config, rng):
+    """The separated draw with every attempt built from ``SoftSet``s, as it
+    was before the attempt loop moved to bits: one ``randrange`` per
+    parameter per generator, deduplication on sets, and a sample of
+    ``all_spans`` itself."""
+    universe = universe_for(config)
+    spans = all_spans(universe)
+    closable = full_size(universe) <= config.max_topology
+    for attempt in range(1, 3):
+        base = []
+        for _ in range(config.subbase_size):
+            s = SoftSet.of(
+                universe,
+                [rng.randrange(1, universe.full_mask + 1) for _ in range(universe.n_params)],
+            )
+            if s not in base:
+                base.append(s)
+        picked = rng.sample(spans, min(len(spans), max(1, config.subbase_size)))
+        if not closable:
+            continue
+        for s in picked:
+            if s not in base:
+                base.append(s)
+        if universe.n_points >= 2 and not _closes_to_full(
+            universe.packing.full, [s.bits for s in base]
+        ):
+            continue
+        members = close_subbase(universe, base, config.max_topology)
+        if members is None:
+            continue
+        topo = SoftTopology.of(universe, members)
+        if is_hausdorff(topo).holds:
+            return (tuple(base), topo.members, attempt, True)
+    return (spans, full_topology(universe).members, 2, False)
+
+
+@pytest.mark.parametrize("points, params", [(1, 3), (4, 1), (2, 2), (3, 2), (5, 2)])
+def test_separated_draw_replays_the_soft_set_attempts(points, params):
+    sampled = 0
+    for seed in range(300):
+        config = GeneratorConfig(points=points, params=params, seed=seed)
+        rng, twin = trial_rng(config, 0), trial_rng(config, 0)
+        draw = gen_hausdorff_with_stats(config, rng)
+        got = (draw.subbase, draw.topology.members, draw.attempts, draw.sampled)
+        assert got == _separated_draw_on_soft_sets(config, twin), seed
+        assert all(type(s) is SoftSet for s in draw.subbase)
+        assert rng.getstate() == twin.getstate(), seed
+        sampled += draw.sampled
+    if (points, params) == (5, 2):
+        assert sampled == 0  # 962 members never fit max_topology = 512
+    elif points == 1:
+        assert sampled == 300
+    else:
+        assert 0 < sampled < 300
+
+
 def test_one_point_separated_draw_still_closes(monkeypatch):
     calls = _count_closures(monkeypatch)
     config = GeneratorConfig(points=1, params=3, seed=9)

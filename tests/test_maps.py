@@ -83,6 +83,46 @@ def test_universe_guards():
         definitional_continuity(
             CONST_A, indiscrete_topology(UXY), indiscrete_topology(U22)
         )
+    t22 = indiscrete_topology(U22)
+    with pytest.raises(UniverseMismatchError):
+        is_continuous_at(CONST_A, t22, t22, SoftElement(UXY, (0, 0)))
+    with pytest.raises(UniverseMismatchError):
+        is_continuous_at(CONST_A, indiscrete_topology(UXY), t22, SoftElement(U22, (0, 0)))
+    with pytest.raises(UniverseMismatchError):
+        is_continuous_at(CONST_A, t22, indiscrete_topology(UXY), SoftElement(U22, (0, 0)))
+
+
+def _reference_image(f, s):
+    """Slice-wise forward image, built with ``SoftSet.of``."""
+    slices = []
+    for pm, mask in zip(f.point_maps, s.slices):
+        slices.append(sum({1 << pm[i] for i in range(len(pm)) if mask >> i & 1}))
+    return SoftSet.of(f.codomain, slices)
+
+
+def _reference_preimage(f, s):
+    """Slice-wise inverse image, built with ``SoftSet.of``."""
+    slices = []
+    for pm, mask in zip(f.point_maps, s.slices):
+        slices.append(sum(1 << i for i, v in enumerate(pm) if mask >> v & 1))
+    return SoftSet.of(f.domain, slices)
+
+
+def test_images_match_the_slice_wise_reference():
+    rng = random.Random(8)
+    for _ in range(400):
+        params = [f"e{k}" for k in range(rng.randint(1, 3))]
+        # unequal point counts, so the two layouts have different widths
+        dom = Universe.of([f"x{i}" for i in range(rng.randint(1, 5))], params)
+        cod = Universe.of([f"y{i}" for i in range(rng.randint(1, 5))], params)
+        f = SoftFunction(dom, cod, tuple(
+            tuple(rng.randrange(cod.n_points) for _ in dom.points) for _ in params
+        ))
+        # any slice pattern, mixed and null ones included
+        s = SoftSet.of(dom, [rng.randrange(dom.full_mask + 1) for _ in params])
+        assert image(f, s) == _reference_image(f, s)
+        v = SoftSet.of(cod, [rng.randrange(cod.full_mask + 1) for _ in params])
+        assert preimage(f, v) == _reference_preimage(f, v)
 
 
 @given(
@@ -153,7 +193,7 @@ def _reference_failure_at(f, dt, ct, x):
         if not is_member(fx, v):
             continue
         for u in dt.members:
-            if is_member(x, u) and is_soft_subset(image(f, u), v):
+            if is_member(x, u) and is_soft_subset(_reference_image(f, u), v):
                 break
         else:
             return v

@@ -1,12 +1,23 @@
 from __future__ import annotations
 
-from softtopo.core import Universe, full_set, null_set
-from softtopo.fuzzing import GeneratorConfig, gen_topology
-from softtopo.fuzzing.generate import full_size, trial_rng
-from softtopo.separation import is_hausdorff, is_normal, is_regular
-from softtopo.topology import full_topology, indiscrete_topology, topology_from
+import itertools
 
-from conftest import soft
+from softtopo.core import Universe, full_set, iter_elements, null_set
+from softtopo.document import parse_file
+from softtopo.fuzzing import GeneratorConfig, gen_topology
+from softtopo.fuzzing.generate import full_size, gen_hausdorff_with_stats, trial_rng
+from softtopo.separation import SeparationReport, is_hausdorff, is_normal, is_regular
+from softtopo.subspace import SubspacePreconditionError, build_subspace
+from softtopo.topology import (
+    _iter_bits,
+    containing_masks,
+    disjoint_rows,
+    full_topology,
+    indiscrete_topology,
+    topology_from,
+)
+
+from conftest import FIXTURES, soft
 
 U22 = Universe.of(("a", "b"), ("e1", "e2"))
 
@@ -95,3 +106,77 @@ def test_normal_negative():
     report = is_normal(topo)
     assert not report.holds
     assert report.counterexample == (soft(u, e1="a"), soft(u, e1="b"))
+
+
+def _fully_differing(x, y):
+    return all(a != b for a, b in zip(x.coords, y.coords))
+
+
+def _hausdorff_reference(topo):
+    """The pairwise Hausdorff scan on element coordinates, as it was before
+    the scan moved to element bits."""
+    elements = tuple(iter_elements(topo.absolute))
+    cont = containing_masks(topo)
+    disj = disjoint_rows(topo, False)
+    members = topo.members
+    witness = None
+    for xi in range(len(elements)):
+        x = elements[xi]
+        cx = cont[x]
+        for yi in range(xi + 1, len(elements)):
+            y = elements[yi]
+            if not _fully_differing(x, y):
+                continue
+            cy = cont[y]
+            pair_witness = None
+            for i in _iter_bits(cx):
+                hits = disj[i] & cy
+                if hits:
+                    j = (hits & -hits).bit_length() - 1
+                    pair_witness = (x, y, members[i], members[j])
+                    break
+            if pair_witness is None:
+                return SeparationReport("hausdorff", False, None, (x, y))
+            if witness is None:
+                witness = pair_witness
+    return SeparationReport("hausdorff", True, witness, None)
+
+
+def _subspaces(topo):
+    points = topo.universe.points
+    for size in range(1, len(points)):
+        for carrier in itertools.combinations(points, size):
+            try:
+                yield build_subspace(topo, carrier).topology
+            except SubspacePreconditionError:
+                pass
+
+
+def test_hausdorff_matches_the_pairwise_scan():
+    topologies = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        topo = parse_file(str(path)).topology
+        if topo is not None and path.name != "not_closed.json":
+            topologies.append(topo)
+    for points, params in itertools.product((1, 2, 3), repeat=2):
+        topologies.append(full_topology(Universe.of(
+            [f"x{i}" for i in range(points)], [f"e{k}" for k in range(params)]
+        )))
+    for points, params in ((1, 2), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2)):
+        config = GeneratorConfig(points=points, params=params, seed=5)
+        for i in range(40):
+            topologies.append(gen_topology(config, trial_rng(config, i)))
+        for i in range(5):
+            topologies.append(gen_hausdorff_with_stats(config, trial_rng(config, i)).topology)
+    topologies += [sub for topo in topologies[:] for sub in _subspaces(topo)]
+
+    outcomes = set()
+    subspaces = 0
+    for topo in topologies:
+        report = is_hausdorff(topo)
+        assert report == _hausdorff_reference(topo), topo
+        outcomes.add((report.holds, report.witness is not None))
+        subspaces += topo.absolute != full_set(topo.universe)
+    # separated with a witness, vacuous, and not separated all occur
+    assert outcomes == {(True, True), (True, False), (False, False)}
+    assert subspaces >= 100

@@ -30,7 +30,7 @@ from softtopo.core import (
 from softtopo.document import parse_file
 from softtopo.fuzzing.generate import GeneratorConfig, gen_topology, trial_rng
 from softtopo.fuzzing.oracles import verify_topology_oracle
-from softtopo.errors import NotAdmissibleError, UniverseMismatchError
+from softtopo.errors import NotAdmissibleError, PreconditionError, UniverseMismatchError
 from softtopo.topology import (
     LimitingMode,
     _ring_accepts,
@@ -428,6 +428,48 @@ def test_space_elements_cover_the_absolute(abcd_topo):
     els = space_elements(abcd_topo)
     assert len(els) == 16
     assert all(is_member(x, abcd_topo.absolute) for x in els)
+
+
+def test_space_elements_are_shared_per_absolute():
+    first = parse_file(str(FIXTURES / "ex23.json")).topology
+    second = parse_file(str(FIXTURES / "ex23.json")).topology
+    assert first is not second and first.absolute is not second.absolute
+    els = space_elements(first)
+    # two parses of one document share one tuple, elements included
+    assert space_elements(second) is els
+    assert els == tuple(iter_elements(first.absolute))
+    # so does another topology over an equal absolute
+    assert space_elements(indiscrete_topology(first.universe)) is els
+    # a smaller absolute gets its own elements
+    sub = SoftTopology.of(first.universe, [null_set(first.universe)],
+                          constant_set(first.universe, ["a", "b"]))
+    assert space_elements(sub) == tuple(iter_elements(sub.absolute))
+    assert len(space_elements(sub)) == 4
+
+
+def test_complement_operations_need_the_full_absolute(abcd_topo):
+    u = abcd_topo.universe
+    # a smaller absolute, and a full-looking absolute from an equal-shaped
+    # universe: both are refused
+    twin = Universe.of([p + "'" for p in u.points], u.params)
+    for absolute in (constant_set(u, ["a", "b"]), full_set(twin)):
+        topo = SoftTopology.of(u, abcd_topo.members, absolute)
+        for op in (lambda: closed_sets(topo), lambda: is_closed(topo, null_set(u))):
+            with pytest.raises(PreconditionError, match="absolute is the full soft set"):
+                op()
+    assert closed_sets(abcd_topo)
+
+
+def test_space_elements_budget():
+    # 8 ** 4 = 4096 elements is the budget itself; 9 ** 4 is over it
+    for points, ok in ((8, True), (9, False)):
+        u = Universe.of([f"p{i}" for i in range(points)], ["e1", "e2", "e3", "e4"])
+        topo = indiscrete_topology(u)
+        if ok:
+            assert len(space_elements(topo)) == 4096
+        else:
+            with pytest.raises(PreconditionError, match="6561 soft elements, over the budget of 4096"):
+                space_elements(topo)
 
 
 def test_pairwise_admissibility_scan(abcd_topo):
