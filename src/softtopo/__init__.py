@@ -70,7 +70,6 @@ from .errors import (
 )
 from .maps import (
     SoftFunction,
-    apply_function,
     definitional_continuity,
     image,
     is_continuous_at,

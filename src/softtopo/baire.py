@@ -70,12 +70,16 @@ def is_baire(topo: SoftTopology) -> BaireReport:
     """Null interior for the union of all rare closed sets.
 
     One union decides the property: interiors are monotone in the set, so
-    every subfamily union is dominated by this one.
+    every subfamily union is dominated by this one.  Cached on the topology.
     """
-    rare = rare_closed_sets(topo)
-    union = elementary_union_family(topo.universe, rare)
-    inner = interior(topo, union)
-    return BaireReport(is_null(inner), rare, union, inner)
+
+    def build() -> BaireReport:
+        rare = rare_closed_sets(topo)
+        union = elementary_union_family(topo.universe, rare)
+        inner = interior(topo, union)
+        return BaireReport(is_null(inner), rare, union, inner)
+
+    return _cached(topo, "baire", build)
 
 
 def baire_subfamily_oracle(topo: SoftTopology, limit: int = 4096) -> bool:
@@ -234,37 +238,42 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
     compact K with x in U, U inside K, K inside O.  Compactness of K only
     needs admissibility of K and its complement here, so the search builds
     K from O directly, borrowing U's slice wherever O fills the space.  The
-    scan runs on member bits, opens and candidates in member order.
+    scan runs on member bits, opens and candidates in member order.  The
+    report is cached on the topology; a non-Hausdorff one raises each time.
     """
     from .separation import is_hausdorff
 
-    if not is_hausdorff(topo).holds:
-        raise PreconditionError(
-            "local compactness is only defined over Hausdorff spaces"
-        )
-    fields = topo.universe.packing.fields
-    absolute = topo.absolute.bits
-    packed = topo.packed
-    containing = containing_masks(topo)
-    pairs = 0
-    for x in space_elements(topo):
-        cx = containing[x]
-        for oi in _iter_bits(cx):
-            o = packed[oi]
-            pairs += 1
-            filled = sum(field for field in fields if o & field == field)
-            found = False
-            for ui in _iter_bits(cx & subset_mask(topo, o)):
-                k = o & ~filled | packed[ui] & filled
-                # K is admissible by construction; its complement is
-                # admissible exactly when K is the absolute or every slice
-                # is proper, which is all compactness asks of a set here.
-                if k == absolute or all(k & field != field for field in fields):
-                    found = True
-                    break
-            if not found:
-                return LocalCompactnessReport(False, (x, topo.members[oi]), pairs)
-    return LocalCompactnessReport(True, None, pairs)
+    def build() -> LocalCompactnessReport:
+        if not is_hausdorff(topo).holds:
+            raise PreconditionError(
+                "local compactness is only defined over Hausdorff spaces"
+            )
+        fields = topo.universe.packing.fields
+        absolute = topo.absolute.bits
+        packed = topo.packed
+        containing = containing_masks(topo)
+        pairs = 0
+        for x in space_elements(topo):
+            cx = containing[x]
+            for oi in _iter_bits(cx):
+                o = packed[oi]
+                pairs += 1
+                filled = sum(field for field in fields if o & field == field)
+                found = False
+                for ui in _iter_bits(cx & subset_mask(topo, o)):
+                    k = o & ~filled | packed[ui] & filled
+                    # K is admissible by construction; its complement is
+                    # admissible exactly when K is the absolute or every
+                    # slice is proper, which is all compactness asks of a
+                    # set here.
+                    if k == absolute or all(k & field != field for field in fields):
+                        found = True
+                        break
+                if not found:
+                    return LocalCompactnessReport(False, (x, topo.members[oi]), pairs)
+        return LocalCompactnessReport(True, None, pairs)
+
+    return _cached(topo, "locally_compact", build)
 
 
 def baire_theorem_trial(topo: SoftTopology) -> str:

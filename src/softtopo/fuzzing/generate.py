@@ -4,7 +4,7 @@ Determinism contract: a run is a pure function of (seed, trial index).  Each
 trial derives its own Mersenne Twister stream by hashing the master seed with
 the trial index, so trials can run in any order or in parallel and still see
 identical randomness.  Every random soft set comes from ``_random_bits``,
-one ``randrange`` per parameter; draws are made and deduplicated as ints,
+one slice draw per parameter; draws are made and deduplicated as ints,
 and ``SoftSet``s are built only for what a caller receives or closes.
 """
 
@@ -118,13 +118,22 @@ def trial_rng(config: GeneratorConfig, index: int) -> random.Random:
 
 def _random_bits(rng: random.Random, universe: Universe) -> int:
     """Bits of a uniformly random soft set with every slice nonempty: one
-    ``randrange`` per parameter, in parameter order.  Every random set of
-    the generator comes from here, so this fixes the stream the pinned
-    report digests depend on."""
-    full, width = universe.full_mask, universe.packing.width
+    slice per parameter, in parameter order.  Every random set of the
+    generator comes from here, so this fixes the stream the pinned report
+    digests depend on.
+
+    Each slice is ``rng.randrange(1, full + 1)`` drawn the way CPython 3.10
+    to 3.13 draws it, ``1 + _randbelow(full)``: ``getrandbits(n_points)``,
+    redrawn while it is ``full``, plus one.
+    """
+    full, width, n = universe.full_mask, universe.packing.width, universe.n_points
+    getrandbits = rng.getrandbits
     bits = 0
     for k in range(universe.n_params):
-        bits |= rng.randrange(1, full + 1) << k * width
+        r = getrandbits(n)
+        while r == full:
+            r = getrandbits(n)
+        bits |= (r + 1) << k * width
     return bits
 
 

@@ -102,13 +102,6 @@ class SoftFunction:
         return tuple(table)
 
 
-def apply_function(f: SoftFunction, x: SoftElement) -> SoftElement:
-    if x.universe != f.domain:
-        raise UniverseMismatchError("element from a different universe")
-    coords = tuple(pm[c] for pm, c in zip(f.point_maps, x.coords))
-    return SoftElement(f.codomain, coords)
-
-
 def _gather(table: tuple[int, ...], p: int) -> int:
     """OR of ``table[b]`` over the set bits ``b`` of ``p``."""
     out = 0

@@ -55,11 +55,17 @@ def is_hausdorff(topo: SoftTopology) -> SeparationReport:
     second element lies in some member pointwise-disjoint from a member
     around the first, which one OR over the first element's members
     decides.  The witness is the first separated pair with its first
-    separating members in member order.
+    separating members in member order.  A list that is the full topology
+    over two or more points skips the scan: it is separated, and its
+    witness is found directly.
     """
 
     def build() -> SeparationReport:
         elements = space_elements(topo)
+        if _lists_every_admissible_set(topo):
+            return SeparationReport(
+                "hausdorff", True, _full_topology_witness(topo, elements), None
+            )
         cont = containing_masks(topo)
         disj = disjoint_rows(topo, False)
         members = topo.members
@@ -91,6 +97,47 @@ def is_hausdorff(topo: SoftTopology) -> SeparationReport:
         return SeparationReport("hausdorff", True, witness, None)
 
     return _cached(topo, "hausdorff", build)
+
+
+def _lists_every_admissible_set(topo: SoftTopology) -> bool:
+    """Whether the members are the full topology over two or more points
+    with the full absolute: distinct, over the topology's universe, null
+    or admissible, and as many as the admissible sets plus the null set.
+    Such a list is separated whatever else holds of it (FINDINGS.md)."""
+    universe = topo.universe
+    packing = universe.packing
+    if universe.n_points < 2 or len(topo.members) != (
+        (2**universe.n_points - 1) ** universe.n_params + 1
+    ):
+        return False
+    absolute = topo.absolute
+    if absolute.bits != packing.full or absolute.universe != universe:
+        return False
+    packed = topo.packed
+    return (
+        all(m.universe == universe for m in topo.members)
+        and all(map(packing.is_admissible, packed))
+        and len(set(packed)) == len(packed)
+    )
+
+
+def _full_topology_witness(topo: SoftTopology, elements) -> tuple:
+    """The witness the scan reports on the full topology, found directly.
+
+    The scan's first separated pair is the first element with the first
+    element disjoint from it, which exists from two points on.  Since the
+    span of ``y`` is a member, a member around ``x`` is disjoint from some
+    member around ``y`` exactly when it avoids ``y``'s bits; the second
+    member is then the first around ``y`` disjoint from it.
+    """
+    x = elements[0]
+    xb = x.bits
+    y = next(y for y in elements if not xb & y.bits)
+    yb = y.bits
+    packed = topo.packed
+    i = next(i for i, m in enumerate(packed) if m & xb == xb and not m & yb)
+    j = next(j for j, m in enumerate(packed) if m & yb == yb and not m & packed[i])
+    return (x, y, topo.members[i], topo.members[j])
 
 
 def is_regular(

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .topology import (
     SoftTopology,
+    _cached,
     pairwise_admissible_violations,
     verify_topology,
 )
@@ -105,29 +106,35 @@ def build_subspace(topo: SoftTopology, points: t.Sequence[str]) -> SubspaceResul
     Traces are deduplicated in parent member order, so the carrier's own
     trace (from the absolute) and the null trace land wherever the parent
     order puts them first; the verifier then re-checks the axioms against
-    the carrier as absolute.
+    the carrier as absolute.  The result is cached on the parent per point
+    tuple; unmet preconditions raise each time.
     """
-    carrier = carrier_set(topo.universe, points)
-    report = check_subspace_preconditions(topo, carrier)
-    if not report.satisfied:
-        raise SubspacePreconditionError(report)
-    traces: list[SoftSet] = []
-    provenance: list[tuple[int, int]] = []
-    seen: dict[SoftSet, int] = {}
-    for i, m in enumerate(topo.members):
-        tr = elementary_intersection(m, carrier)
-        if tr not in seen:
-            seen[tr] = len(traces)
-            provenance.append((len(traces), i))
-            traces.append(tr)
-    rep = verify_topology(topo.universe, traces, absolute=carrier)
-    if not rep.valid:
-        raise AssertionError(
-            "trace family failed verification despite preconditions: "
-            + "; ".join(v.describe() for v in rep.violations)
-        )
-    sub = SoftTopology.of(topo.universe, traces, absolute=carrier)
-    return SubspaceResult(topo, carrier, tuple(points), sub, tuple(provenance))
+    points = tuple(points)
+
+    def build() -> SubspaceResult:
+        carrier = carrier_set(topo.universe, points)
+        report = check_subspace_preconditions(topo, carrier)
+        if not report.satisfied:
+            raise SubspacePreconditionError(report)
+        traces: list[SoftSet] = []
+        provenance: list[tuple[int, int]] = []
+        seen: dict[SoftSet, int] = {}
+        for i, m in enumerate(topo.members):
+            tr = elementary_intersection(m, carrier)
+            if tr not in seen:
+                seen[tr] = len(traces)
+                provenance.append((len(traces), i))
+                traces.append(tr)
+        rep = verify_topology(topo.universe, traces, absolute=carrier)
+        if not rep.valid:
+            raise AssertionError(
+                "trace family failed verification despite preconditions: "
+                + "; ".join(v.describe() for v in rep.violations)
+            )
+        sub = SoftTopology.of(topo.universe, traces, absolute=carrier)
+        return SubspaceResult(topo, carrier, points, sub, tuple(provenance))
+
+    return _cached(topo, ("subspace", points), build)
 
 
 def is_relatively_closed(sub: SubspaceResult, f: SoftSet) -> bool:

@@ -536,8 +536,11 @@ def disjoint_rows(topo: SoftTopology, elementary: bool) -> list[int]:
     """Row i: bitmask of the members whose meet with member i is null.
 
     Pointwise, the meet is null when every slice empties; with
-    ``elementary`` it collapses to null when some slice does.
+    ``elementary`` it collapses to null when some slice does.  With one
+    parameter the two coincide, so both readings share the pointwise rows.
     """
+    if elementary and topo.universe.n_params == 1:
+        return disjoint_rows(topo, False)
 
     def build() -> list[int]:
         columns = _columns(topo)
@@ -564,8 +567,10 @@ def pairwise_admissible_violations(
 
     Several statements assume there are none; callers that only need the
     first violation can look at position zero.  Such a meet is not null,
-    yet its elementary reading collapses.
+    yet its elementary reading collapses, which takes two parameters.
     """
+    if topo.universe.n_params == 1:
+        return ()
 
     def build() -> tuple[tuple[int, int], ...]:
         pointwise = disjoint_rows(topo, False)

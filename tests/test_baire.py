@@ -15,7 +15,7 @@ from softtopo.baire import (
 )
 from softtopo.core import SoftSet, Universe, full_set, null_set
 from softtopo.errors import NotAdmissibleError, PreconditionError
-from softtopo.topology import full_topology, topology_from
+from softtopo.topology import SoftTopology, full_topology, indiscrete_topology, topology_from
 
 from conftest import soft
 
@@ -149,3 +149,19 @@ def test_theorem_trial_verdicts(abcd_topo):
     assert baire_theorem_trial(abcd_topo) == "skipped"
     u21 = Universe.of(("a", "b"), ("e1",))
     assert baire_theorem_trial(full_topology(u21)) == "holds"
+
+
+def test_local_compactness_and_baire_are_cached_per_topology(ladder_topo):
+    members = full_topology(U22).members
+    topo, twin = SoftTopology.of(U22, members), SoftTopology.of(U22, members)
+    for check in (is_locally_compact, is_baire):
+        report = check(topo)
+        assert check(topo) is report
+        assert check(twin) == report
+    assert is_baire(ladder_topo) is is_baire(ladder_topo)
+    # not Hausdorff: raises on every call and caches nothing
+    indiscrete = indiscrete_topology(U22)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="Hausdorff"):
+            is_locally_compact(indiscrete)
+    assert "locally_compact" not in indiscrete._cache

@@ -253,6 +253,27 @@ def test_separated_draw_skips_closures_that_cannot_fit(monkeypatch):
     assert calls
 
 
+def test_separated_draw_skips_bit_tests_that_cannot_fit(monkeypatch):
+    # Past max_topology no attempt can close, so none is tested either.
+    calls = []
+    real = generate._closes_to_full
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generate, "_closes_to_full", counting)
+    # 5x2: the 962-member full topology is over max_topology = 512
+    config = GeneratorConfig(points=5, params=2, seed=9)
+    for index in range(20):
+        gen_hausdorff_with_stats(config, trial_rng(config, index))
+    assert calls == []
+    # 4x1: the 16-member full topology fits, so every attempt is tested
+    config = GeneratorConfig(points=4, params=1, seed=9)
+    gen_hausdorff_with_stats(config, trial_rng(config, 0))
+    assert calls
+
+
 def test_random_admissible_keeps_the_slice_stream():
     # one randrange per parameter, in parameter order: the stream that
     # every pinned report digest depends on

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import random
 
-from softtopo.core import Universe, full_set, iter_elements, null_set
+import pytest
+
+from softtopo import separation, topology
+from softtopo.core import SoftSet, Universe, full_set, iter_elements, null_set
 from softtopo.document import parse_file
 from softtopo.fuzzing import GeneratorConfig, gen_topology
 from softtopo.fuzzing.generate import full_size, gen_hausdorff_with_stats, trial_rng
+from softtopo.errors import PreconditionError
 from softtopo.separation import SeparationReport, is_hausdorff, is_normal, is_regular
 from softtopo.subspace import SubspacePreconditionError, build_subspace
 from softtopo.topology import (
+    SoftTopology,
     _iter_bits,
     containing_masks,
     disjoint_rows,
@@ -180,3 +186,70 @@ def test_hausdorff_matches_the_pairwise_scan():
     # separated with a witness, vacuous, and not separated all occur
     assert outcomes == {(True, True), (True, False), (False, False)}
     assert subspaces >= 100
+
+
+def _shape(points, params, names="x"):
+    return Universe.of([f"{names}{i}" for i in range(points)], [f"e{k}" for k in range(params)])
+
+
+def _count_scans(monkeypatch):
+    """Record each pairwise Hausdorff scan: only the scan builds rows."""
+    scans = []
+    real = separation.disjoint_rows
+
+    def counting(topo, elementary):
+        scans.append(topo)
+        return real(topo, elementary)
+
+    monkeypatch.setattr(separation, "disjoint_rows", counting)
+    return scans
+
+
+def test_hausdorff_decides_full_topologies_by_structure(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    rng = random.Random(9)
+    checked = 0
+    for points, params in ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (2, 3)):
+        members = list(full_topology(_shape(points, params)).members)
+        for _ in range(20):
+            rng.shuffle(members)
+            topo = SoftTopology.of(members[0].universe, members)
+            report = is_hausdorff(topo)
+            assert report.holds and report.witness is not None
+            assert report == _hausdorff_reference(topo), members
+            checked += 1
+    assert checked == 140
+    assert scans == []
+
+
+def _near_full_lists(u):
+    """Member lists that miss being the full topology by one property."""
+    full = list(full_topology(u).members)
+    twin = _shape(u.n_points, u.n_params, names="y")
+    yield SoftTopology.of(u, full[:4] + full[5:])
+    yield SoftTopology.of(u, full[:4] + [full[3]] + full[5:])
+    mixed = SoftSet.of(u, [u.full_mask] + [0] * (u.n_params - 1))
+    yield SoftTopology.of(u, full[:4] + [mixed] + full[5:])
+    yield SoftTopology.of(u, full[:4] + [SoftSet(twin, full[4].bits)] + full[5:])
+    yield SoftTopology.of(u, full, absolute=SoftSet(twin, full_set(u).bits))
+    smaller = SoftSet.of(u, [u.full_mask >> 1] * u.n_params)
+    yield SoftTopology.of(u, full, absolute=smaller)
+
+
+def test_hausdorff_scans_lists_that_are_not_the_full_topology(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    topologies = [t for shape in ((2, 2), (3, 2), (2, 3)) for t in _near_full_lists(_shape(*shape))]
+    # one point: the full topology, but with no fully-differing pairs
+    topologies.append(full_topology(_shape(1, 2)))
+    assert len(topologies) == 19
+    for topo in topologies:
+        assert is_hausdorff(topo) == _hausdorff_reference(topo), topo.members
+    assert scans == topologies
+
+
+def test_hausdorff_on_full_topologies_keeps_the_element_budget(monkeypatch):
+    monkeypatch.setattr(topology, "_ELEMENT_BUDGET", 3)
+    topology._elements_of.cache_clear()
+    members = full_topology(U22).members
+    with pytest.raises(PreconditionError, match="over the budget of 3"):
+        is_hausdorff(SoftTopology.of(U22, members))

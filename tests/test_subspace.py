@@ -15,6 +15,7 @@ from softtopo.subspace import (
     decompose_relatively_closed,
     is_relatively_closed,
 )
+from softtopo.topology import SoftTopology, full_topology
 
 from conftest import soft
 
@@ -99,3 +100,22 @@ def test_decomposition(fgh_doc, fgh_topo):
     assert dec.parent_closed == soft(u, e1="ab", e2="bcd")
     with pytest.raises(PreconditionError):
         decompose_relatively_closed(sub, fgh_doc.sets["H"])
+
+
+def test_subspaces_are_cached_per_point_tuple():
+    u = Universe.of(("a", "b", "c"), ("e1",))
+    members = full_topology(u).members
+    topo, twin = SoftTopology.of(u, members), SoftTopology.of(u, members)
+    for points in (("a", "b"), ("b", "a"), ("c",)):
+        sub = build_subspace(topo, points)
+        assert sub.points == points
+        assert build_subspace(topo, list(points)) is sub
+        assert build_subspace(twin, points) == sub
+    # unmet preconditions raise on every call and cache nothing
+    u22 = Universe.of(("a", "b"), ("e1", "e2"))
+    full22 = SoftTopology.of(u22, full_topology(u22).members)
+    for points, error in ((("a",), SubspacePreconditionError), ((), PreconditionError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                build_subspace(full22, points)
+        assert ("subspace", points) not in full22._cache

@@ -28,13 +28,15 @@ from softtopo.core import (
     span,
 )
 from softtopo.document import parse_file
-from softtopo.fuzzing.generate import GeneratorConfig, gen_topology, trial_rng
+from softtopo.fuzzing.generate import GeneratorConfig, gen_topology, trial_rng, universe_for
 from softtopo.fuzzing.oracles import verify_topology_oracle
 from softtopo.errors import NotAdmissibleError, PreconditionError, UniverseMismatchError
 from softtopo.topology import (
     LimitingMode,
     _ring_accepts,
     SoftTopology,
+    _columns,
+    _meeting,
     closed_sets,
     closure,
     containing_masks,
@@ -480,6 +482,62 @@ def test_pairwise_admissibility_scan(abcd_topo):
     u21 = Universe.of(("a", "b"), ("e1",))
     assert not pairwise_admissible_violations(full_topology(u21))
     assert not pairwise_admissible_violations(abcd_topo)
+
+
+def _disjoint_rows_reference(topo, elementary):
+    """Rows built with one ``_meeting`` per member and per field."""
+    columns = _columns(topo)
+    packing = topo.universe.packing
+    everyone = (1 << len(topo.members)) - 1
+    rows = []
+    for m in topo.packed:
+        row = 0
+        for field in packing.fields if elementary else (packing.full,):
+            row |= everyone ^ _meeting(columns, m & field)
+        rows.append(row)
+    return rows
+
+
+def _violations_reference(topo):
+    pointwise = _disjoint_rows_reference(topo, False)
+    elementary = _disjoint_rows_reference(topo, True)
+    return tuple(
+        (i, j)
+        for i in range(len(topo.members))
+        for j in range(i, len(topo.members))
+        if (elementary[i] & ~pointwise[i]) >> j & 1
+    )
+
+
+def test_one_parameter_rows_and_violations_need_no_elementary_scan():
+    rng = random.Random(41)
+    violated = 0
+    for points, params in ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)):
+        config = GeneratorConfig(points, params, seed=41)
+        u = universe_for(config)
+        closed = [gen_topology(config, trial_rng(config, i)) for i in range(30)]
+        # unclosed lists, duplicates included
+        pool = list(all_admissible(u))
+        unclosed = [
+            SoftTopology.of(u, [rng.choice(pool) for _ in range(rng.randrange(1, 9))])
+            for _ in range(30)
+        ]
+        for topo in closed + unclosed:
+            expected = _violations_reference(topo)
+            assert pairwise_admissible_violations(topo) == expected
+            if params == 1:
+                assert expected == ()
+                # decided without building either row family
+                assert ("disjoint", False) not in topo._cache
+                assert ("disjoint", True) not in topo._cache
+            violated += bool(expected)
+            for elementary in (False, True):
+                rows = disjoint_rows(topo, elementary)
+                assert rows == _disjoint_rows_reference(topo, elementary)
+            if params == 1:
+                assert disjoint_rows(topo, True) is disjoint_rows(topo, False)
+    # two parameters: mixed meets occur, so the comparison is not vacuous
+    assert violated >= 20
 
 
 def _full_absolute_fixture_topologies():
