@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -498,3 +499,84 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert outcomes[6][1] == "" and outcomes[6][2].startswith("usage: softtopo")
     assert outcomes[7][1].startswith("usage: softtopo") and outcomes[7][2] == ""
     assert outcomes[8] == outcomes[1]
+
+
+# --- check output bytes -------------------------------------------------------
+
+CHECK_COMMANDS = (
+    ("hausdorff",), ("regular",), ("regular", "--literal-disjointness"),
+    ("normal",), ("quasi-compact",), ("compact",), ("locally-compact",), ("baire",),
+)
+
+
+def _check_documents(tmp_path):
+    """Every fixture whose topology verifies, the full 2x4 and 3x3 spaces,
+    and eight seeded random 3x2/4x2 spaces written like the benchmark's."""
+    from softtopo.fuzzing.generate import (
+        GeneratorConfig, gen_topology_with_subbase, trial_rng, universe_for,
+    )
+    from softtopo.fuzzing.instances import Instance, to_text
+    from softtopo.topology import full_topology, verify_topology
+
+    from conftest import FIXTURES
+
+    docs = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        topo = parse(path.read_text()).topology
+        if topo is not None and verify_topology(topo.universe, topo.members, topo.absolute).valid:
+            docs[path.name] = path.read_text()
+    for points, params in ((2, 4), (3, 3)):
+        universe = universe_for(GeneratorConfig(points, params, seed=0))
+        docs[f"full-{points}x{params}"] = to_text(
+            Instance(universe, (), full_topology(universe), {})
+        )
+    for points, params in ((3, 2), (4, 2)):
+        config = GeneratorConfig(points, params, seed=19)
+        for i in range(4):
+            subbase, topo = gen_topology_with_subbase(config, trial_rng(config, i))
+            docs[f"random-{points}x{params}-{i}"] = to_text(
+                Instance(topo.universe, subbase, topo, {})
+            )
+    paths = {}
+    for name, text in docs.items():
+        paths[name] = tmp_path / f"{name}.doc"
+        paths[name].write_text(text, encoding="utf-8")
+    return paths
+
+
+def test_check_output_bytes_match_the_pinned_digests(capsys, tmp_path):
+    # SHA-256 over the exit code, stdout and stderr of every check command
+    # on a document, in text and json, in command order.
+    digests = {}
+    for name, path in _check_documents(tmp_path).items():
+        h = hashlib.sha256()
+        for command in CHECK_COMMANDS:
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, "check", *command, path, "--format", fmt)
+                h.update(f"{code}\0{out}\0{err}\0".encode())
+        digests[name] = h.hexdigest()
+    assert digests == CHECK_DIGESTS
+
+
+# A faster scan must find the same first verdict, witness and counterexample,
+# so these change only with a deliberate change of report bytes.
+CHECK_DIGESTS = {
+    "ex23.json": "b6f0321121cb9643da9e8e80336f6d64ac0fa841e99b4dec043f2bcda0b1710d",
+    "ex31.json": "af356e4e924bde89e76524d56e075008e1025a81b3e9773a85af84db4385f3f6",
+    "hausdorff_1param.json": "531506784c2bf54bd8adb9eda810d2e29bdbe7aafdf21cfb740f583b40c18d2d",
+    "indiscrete_2x2.json": "b085605747306881c483ecbf73195f6f7b6fb918bbeee1cc7671b914913b984a",
+    "map_codomain.json": "aa8bef86c586ce704f99956d8afd9ec7c84ac35c61b36598fd12e6a97175d47f",
+    "map_domain.json": "b085605747306881c483ecbf73195f6f7b6fb918bbeee1cc7671b914913b984a",
+    "singleton.json": "17d71a97171937c6993e87f294f48d2bb5158af10257b21da0c354e2b312f69b",
+    "tau_full_2x2.json": "e245a9ad16ce1743a0bcf921f9f0c315c37b9773de2ff32b24d35b4fd11aca36",
+    "full-2x4": "80d6a00a0f48d4f096df9f558be1092defbca1286444b72a4beaea6132b57480",
+    "full-3x3": "7687bfe4ea0f2dac2870277c25d1cc847716d0cda749f8e3d183578843d73796",
+    "random-3x2-0": "3fc1ac9a0f533fb58a6efbf9a7bf8456adc44d0bb32deb0100e3f141576d2e20",
+    "random-3x2-1": "5b3856730eedb708ee65b6ff0082fbd39e6357de632b3c1aa8f58e04ff44756d",
+    "random-3x2-2": "1d3d9c8b524cbeec633abb5bf079467b6132b5a5000ff2dfb925ee766f92042a",
+    "random-3x2-3": "fce60f19e5ed36f115958ecebf1d69d8ed6763908f30298e98996d3f8ea14098",
+    "random-4x2-0": "8aa0c7d5d2ab7ad1b557ba0521d3262e7aa4a0cec8f46bf5d6a5c8f14af6aae2",
+    "random-4x2-1": "b38057bf3a88e0da11c74b9ddf12bd12d99c955e16b8923580bea061d805bb79",
+    "random-4x2-2": "8efc9f823d8b2d4a990745b4c1d28e0a8cc74ca5850f87f3fe574779a2e79a0a",
+    "random-4x2-3": "4068b69c0c3a9e22d042ce855f438e488d2f265fa64b3c8a0bffb16a17ffb280",
+}
