@@ -27,13 +27,11 @@ from .errors import NotAdmissibleError, PreconditionError
 from .topology import (
     SoftTopology,
     _cached,
-    _iter_bits,
     closed_sets,
     closure,
-    containing_masks,
     interior,
+    open_hull,
     space_elements,
-    subset_mask,
 )
 
 
@@ -236,9 +234,14 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
 
     For each element x and open O containing x we look for an open U and a
     compact K with x in U, U inside K, K inside O.  Compactness of K only
-    needs admissibility of K and its complement here, so the search builds
-    K from O directly, borrowing U's slice wherever O fills the space.  The
-    scan runs on member bits, opens and candidates in member order.  The
+    needs admissibility of K and its complement here, so K is built from O,
+    borrowing U's slice wherever O fills the space; ``locally_compact_oracle``
+    tries every U.  With every member inside the absolute, that K is the
+    absolute only when O is, and otherwise has every slice proper exactly
+    when U fills no slice, which passes to subsets.  So O qualifies when it
+    is the absolute or the open hull of x, the smallest U, fills no slice.
+    A list with a member outside the absolute, or an element hull that is
+    not a member, gets the oracle.  Opens are scanned in member order.  The
     report is cached on the topology; a non-Hausdorff one raises each time.
     """
     from .separation import is_hausdorff
@@ -248,32 +251,51 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
             raise PreconditionError(
                 "local compactness is only defined over Hausdorff spaces"
             )
-        fields = topo.universe.packing.fields
+        hulls = [open_hull(topo, x.bits) for x in space_elements(topo)]
         absolute = topo.absolute.bits
-        packed = topo.packed
-        containing = containing_masks(topo)
-        pairs = 0
-        for x in space_elements(topo):
-            cx = containing[x]
-            for oi in _iter_bits(cx):
-                o = packed[oi]
-                pairs += 1
-                filled = sum(field for field in fields if o & field == field)
-                found = False
-                for ui in _iter_bits(cx & subset_mask(topo, o)):
-                    k = o & ~filled | packed[ui] & filled
-                    # K is admissible by construction; its complement is
-                    # admissible exactly when K is the absolute or every
-                    # slice is proper, which is all compactness asks of a
-                    # set here.
-                    if k == absolute or all(k & field != field for field in fields):
-                        found = True
-                        break
-                if not found:
-                    return LocalCompactnessReport(False, (x, topo.members[oi]), pairs)
-        return LocalCompactnessReport(True, None, pairs)
+        if None in hulls or any(o & ~absolute for o in topo.packed):
+            return locally_compact_oracle(topo)
+        fields = topo.universe.packing.fields
+        fills = [any(h & field == field for field in fields) for h in hulls]
+        return _scan_opens(topo, lambda xi, o, around: o == absolute or not fills[xi])
 
     return _cached(topo, "locally_compact", build)
+
+
+def locally_compact_oracle(topo: SoftTopology) -> LocalCompactnessReport:
+    """``is_locally_compact`` without its Hausdorff precondition, trying
+    every open U around x inside O, in member order, for each O."""
+    fields = topo.universe.packing.fields
+    absolute = topo.absolute.bits
+
+    def found(xi: int, o: int, around: list[int]) -> bool:
+        filled = sum(field for field in fields if o & field == field)
+        for u in map(topo.packed.__getitem__, around):
+            k = o & ~filled | u & filled
+            # K is admissible by construction; its complement is admissible
+            # exactly when K is the absolute or every slice is proper, which
+            # is all compactness asks of a set here.
+            if not u & ~o and (k == absolute or all(k & f != f for f in fields)):
+                return True
+        return False
+
+    return _scan_opens(topo, found)
+
+
+def _scan_opens(topo: SoftTopology, found: t.Callable) -> LocalCompactnessReport:
+    """The first element and open around it, in order, that ``found``
+    rejects, given the element's index, the open's bits and the indices of
+    the members around the element."""
+    packed = topo.packed
+    pairs = 0
+    for xi, x in enumerate(space_elements(topo)):
+        xb = x.bits
+        around = [i for i, o in enumerate(packed) if o & xb == xb]
+        for oi in around:
+            pairs += 1
+            if not found(xi, packed[oi], around):
+                return LocalCompactnessReport(False, (x, topo.members[oi]), pairs)
+    return LocalCompactnessReport(True, None, pairs)
 
 
 def baire_theorem_trial(topo: SoftTopology) -> str:

@@ -77,16 +77,12 @@ def format_element(x: SoftElement) -> str:
     return "(" + ",".join(x.universe.points[c] for c in x.coords) + ")"
 
 
-def _encode_element(x: SoftElement) -> dict[str, str]:
-    return {p: x.universe.points[c] for p, c in zip(x.universe.params, x.coords)}
-
-
 def _encode_value(v: t.Any) -> t.Any:
     """Witness payloads mix sets, elements, and tuples; encode recursively."""
     if isinstance(v, SoftSet):
         return encode_set(v)
     if isinstance(v, SoftElement):
-        return _encode_element(v)
+        return v.to_points()
     if isinstance(v, tuple):
         return [_encode_value(item) for item in v]
     return v
@@ -255,7 +251,7 @@ def _cmd_compute(args) -> int:
         }
         if args.operation == "limiting":
             payload["reading"] = args.reading
-            payload["result"] = [_encode_element(x) for x in result]
+            payload["result"] = [x.to_points() for x in result]
         else:
             payload["result"] = encode_set(result)
         _emit(_dumps(payload))
@@ -288,7 +284,7 @@ def _cmd_elements(args) -> int:
                     "command": "elements",
                     "set": args.set,
                     "count": count,
-                    "elements": [_encode_element(x) for x in elements],
+                    "elements": [x.to_points() for x in elements],
                 }
             )
         )

@@ -365,12 +365,6 @@ def encode_set(f: SoftSet) -> dict[str, list[str]]:
     }
 
 
-def _encode_element(x: SoftElement) -> dict[str, str]:
-    return {
-        param: x.universe.points[c] for param, c in zip(x.universe.params, x.coords)
-    }
-
-
 def to_payload(doc: SpaceDocument) -> dict[str, t.Any]:
     payload: dict[str, t.Any] = {
         "format": FORMAT,
@@ -392,7 +386,7 @@ def to_payload(doc: SpaceDocument) -> dict[str, t.Any]:
         }
     if doc.elements:
         payload["elements"] = {
-            name: _encode_element(x) for name, x in doc.elements.items()
+            name: x.to_points() for name, x in doc.elements.items()
         }
     if "fuzz" in doc.extras:
         payload["fuzz"] = doc.extras["fuzz"]

@@ -25,7 +25,6 @@ from ..core import (
     iter_elements,
 )
 from ..errors import GenerationError, InputError, NotAdmissibleError
-from ..separation import is_hausdorff
 from ..topology import SoftTopology, full_topology
 
 __all__ = [
@@ -295,7 +294,8 @@ def gen_hausdorff_with_stats(
     spans) before any closure is built: ``close_subbase(G)`` is the full
     topology exactly when, for every layout bit ``b``, the meet of the
     members of ``G`` containing ``b`` (starting from ``full``) is ``b``
-    alone.  Only attempts that pass are closed and scanned.
+    alone.  Only attempts that pass are closed, and each one that is
+    closed is returned.
 
     Proof.  Let ``D`` be the set lattice on the layout bits generated by
     ``G`` together with ``0`` and ``full`` under raw ``|`` and ``&``.
@@ -339,13 +339,12 @@ def gen_hausdorff_with_stats(
         base = list(dict.fromkeys(base + picked))
         if universe.n_points >= 2 and not _closes_to_full(full, base):
             continue
+        # The attempt closes to the full topology, which fits max_topology
+        # and is separated (at one point, {null, absolute} is the only
+        # topology), so the closure needs no cap and no check.
         subbase = tuple(SoftSet(universe, p) for p in base)
-        members = close_subbase(universe, subbase, config.max_topology)
-        if members is None:
-            continue
-        topo = SoftTopology.of(universe, members)
-        if is_hausdorff(topo).holds:
-            return HausdorffDraw(subbase, topo, attempt, True)
+        members = close_subbase(universe, subbase, None)
+        return HausdorffDraw(subbase, SoftTopology.of(universe, members), attempt, True)
     return HausdorffDraw(
         all_spans(universe), full_topology(universe), _HAUSDORFF_ATTEMPTS, False
     )

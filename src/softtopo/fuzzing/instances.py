@@ -27,19 +27,16 @@ __all__ = [
     "to_text",
 ]
 
-# Aux keys an instance may carry.  Values: "set" a SoftSet, "sets" a tuple of
-# SoftSet, "carrier" a tuple of point names, "function" a SoftFunction over
-# one shared universe, "codomain_subbase" a tuple of SoftSet, "codomain" a
-# SoftTopology over the same universe.
-AUX_KEYS = ("set", "sets", "carrier", "function", "codomain_subbase", "codomain")
-
-
 @d.dataclass(frozen=True, eq=False)
 class Instance:
     universe: Universe
     subbase: tuple[SoftSet, ...]
     topology: SoftTopology
     aux: dict[str, t.Any] = d.field(default_factory=dict)
+    """Case-specific extras: "set" a SoftSet, "sets" a tuple of SoftSet,
+    "carrier" a tuple of point names, "function" a SoftFunction over one
+    shared universe, "codomain_subbase" a tuple of SoftSet, "codomain" a
+    SoftTopology over the same universe."""
     notes: dict[str, t.Any] = d.field(default_factory=dict)
     """Generator bookkeeping (attempt counts etc.); never serialized and
     never consulted by hypothesis or conclusion predicates."""

@@ -12,22 +12,24 @@ disjoint from its own superset) is unsatisfiable for nonempty closed sets
 and stays available behind ``literal_disjointness`` for demonstration.  The
 normal checker keeps the printed asymmetry: pointwise-disjoint closed sets,
 elementary-disjoint opens.
+
+Each checker decides a hypothesis instance with one test on open hulls
+(``topology.open_hull``, the smallest member around a set): some opens
+around the two sides are disjoint, pointwise or elementary, exactly when
+the two hulls are, because disjointness passes to subsets.  Members are
+scanned in member order only for the first witness.  A member list with a
+hull that is not a member is not closed, which only library callers can
+pass; it gets the checker's oracle, the definitional scan of member pairs
+for every instance, which the fast path must match report for report.
 """
 
 from __future__ import annotations
 
 import dataclasses as d
+import itertools
+import typing as t
 
-from .topology import (
-    SoftTopology,
-    _cached,
-    _iter_bits,
-    closed_sets,
-    containing_masks,
-    disjoint_rows,
-    space_elements,
-    superset_mask,
-)
+from .topology import SoftTopology, _cached, closed_sets, open_hull, space_elements
 
 
 @d.dataclass(frozen=True)
@@ -47,97 +49,112 @@ class SeparationReport:
     counterexample: tuple | None
 
 
-def is_hausdorff(topo: SoftTopology) -> SeparationReport:
-    """Every pair differing at all parameters gets pointwise-disjoint open hulls.
-
-    Runs on element bits: two elements differ at every parameter exactly
-    when their bits are disjoint, and a pair is separated exactly when the
-    second element lies in some member pointwise-disjoint from a member
-    around the first, which one OR over the first element's members
-    decides.  The witness is the first separated pair with its first
-    separating members in member order.  A list that is the full topology
-    over two or more points skips the scan: it is separated, and its
-    witness is found directly.
+def _check(
+    topo: SoftTopology,
+    name: str,
+    instances: t.Iterable[tuple],
+    disjoint: t.Callable[[int, int, int], bool],
+    hulls: dict[int, int] | None = None,
+    open_sides: bool = False,
+) -> SeparationReport:
+    """Scan the hypothesis instances ``(a, b)`` in order.  An instance is
+    separated by members ``U`` around ``a`` and ``V`` around ``b`` with
+    ``disjoint(U, V, a)``, which must still hold for subsets of ``U`` and
+    ``V``.  So the open hulls of ``a`` and ``b``, given by bits in
+    ``hulls``, decide it; without ``hulls`` (the oracle) member pairs are
+    scanned for every instance.  The first witness takes the first ``U``,
+    then ``V``, in member order; with ``open_sides`` two sides that are
+    both members are their own.
     """
+    packed, members = topo.packed, topo.members
+    member_bits = frozenset(packed) if open_sides else frozenset()
+
+    def separating(inst: tuple) -> tuple | None:
+        p, q = inst[0].bits, inst[1].bits
+        if p in member_bits and q in member_bits:
+            return inst
+        around_q = [j for j, v in enumerate(packed) if v & q == q]
+        for i, u in enumerate(packed):
+            if u & p == p:
+                for j in around_q:
+                    if disjoint(u, packed[j], p):
+                        return members[i], members[j]
+        return None
+
+    if hulls is None:
+        separated = separating
+    else:
+        def separated(inst: tuple) -> bool:
+            p = inst[0].bits
+            return disjoint(hulls[p], hulls[inst[1].bits], p)
+
+    witness = None
+    for inst in instances:
+        if not separated(inst):
+            return SeparationReport(name, False, None, inst)
+        if witness is None:
+            witness = inst + separating(inst)
+    return SeparationReport(name, True, witness, None)
+
+
+def _hulls(topo: SoftTopology, sets: t.Iterable) -> dict[int, int] | None:
+    """The open hulls of the sets' bits, or None if one is not a member:
+    the list is not closed, and the checker takes its oracle."""
+    hulls = {s.bits: open_hull(topo, s.bits) for s in sets}
+    return None if None in hulls.values() else hulls
+
+
+def _pointwise(u: int, v: int, p: int) -> bool:
+    return not u & v
+
+
+def _elementary(topo: SoftTopology) -> t.Callable[[int, int, int], bool]:
+    collapse = topo.universe.packing.collapse
+    return lambda u, v, p: not collapse(u & v)
+
+
+def _differing_pairs(elements: tuple) -> t.Iterator[tuple]:
+    """Element pairs, in scan order, that differ at every parameter: their
+    bits are disjoint."""
+    for xi, x in enumerate(elements):
+        for y in elements[xi + 1:]:
+            if not x.bits & y.bits:
+                yield x, y
+
+
+def is_hausdorff(topo: SoftTopology) -> SeparationReport:
+    """Every pair differing at all parameters lies in pointwise-disjoint
+    opens; the witness is the first such pair with its first separating
+    members in member order."""
 
     def build() -> SeparationReport:
         elements = space_elements(topo)
-        if _lists_every_admissible_set(topo):
-            return SeparationReport(
-                "hausdorff", True, _full_topology_witness(topo, elements), None
-            )
-        cont = containing_masks(topo)
-        disj = disjoint_rows(topo, False)
-        members = topo.members
-        bits = [x.bits for x in elements]
-        masks = [cont[x] for x in elements]
-        witness = None
-        for xi, xb in enumerate(bits):
-            cx = masks[xi]
-            # members pointwise-disjoint from some member around x
-            reach = 0
-            rest = cx
-            while rest:
-                low = rest & -rest
-                reach |= disj[low.bit_length() - 1]
-                rest ^= low
-            for yi in range(xi + 1, len(bits)):
-                if xb & bits[yi]:
-                    continue  # a shared coordinate: outside the hypothesis
-                cy = masks[yi]
-                if not reach & cy:
-                    return SeparationReport(
-                        "hausdorff", False, None, (elements[xi], elements[yi])
-                    )
-                if witness is None:
-                    i = next(i for i in _iter_bits(cx) if disj[i] & cy)
-                    hits = disj[i] & cy
-                    j = (hits & -hits).bit_length() - 1
-                    witness = (elements[xi], elements[yi], members[i], members[j])
-        return SeparationReport("hausdorff", True, witness, None)
+        hulls = _hulls(topo, elements)
+        if hulls is None:
+            return hausdorff_oracle(topo)
+        return _check(topo, "hausdorff", _differing_pairs(elements), _pointwise, hulls)
 
     return _cached(topo, "hausdorff", build)
 
 
-def _lists_every_admissible_set(topo: SoftTopology) -> bool:
-    """Whether the members are the full topology over two or more points
-    with the full absolute: distinct, over the topology's universe, null
-    or admissible, and as many as the admissible sets plus the null set.
-    Such a list is separated whatever else holds of it (FINDINGS.md)."""
-    universe = topo.universe
-    packing = universe.packing
-    if universe.n_points < 2 or len(topo.members) != (
-        (2**universe.n_points - 1) ** universe.n_params + 1
-    ):
-        return False
-    absolute = topo.absolute
-    if absolute.bits != packing.full or absolute.universe != universe:
-        return False
-    packed = topo.packed
-    return (
-        all(m.universe == universe for m in topo.members)
-        and all(map(packing.is_admissible, packed))
-        and len(set(packed)) == len(packed)
+def hausdorff_oracle(topo: SoftTopology) -> SeparationReport:
+    """``is_hausdorff`` by definition: member pairs for every instance."""
+    return _check(topo, "hausdorff", _differing_pairs(space_elements(topo)), _pointwise)
+
+
+def _regular_args(topo: SoftTopology, literal_disjointness: bool) -> tuple:
+    """Closed sets with the elements avoiding them at every parameter, and
+    the disjointness asked of the opens around them."""
+    elements = space_elements(topo)
+    instances = (
+        (f, x) for f in closed_sets(topo) for x in elements if not f.bits & x.bits
     )
-
-
-def _full_topology_witness(topo: SoftTopology, elements) -> tuple:
-    """The witness the scan reports on the full topology, found directly.
-
-    The scan's first separated pair is the first element with the first
-    element disjoint from it, which exists from two points on.  Since the
-    span of ``y`` is a member, a member around ``x`` is disjoint from some
-    member around ``y`` exactly when it avoids ``y``'s bits; the second
-    member is then the first around ``y`` disjoint from it.
-    """
-    x = elements[0]
-    xb = x.bits
-    y = next(y for y in elements if not xb & y.bits)
-    yb = y.bits
-    packed = topo.packed
-    i = next(i for i, m in enumerate(packed) if m & xb == xb and not m & yb)
-    j = next(j for j, m in enumerate(packed) if m & yb == yb and not m & packed[i])
-    return (x, y, topo.members[i], topo.members[j])
+    if not literal_disjointness:
+        return instances, _elementary(topo)
+    # The literal reading meets the closed set itself, not the open around
+    # the element, with the open around the closed set.
+    collapse = topo.universe.packing.collapse
+    return instances, lambda u, v, p: not collapse(u & p)
 
 
 def is_regular(
@@ -151,79 +168,43 @@ def is_regular(
     """
 
     def build() -> SeparationReport:
-        members = topo.members
-        cont = containing_masks(topo)
-        disj = disjoint_rows(topo, True)
-        collapse = topo.universe.packing.collapse
-        elements = space_elements(topo)
-        element_bits = [x.bits for x in elements]
-        witness = None
-        for f in closed_sets(topo):
-            fp = f.bits
-            supersets = list(_iter_bits(superset_mask(topo, fp)))
-            for x, xp in zip(elements, element_bits):
-                if xp & fp:
-                    continue  # hypothesis wants avoidance at every parameter
-                cx = cont[x]
-                pair_witness = None
-                if literal_disjointness:
-                    for gi in supersets:
-                        if collapse(fp & topo.packed[gi]) == 0 and cx:
-                            hi = (cx & -cx).bit_length() - 1
-                            pair_witness = (f, x, members[gi], members[hi])
-                            break
-                else:
-                    for gi in supersets:
-                        hits = disj[gi] & cx
-                        if hits:
-                            hi = (hits & -hits).bit_length() - 1
-                            pair_witness = (f, x, members[gi], members[hi])
-                            break
-                if pair_witness is None:
-                    return SeparationReport("regular", False, None, (f, x))
-                if witness is None:
-                    witness = pair_witness
-        return SeparationReport("regular", True, witness, None)
+        hulls = _hulls(topo, closed_sets(topo) + space_elements(topo))
+        if hulls is None:
+            return regular_oracle(topo, literal_disjointness)
+        return _check(topo, "regular", *_regular_args(topo, literal_disjointness), hulls)
 
     return _cached(topo, ("regular", literal_disjointness), build)
 
 
+def regular_oracle(
+    topo: SoftTopology, literal_disjointness: bool = False
+) -> SeparationReport:
+    """``is_regular`` by definition: member pairs for every instance."""
+    return _check(topo, "regular", *_regular_args(topo, literal_disjointness))
+
+
+def _normal_instances(topo: SoftTopology) -> t.Iterator[tuple]:
+    """Pointwise-disjoint pairs of closed sets, each pair once."""
+    for f, g in itertools.combinations_with_replacement(closed_sets(topo), 2):
+        if not f.bits & g.bits:
+            yield f, g
+
+
 def is_normal(topo: SoftTopology) -> SeparationReport:
-    """Pointwise-disjoint closed pairs get elementary-disjoint open hulls."""
+    """Pointwise-disjoint closed pairs get elementary-disjoint open hulls;
+    disjoint closed sets that are themselves open separate each other."""
 
     def build() -> SeparationReport:
-        members = topo.members
-        disj = disjoint_rows(topo, True)
-        closed = closed_sets(topo)
-        member_index = {m: i for i, m in enumerate(topo.packed)}
-        supersets = [superset_mask(topo, c.bits) for c in closed]
-
-        witness = None
-        for a, f in enumerate(closed):
-            fp = f.bits
-            for b in range(a, len(closed)):
-                g = closed[b]
-                gp = g.bits
-                if fp & gp:
-                    continue  # hypothesis: pointwise disjoint
-                pair_witness = None
-                # Disjoint closed sets that are themselves open separate
-                # each other; try that before scanning.
-                fi = member_index.get(fp)
-                gi = member_index.get(gp)
-                if fi is not None and gi is not None and disj[fi] >> gi & 1:
-                    pair_witness = (f, g, f, g)
-                else:
-                    for ui in _iter_bits(supersets[a]):
-                        hits = disj[ui] & supersets[b]
-                        if hits:
-                            vi = (hits & -hits).bit_length() - 1
-                            pair_witness = (f, g, members[ui], members[vi])
-                            break
-                if pair_witness is None:
-                    return SeparationReport("normal", False, None, (f, g))
-                if witness is None:
-                    witness = pair_witness
-        return SeparationReport("normal", True, witness, None)
+        hulls = _hulls(topo, closed_sets(topo))
+        if hulls is None:
+            return normal_oracle(topo)
+        return _check(
+            topo, "normal", _normal_instances(topo), _elementary(topo), hulls, True
+        )
 
     return _cached(topo, "normal", build)
+
+
+def normal_oracle(topo: SoftTopology) -> SeparationReport:
+    """``is_normal`` by definition: member pairs for every instance."""
+    return _check(topo, "normal", _normal_instances(topo), _elementary(topo), None, True)

@@ -14,13 +14,16 @@ which reports every violation.
 
 The kernels work on ``SoftSet.bits``, the packed layout of ``core``:
 ``SoftTopology.packed`` holds the members' bits in member order so scans
-can index into it, and a per-topology column index turns the superset,
-subset and disjointness masks into big-int ORs and ANDs.  They assume a
-verified member list.  ``space_elements`` is the one value shared across
-topologies: a process-wide cache holds one element tuple per absolute, so
-every topology over that absolute reuses the same elements, bits and
-hashes, and an absolute over the element budget is refused before any
-element is built.
+can index into it.  A per-topology table of the same minimal masks gives
+``open_hull``, the smallest member around a set.  In a verified topology
+it always exists, and a list that is not closed shows by lacking one; the
+separation and local compactness checkers decide each hypothesis instance
+with it.  A per-topology column index turns the disjointness rows into
+big-int ORs, on a verified member list.  ``space_elements`` is the one
+value shared across topologies: a process-wide cache holds one element
+tuple per absolute, so every topology over that absolute reuses the same
+elements, bits and hashes, and an absolute over the element budget is
+refused before any element is built.
 
 The absolute member defaults to the full soft set; subspace topologies reuse
 the same verifier with the constant set on the carrier points as absolute.
@@ -35,6 +38,7 @@ import dataclasses as d
 import enum
 import functools
 import itertools
+import operator
 import typing as t
 
 from .core import (
@@ -234,14 +238,11 @@ def _ring_accepts(packing: Packing, seen: set[int], budget: float) -> bool:
     and ``d`` is a member.
 
     Since every member lies in ``D``, the test counts the admissible sets
-    in ``D`` instead of listing them.  The masks take one step per member
-    bit, linear in the input; building ``D`` may take at most ``budget``
+    in ``D`` instead of listing them.  The masks take one pass over the
+    members per layout bit; building ``D`` may take at most ``budget``
     unions, past which the answer is False and the caller scans.
     """
-    minimal: dict[int, int] = {}
-    for m in seen:
-        for b in _iter_bits(m):
-            minimal[b] = minimal.get(b, m) & m
+    minimal = _minimal_masks(seen)
     ring = {0}
     # Smallest first, so that a mask which is a union of others is skipped:
     # it adds no new unions.
@@ -253,6 +254,18 @@ def _ring_accepts(packing: Packing, seen: set[int], budget: float) -> bool:
             return False
         ring |= {r | mask for r in ring}
     return sum(map(packing.is_admissible, ring)) == len(seen)
+
+
+def _minimal_masks(members: t.Collection[int]) -> dict[int, int]:
+    """``M_b`` for each layout bit ``b`` some member sets, keyed by the bit
+    ``1 << b``: the pointwise meet of the members containing ``b``."""
+    minimal: dict[int, int] = {}
+    rest = functools.reduce(operator.or_, members, 0)
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        minimal[bit] = functools.reduce(operator.and_, [m for m in members if m & bit])
+    return minimal
 
 
 def topology_from(
@@ -478,6 +491,31 @@ def _iter_bits(mask: int) -> t.Iterator[int]:
         mask ^= low
 
 
+def open_hull(topo: SoftTopology, bits: int) -> int | None:
+    """The smallest member containing ``bits``, as bits, or None.
+
+    Every member containing ``bits`` contains the ``M_b`` of each of its
+    bits (``_minimal_masks``), hence their union, so a union that is a
+    member is the smallest member around ``bits`` in any member list.  In a
+    verified topology it is a member for every admissible ``bits`` inside
+    the absolute, since it is an admissible union of the ``M_b``
+    (``_ring_accepts``); so None only comes from lists that are not closed,
+    or from bits that no member contains.
+    """
+    minimal, member_bits = _cached(
+        topo, "hulls", lambda: (_minimal_masks(topo.packed), frozenset(topo.packed))
+    )
+    hull = 0
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        mask = minimal.get(bit)
+        if mask is None:
+            return None
+        hull |= mask
+    return hull if hull in member_bits else None
+
+
 def _columns(topo: SoftTopology) -> dict[int, int]:
     """For each layout bit index that some member sets: the
     bitmask over member indices of those members."""
@@ -506,41 +544,12 @@ def _meeting(columns: dict[int, int], p: int) -> int:
     return hits
 
 
-def subset_mask(topo: SoftTopology, p: int) -> int:
-    """Bitmask over member indices of the members inside bits ``p``."""
-    everyone = (1 << len(topo.members)) - 1
-    return everyone ^ _meeting(_columns(topo), topo.universe.packing.full ^ p)
-
-
-def superset_mask(topo: SoftTopology, p: int) -> int:
-    """Bitmask over member indices of the members containing bits ``p``."""
-    columns = _columns(topo)
-    mask = (1 << len(topo.members)) - 1
-    while p and mask:
-        low = p & -p
-        mask &= columns.get(low.bit_length() - 1, 0)
-        p ^= low
-    return mask
-
-
-def containing_masks(topo: SoftTopology) -> dict[SoftElement, int]:
-    """For each space element, a bitmask over member indices containing it."""
-
-    def build() -> dict[SoftElement, int]:
-        return {x: superset_mask(topo, x.bits) for x in space_elements(topo)}
-
-    return _cached(topo, "containing_masks", build)
-
-
 def disjoint_rows(topo: SoftTopology, elementary: bool) -> list[int]:
     """Row i: bitmask of the members whose meet with member i is null.
 
     Pointwise, the meet is null when every slice empties; with
-    ``elementary`` it collapses to null when some slice does.  With one
-    parameter the two coincide, so both readings share the pointwise rows.
+    ``elementary`` it collapses to null when some slice does.
     """
-    if elementary and topo.universe.n_params == 1:
-        return disjoint_rows(topo, False)
 
     def build() -> list[int]:
         columns = _columns(topo)
@@ -581,12 +590,3 @@ def pairwise_admissible_violations(
         return tuple(bad)
 
     return _cached(topo, "pairwise_violations", build)
-
-
-def verified(topo: SoftTopology) -> bool:
-    """Cached validity of the member list; used by fuzzing hypotheses."""
-    return _cached(
-        topo,
-        "verified",
-        lambda: verify_topology(topo.universe, topo.members, topo.absolute).valid,
-    )

@@ -6,20 +6,26 @@ import random
 import pytest
 
 from softtopo import separation, topology
-from softtopo.core import SoftSet, Universe, full_set, iter_elements, null_set
+from softtopo.baire import is_locally_compact, locally_compact_oracle
+from softtopo.core import SoftSet, Universe, full_set, null_set
 from softtopo.document import parse_file
 from softtopo.fuzzing import GeneratorConfig, gen_topology
 from softtopo.fuzzing.generate import full_size, gen_hausdorff_with_stats, trial_rng
 from softtopo.errors import PreconditionError
-from softtopo.separation import SeparationReport, is_hausdorff, is_normal, is_regular
+from softtopo.separation import (
+    hausdorff_oracle,
+    is_hausdorff,
+    is_normal,
+    is_regular,
+    normal_oracle,
+    regular_oracle,
+)
 from softtopo.subspace import SubspacePreconditionError, build_subspace
 from softtopo.topology import (
     SoftTopology,
-    _iter_bits,
-    containing_masks,
-    disjoint_rows,
     full_topology,
     indiscrete_topology,
+    open_hull,
     topology_from,
 )
 
@@ -114,40 +120,6 @@ def test_normal_negative():
     assert report.counterexample == (soft(u, e1="a"), soft(u, e1="b"))
 
 
-def _fully_differing(x, y):
-    return all(a != b for a, b in zip(x.coords, y.coords))
-
-
-def _hausdorff_reference(topo):
-    """The pairwise Hausdorff scan on element coordinates, as it was before
-    the scan moved to element bits."""
-    elements = tuple(iter_elements(topo.absolute))
-    cont = containing_masks(topo)
-    disj = disjoint_rows(topo, False)
-    members = topo.members
-    witness = None
-    for xi in range(len(elements)):
-        x = elements[xi]
-        cx = cont[x]
-        for yi in range(xi + 1, len(elements)):
-            y = elements[yi]
-            if not _fully_differing(x, y):
-                continue
-            cy = cont[y]
-            pair_witness = None
-            for i in _iter_bits(cx):
-                hits = disj[i] & cy
-                if hits:
-                    j = (hits & -hits).bit_length() - 1
-                    pair_witness = (x, y, members[i], members[j])
-                    break
-            if pair_witness is None:
-                return SeparationReport("hausdorff", False, None, (x, y))
-            if witness is None:
-                witness = pair_witness
-    return SeparationReport("hausdorff", True, witness, None)
-
-
 def _subspaces(topo):
     points = topo.universe.points
     for size in range(1, len(points)):
@@ -158,16 +130,24 @@ def _subspaces(topo):
                 pass
 
 
-def test_hausdorff_matches_the_pairwise_scan():
+def _oracle_lists():
+    """Every fixture, the full topologies up to 3x3 with shuffled member
+    orders, random closures and separated draws, the subspaces of all of
+    those, and the near-full lists."""
     topologies = []
     for path in sorted(FIXTURES.glob("*.json")):
         topo = parse_file(str(path)).topology
         if topo is not None and path.name != "not_closed.json":
             topologies.append(topo)
+    rng = random.Random(3)
     for points, params in itertools.product((1, 2, 3), repeat=2):
-        topologies.append(full_topology(Universe.of(
-            [f"x{i}" for i in range(points)], [f"e{k}" for k in range(params)]
-        )))
+        full = full_topology(_shape(points, params))
+        topologies.append(full)
+        if (points, params) in ((2, 2), (3, 2), (2, 3)):
+            members = list(full.members)
+            for _ in range(10):
+                rng.shuffle(members)
+                topologies.append(SoftTopology.of(full.universe, members))
     for points, params in ((1, 2), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2)):
         config = GeneratorConfig(points=points, params=params, seed=5)
         for i in range(40):
@@ -175,12 +155,17 @@ def test_hausdorff_matches_the_pairwise_scan():
         for i in range(5):
             topologies.append(gen_hausdorff_with_stats(config, trial_rng(config, i)).topology)
     topologies += [sub for topo in topologies[:] for sub in _subspaces(topo)]
+    topologies += _near_full_topologies()
+    return topologies
 
+
+def test_hausdorff_matches_the_pairwise_scan():
+    topologies = _oracle_lists()
     outcomes = set()
     subspaces = 0
     for topo in topologies:
         report = is_hausdorff(topo)
-        assert report == _hausdorff_reference(topo), topo
+        assert report == hausdorff_oracle(topo), topo
         outcomes.add((report.holds, report.witness is not None))
         subspaces += topo.absolute != full_set(topo.universe)
     # separated with a witness, vacuous, and not separated all occur
@@ -193,15 +178,14 @@ def _shape(points, params, names="x"):
 
 
 def _count_scans(monkeypatch):
-    """Record each pairwise Hausdorff scan: only the scan builds rows."""
+    """Record each Hausdorff check that falls back to the pairwise oracle."""
     scans = []
-    real = separation.disjoint_rows
 
-    def counting(topo, elementary):
+    def counting(topo):
         scans.append(topo)
-        return real(topo, elementary)
+        return hausdorff_oracle(topo)
 
-    monkeypatch.setattr(separation, "disjoint_rows", counting)
+    monkeypatch.setattr(separation, "hausdorff_oracle", counting)
     return scans
 
 
@@ -216,14 +200,16 @@ def test_hausdorff_decides_full_topologies_by_structure(monkeypatch):
             topo = SoftTopology.of(members[0].universe, members)
             report = is_hausdorff(topo)
             assert report.holds and report.witness is not None
-            assert report == _hausdorff_reference(topo), members
+            assert report == hausdorff_oracle(topo), members
             checked += 1
     assert checked == 140
     assert scans == []
 
 
 def _near_full_lists(u):
-    """Member lists that miss being the full topology by one property."""
+    """Member lists that miss being the full topology by one property.  The
+    first three lack the span of one element, so its open hull is not a
+    member; the others keep every span."""
     full = list(full_topology(u).members)
     twin = _shape(u.n_points, u.n_params, names="y")
     yield SoftTopology.of(u, full[:4] + full[5:])
@@ -236,15 +222,20 @@ def _near_full_lists(u):
     yield SoftTopology.of(u, full, absolute=smaller)
 
 
+def _near_full_topologies():
+    near = [t for shape in ((2, 2), (3, 2), (2, 3)) for t in _near_full_lists(_shape(*shape))]
+    # one point: the full topology, but with no fully-differing pairs
+    return near + [full_topology(_shape(1, 2))]
+
+
 def test_hausdorff_scans_lists_that_are_not_the_full_topology(monkeypatch):
     scans = _count_scans(monkeypatch)
-    topologies = [t for shape in ((2, 2), (3, 2), (2, 3)) for t in _near_full_lists(_shape(*shape))]
-    # one point: the full topology, but with no fully-differing pairs
-    topologies.append(full_topology(_shape(1, 2)))
+    topologies = _near_full_topologies()
     assert len(topologies) == 19
     for topo in topologies:
-        assert is_hausdorff(topo) == _hausdorff_reference(topo), topo.members
-    assert scans == topologies
+        assert is_hausdorff(topo) == hausdorff_oracle(topo), topo.members
+    # only the lists without an element's span need the pairwise scan
+    assert scans == [t for i in range(0, 18, 6) for t in topologies[i:i + 3]]
 
 
 def test_hausdorff_on_full_topologies_keeps_the_element_budget(monkeypatch):
@@ -253,3 +244,75 @@ def test_hausdorff_on_full_topologies_keeps_the_element_budget(monkeypatch):
     members = full_topology(U22).members
     with pytest.raises(PreconditionError, match="over the budget of 3"):
         is_hausdorff(SoftTopology.of(U22, members))
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _hull_filling_a_slice():
+    """A topology whose absolute has one point at e1: no element pair differs
+    everywhere, and the open hull of (a,a,a) fills e0 inside a smaller open."""
+    u = Universe.of(("a", "b"), ("e0", "e1", "e2"))
+    absolute = soft(u, e0="ab", e1="a", e2="ab")
+    members = (null_set(u), absolute, soft(u, e0="ab", e1="a", e2="a"),
+               soft(u, e0="ab", e1="a", e2="b"))
+    return topology_from(u, members, absolute)
+
+
+def _member_outside_the_absolute():
+    """A list whose full set lies outside its absolute ({a,b},{a}): the
+    oracle finds K = the absolute inside the full set, where the open hull
+    of either element fills e1."""
+    absolute = soft(U22, e1="ab", e2="a")
+    return SoftTopology.of(U22, (null_set(U22), absolute, full_set(U22)), absolute)
+
+
+def test_regular_normal_and_local_compactness_match_their_oracles():
+    outcomes = set()
+    extra = [_hull_filling_a_slice(), _member_outside_the_absolute()]
+    for topo in _oracle_lists() + extra:
+        for literal in (False, True):
+            report = _outcome(is_regular, topo, literal)
+            assert report == _outcome(regular_oracle, topo, literal), topo
+            outcomes.add(("regular", literal, getattr(report, "holds", None)))
+        report = _outcome(is_normal, topo)
+        assert report == _outcome(normal_oracle, topo), topo
+        outcomes.add(("normal", getattr(report, "holds", None)))
+        if is_hausdorff(topo).holds:
+            report = is_locally_compact(topo)
+            assert report == locally_compact_oracle(topo), topo
+            outcomes.add(("locally-compact", report.holds))
+    # both verdicts, and the full-absolute precondition, occur for each
+    assert outcomes == {
+        (name, *reading, verdict)
+        for name, reading in (("regular", (False,)), ("regular", (True,)), ("normal", ()))
+        for verdict in (True, False, None)
+    } | {("locally-compact", True), ("locally-compact", False)}
+
+
+def test_open_hull_needs_a_member_around_every_bit():
+    # the absolute is not listed, so no member contains (b,b)
+    a = soft(U22, e1="a", e2="a")
+    topo = SoftTopology.of(U22, (null_set(U22), a))
+    assert open_hull(topo, a.bits) == a.bits
+    assert open_hull(topo, full_set(U22).bits) is None
+    report = is_hausdorff(topo)
+    assert report == hausdorff_oracle(topo)
+    assert [x.coords for x in report.counterexample] == [(0, 0), (1, 1)]
+
+
+def test_normal_witness_keeps_the_scan_order():
+    u = Universe.of(("a", "b", "c"), ("e1",))
+    ab, bc, c, b = (soft(u, e1=s) for s in ("ab", "bc", "c", "b"))
+    # closed sets c, a, abc, null, ab, ac: the first pointwise-disjoint pair
+    # is the open {c} with {a}, which is not open
+    topo = topology_from(u, (ab, bc, null_set(u), full_set(u), c, b))
+    assert is_normal(topo).witness == (c, soft(u, e1="a"), c, ab)
+    # with the absolute first, the null closed set comes first and pairs
+    # with itself
+    topo = topology_from(u, (full_set(u), null_set(u), ab, bc, c, b))
+    assert is_normal(topo).witness == (null_set(u),) * 4

@@ -39,7 +39,6 @@ from softtopo.topology import (
     _meeting,
     closed_sets,
     closure,
-    containing_masks,
     disjoint_rows,
     full_topology,
     indiscrete_topology,
@@ -51,6 +50,7 @@ from softtopo.topology import (
     is_open,
     limiting_elements,
     nbd_witness,
+    open_hull,
     pairwise_admissible_violations,
     space_elements,
     topology_from,
@@ -535,7 +535,7 @@ def test_one_parameter_rows_and_violations_need_no_elementary_scan():
                 rows = disjoint_rows(topo, elementary)
                 assert rows == _disjoint_rows_reference(topo, elementary)
             if params == 1:
-                assert disjoint_rows(topo, True) is disjoint_rows(topo, False)
+                assert disjoint_rows(topo, True) == disjoint_rows(topo, False)
     # two parameters: mixed meets occur, so the comparison is not vacuous
     assert violated >= 20
 
@@ -579,7 +579,7 @@ def test_packed_kernels_match_core_operations():
             for j in range(i, len(members))
             if not is_admissible(pointwise_intersection(members[i], members[j]))
         )
-        for x, mask in containing_masks(topo).items():
-            assert [mask >> j & 1 for j in range(len(members))] == [
-                is_member(x, m) for m in members
-            ]
+        for f in all_admissible(u):
+            around = [o for o in members if is_soft_subset(f, o)]
+            smallest = [o for o in around if all(is_soft_subset(o, p) for p in around)]
+            assert open_hull(topo, f.bits) == smallest[0].bits
