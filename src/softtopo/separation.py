@@ -17,10 +17,11 @@ Each checker decides a hypothesis instance with one test on open hulls
 (``topology.open_hull``, the smallest member around a set): some opens
 around the two sides are disjoint, pointwise or elementary, exactly when
 the two hulls are, because disjointness passes to subsets.  Members are
-scanned in member order only for the first witness.  A member list with a
-hull that is not a member is not closed, which only library callers can
-pass; it gets the checker's oracle, the definitional scan of member pairs
-for every instance, which the fast path must match report for report.
+scanned in member order only for the first witness.  A member list in
+which some hull the checker needs is not a member is not closed, which
+only library callers can pass; it gets the checker's oracle, the
+definitional scan of member pairs for every instance, which the fast path
+must match report for report.
 """
 
 from __future__ import annotations

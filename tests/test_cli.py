@@ -10,7 +10,7 @@ from softtopo.cli import main
 from softtopo.document import parse
 from softtopo.fuzzing.harness import serialize_report
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run(capsys, *argv):
@@ -517,8 +517,6 @@ def _check_documents(tmp_path):
     )
     from softtopo.fuzzing.instances import Instance, to_text
     from softtopo.topology import full_topology, verify_topology
-
-    from conftest import FIXTURES
 
     docs = {}
     for path in sorted(FIXTURES.glob("*.json")):
