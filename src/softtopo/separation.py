@@ -169,7 +169,7 @@ def is_regular(
     """
 
     def build() -> SeparationReport:
-        hulls = _hulls(topo, closed_sets(topo) + space_elements(topo))
+        hulls = _hulls(topo, space_elements(topo) + closed_sets(topo))
         if hulls is None:
             return regular_oracle(topo, literal_disjointness)
         return _check(topo, "regular", *_regular_args(topo, literal_disjointness), hulls)
