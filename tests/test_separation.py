@@ -324,3 +324,16 @@ def test_normal_witness_keeps_the_scan_order():
     # with itself
     topo = topology_from(u, (full_set(u), null_set(u), ab, bc, c, b))
     assert is_normal(topo).witness == (null_set(u),) * 4
+
+
+def test_regular_checks_the_element_budget_before_the_absolute(monkeypatch):
+    # an absolute that is not the full set and has 4 elements, over a budget of 3
+    monkeypatch.setattr(topology, "_ELEMENT_BUDGET", 3)
+    topology._elements_of.cache_clear()
+    u = _shape(3, 2)
+    absolute = SoftSet.of(u, [0b011, 0b011])
+    topo = SoftTopology.of(u, (null_set(u), absolute), absolute)
+    with pytest.raises(PreconditionError, match="over the budget of 3"):
+        is_regular(topo)
+    with pytest.raises(PreconditionError, match="needs a topology whose absolute is the full"):
+        is_normal(topo)
