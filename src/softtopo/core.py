@@ -6,10 +6,12 @@ parameter ``k``'s slice at bit offset ``k * (n_points + 1)`` with points in
 canonical order.  The spare top bit of each field lets one addition test
 every slice for emptiness at once (see ``Packing``), so every operation is
 a handful of integer instructions.  Only this module knows the layout;
-``SoftSet.of`` builds a set from per-parameter slice masks and
-``SoftSet.slices`` reads them back for documents and display.  A soft
-element picks one point per parameter; a soft set contains an element only
-when every coordinate lands inside the matching slice.
+``SoftSet.of`` builds a set from per-parameter slice masks,
+``Universe.point_bits`` maps point names straight to layout bits when
+documents are read, and ``SoftSet.slices`` reads slices back for documents
+and display.  A soft element picks one point per parameter; a soft set
+contains an element only when every coordinate lands inside the matching
+slice.
 
 The admissible family consists of the empty soft set plus every soft set
 whose slices are all nonempty.  The elementary operations (union,
@@ -111,6 +113,16 @@ class Universe:
     @functools.cached_property
     def packing(self) -> "Packing":
         return Packing.of(self.n_points, self.n_params)
+
+    @functools.cached_property
+    def point_bits(self) -> dict[str, dict[str, int]]:
+        """Per parameter, in parameter order: each point name's bit in the
+        ``Packing`` layout, so a slice's names OR straight into set bits."""
+        width = self.packing.width
+        return {
+            param: {p: 1 << k * width + i for i, p in enumerate(self.points)}
+            for k, param in enumerate(self.params)
+        }
 
     def __eq__(self, other: object) -> bool:
         # Generated universes are shared per shape, so most comparisons
@@ -360,8 +372,9 @@ def is_member(x: SoftElement, f: SoftSet) -> bool:
 
 
 # Most soft elements an enumeration may build: the bound on generated
-# shapes (points, params and points ** params) and on the absolute whose
-# elements ``topology.space_elements`` lists.
+# shapes (points, params and points ** params), on the absolute whose
+# elements ``topology.space_elements`` lists, and on the points x params
+# layout bits of a document's universe.
 _ELEMENT_BUDGET = 4096
 
 

@@ -13,7 +13,16 @@ import dataclasses as d
 import json
 import typing as t
 
-from .core import SoftElement, SoftSet, Universe, full_set, is_admissible, is_null, null_set
+from .core import (
+    _ELEMENT_BUDGET,
+    SoftElement,
+    SoftSet,
+    Universe,
+    full_set,
+    is_admissible,
+    is_null,
+    null_set,
+)
 from .errors import DocumentError, InputError
 from .topology import SoftTopology
 
@@ -21,7 +30,6 @@ __all__ = [
     "FORMAT",
     "RESERVED_NAMES",
     "SpaceDocument",
-    "decode_set",
     "encode_set",
     "parse",
     "parse_file",
@@ -107,40 +115,62 @@ def _expect_str_array(value, path: str, issues: _Issues) -> list[str]:
     return value
 
 
-def decode_set(
+def _slice_issues(
+    bit_of: dict[str, int], entries, path: str, issues: _Issues
+) -> tuple[int, bool]:
+    """The failure path of one slice: its issues in document order, the
+    bits of its known points, and whether every name was a known point.  A
+    slice that is not an array of strings reads as empty."""
+    mask, known = 0, True
+    for point in _expect_str_array(entries, path, issues):
+        bit = bit_of.get(point)
+        if bit is None:
+            issues.add(path, f"unknown point {point!r}")
+            known = False
+            continue
+        if mask & bit:
+            issues.add(path, f"duplicate point {point!r}")
+        mask |= bit
+    return mask, known
+
+
+def _decode_set(
     universe: Universe, raw, path: str, issues: _Issues, set_name: str
 ) -> SoftSet | None:
     """One named set: an object mapping every declared parameter to an array
-    of declared point names."""
+    of declared point names.  Each name maps straight to its layout bit; only
+    a slice that fails the shape test goes through ``_slice_issues``."""
     if not isinstance(raw, dict):
         issues.add(path, "expected an object of parameter slices")
         return None
-    masks = []
+    bits = 0
     ok = True
-    for param in universe.params:
+    for param, bit_of in universe.point_bits.items():
         if param not in raw:
             issues.add(path, f"set {set_name!r} is missing the slice for parameter {param!r}")
             ok = False
             continue
-        entries = _expect_str_array(raw[param], f"{path}.{param}", issues)
-        mask = 0
-        for point in entries:
-            if point not in universe.points:
-                issues.add(f"{path}.{param}", f"unknown point {point!r}")
+        entries = raw[param]
+        # A sum of layout bits has one set bit per name exactly when the
+        # names are distinct, since a repeated bit carries.  A name that is
+        # not a known point (or not a string) raises.
+        try:
+            mask = sum(map(bit_of.__getitem__, entries)) if isinstance(entries, list) else None
+        except (KeyError, TypeError):
+            mask = None
+        if mask is None or mask.bit_count() != len(entries):
+            mask, known = _slice_issues(bit_of, entries, f"{path}.{param}", issues)
+            ok = ok and known
+        bits |= mask
+    # With every parameter present, a longer object has unknown keys.
+    if not ok or len(raw) != universe.n_params:
+        for param in raw:
+            if param not in universe.point_bits:
+                issues.add(f"{path}.{param}", f"unknown parameter {param!r}")
                 ok = False
-                continue
-            bit = 1 << universe.point_index(point)
-            if mask & bit:
-                issues.add(f"{path}.{param}", f"duplicate point {point!r}")
-            mask |= bit
-        masks.append(mask)
-    for param in raw:
-        if param not in universe.params:
-            issues.add(f"{path}.{param}", f"unknown parameter {param!r}")
-            ok = False
     if not ok:
         return None
-    return SoftSet.of(universe, masks)
+    return SoftSet(universe, bits)
 
 
 def _decode_universe(raw, issues: _Issues) -> Universe | None:
@@ -161,6 +191,14 @@ def _decode_universe(raw, issues: _Issues) -> Universe | None:
         issues.add("$.universe.points", "point names must be distinct")
     if len(set(params)) != len(params):
         issues.add("$.universe.params", "parameter names must be distinct")
+    # Checked before any layout-sized table (packing, point bits, the
+    # topology kernels' per-bit masks) is built.
+    if len(points) * len(params) > _ELEMENT_BUDGET:
+        issues.add(
+            "$.universe",
+            f"{len(points)} points x {len(params)} parameters is over the budget"
+            f" of {_ELEMENT_BUDGET} point-parameter pairs",
+        )
     if len(issues.items) > before:
         return None
     return Universe.of(points, params)
@@ -239,6 +277,8 @@ def parse(text: str) -> SpaceDocument:
         raw = json.loads(text, object_pairs_hook=_duplicate_checking_hook(issues))
     except json.JSONDecodeError as exc:
         raise DocumentError([("$", f"invalid JSON at line {exc.lineno}: {exc.msg}")]) from None
+    except RecursionError:
+        raise DocumentError([("$", "invalid JSON: nesting too deep")]) from None
     if not isinstance(raw, dict):
         raise DocumentError([("$", "document must be a JSON object")])
 
@@ -262,7 +302,7 @@ def parse(text: str) -> SpaceDocument:
         if name in RESERVED_NAMES:
             issues.add(f"$.sets.{name}", "reserved name cannot be redefined")
             continue
-        decoded = decode_set(universe, body, f"$.sets.{name}", issues, name)
+        decoded = _decode_set(universe, body, f"$.sets.{name}", issues, name)
         if decoded is not None:
             sets[name] = decoded
 
@@ -349,9 +389,14 @@ def parse(text: str) -> SpaceDocument:
 def parse_file(path: str) -> SpaceDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise DocumentError([(path, f"cannot read document: {exc.strerror}")]) from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            [(path, f"cannot read document: not UTF-8 ({exc.reason} at byte {exc.start})")]
+        ) from None
+    return parse(text)
 
 
 # --- encoding ---------------------------------------------------------------

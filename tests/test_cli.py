@@ -369,6 +369,25 @@ def test_check_over_the_element_budget(capsys, tmp_path):
     assert out.startswith("hausdorff: fails\n")
 
 
+def test_hostile_documents_exit_2_with_one_line(capsys, tmp_path):
+    # 64 x 64 point-parameter pairs is the layout budget itself
+    code, out, err = run(capsys, "verify", _constant_doc(tmp_path, 64, 64))
+    assert (code, out, err) == (0, "valid topology\n", "")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe")
+    expected = {
+        _constant_doc(tmp_path, 65, 64): "$.universe: 65 points x 64 parameters is over the "
+        "budget of 4096 point-parameter pairs",
+        deep: "$: invalid JSON: nesting too deep",
+        raw: f"{raw}: cannot read document: not UTF-8 (invalid start byte at byte 0)",
+    }
+    for path, message in expected.items():
+        code, out, err = run(capsys, "check", "hausdorff", path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_fuzz_unknown_case(capsys):
     code, _, err = run(capsys, "fuzz", "--case", "nope", "--trials", "1")
     assert code == 2

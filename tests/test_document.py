@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import copy
 import json
+import random
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from softtopo.core import SoftElement, full_set, null_set
+from softtopo import core, document
+from softtopo.core import SoftElement, SoftSet, Universe, full_set, null_set
 from softtopo.document import (
     parse,
     parse_file,
@@ -81,7 +84,7 @@ def test_all_issues_collected_at_once():
     assert ("$.sets.F", "set 'F' is missing the slice for parameter 'e2'") in issues
 
 
-def test_json_level_failures():
+def test_json_level_failures(tmp_path):
     with pytest.raises(DocumentError) as exc:
         parse("{not json")
     path, message = exc.value.issues[0]
@@ -93,6 +96,54 @@ def test_json_level_failures():
         parse_file(fixture_path("does_not_exist.json"))
     path, message = exc.value.issues[0]
     assert message.startswith("cannot read document")
+    # nesting past the interpreter's recursion limit, in arrays and objects
+    for deep in ("[" * 100000 + "]" * 100000, '{"a":' * 100000 + "1" + "}" * 100000):
+        with pytest.raises(DocumentError) as exc:
+            parse(deep)
+        assert exc.value.issues == (("$", "invalid JSON: nesting too deep"),)
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe")
+    with pytest.raises(DocumentError) as exc:
+        parse_file(str(raw))
+    assert exc.value.issues == (
+        (str(raw), "cannot read document: not UTF-8 (invalid start byte at byte 0)"),
+    )
+
+
+def _universe_doc(points: int, params: int) -> str:
+    return json.dumps(
+        {
+            "format": "soft-space/1",
+            "universe": {
+                "points": [f"p{i}" for i in range(points)],
+                "params": [f"e{k}" for k in range(params)],
+            },
+            "topology": ["PHI", "ABS"],
+        }
+    )
+
+
+def test_layout_budget(monkeypatch):
+    # 64 x 64 = 4096 point-parameter pairs is the budget itself
+    doc = parse(_universe_doc(64, 64))
+    assert len(doc.topology.members) == 2
+    with pytest.raises(DocumentError) as exc:
+        parse(_universe_doc(65, 64))
+    assert exc.value.issues == (
+        (
+            "$.universe",
+            "65 points x 64 parameters is over the budget of 4096 point-parameter pairs",
+        ),
+    )
+
+    # refused before any layout-sized table exists
+    def no_layout(*args):
+        raise AssertionError("layout built for a universe over the budget")
+
+    monkeypatch.setattr(core.Packing, "of", no_layout)
+    with pytest.raises(DocumentError) as exc:
+        parse(_universe_doc(250, 250))
+    assert [path for path, _ in exc.value.issues] == ["$.universe"]
 
 
 def test_name_resolution(abcd_doc):
@@ -205,3 +256,164 @@ def test_schema_vs_parser_split():
         "missing_slice.json": False,
         "unknown_point.json": False,
     }
+
+
+# --- slice-wise oracle ------------------------------------------------------
+
+def _slice_wise_decode_set(universe, raw, path, issues, set_name):
+    """The decoder before sets were read straight to layout bits: one mask
+    per slice from ``point_index``, then ``SoftSet.of``."""
+    if not isinstance(raw, dict):
+        issues.add(path, "expected an object of parameter slices")
+        return None
+    masks = []
+    ok = True
+    for param in universe.params:
+        if param not in raw:
+            issues.add(path, f"set {set_name!r} is missing the slice for parameter {param!r}")
+            ok = False
+            continue
+        entries = raw[param]
+        if not isinstance(entries, list) or not all(isinstance(v, str) for v in entries):
+            issues.add(f"{path}.{param}", "expected an array of strings")
+            entries = []
+        mask = 0
+        for point in entries:
+            if point not in universe.points:
+                issues.add(f"{path}.{param}", f"unknown point {point!r}")
+                ok = False
+                continue
+            bit = 1 << universe.point_index(point)
+            if mask & bit:
+                issues.add(f"{path}.{param}", f"duplicate point {point!r}")
+            mask |= bit
+        masks.append(mask)
+    for param in raw:
+        if param not in universe.params:
+            issues.add(f"{path}.{param}", f"unknown parameter {param!r}")
+            ok = False
+    if not ok:
+        return None
+    return SoftSet.of(universe, masks)
+
+
+class _Obj(list):
+    """A JSON object as (key, value) pairs, so keys may repeat."""
+
+
+def _dump(value) -> str:
+    if isinstance(value, _Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dump(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+_NON_STRINGS = (3, 1.5, None, True, [], _Obj(), ["a"])
+_NON_LISTS = ("a", 3, None, _Obj(), _Obj([("a", ["a"])]))
+
+
+def _mutated_document(rng: random.Random) -> str:
+    points = [f"p{i}" for i in range(rng.randint(1, 4))]
+    params = [f"e{k}" for k in range(rng.randint(1, 3))]
+    sets = _Obj(
+        (f"S{j}", _Obj((a, rng.sample(points, rng.randint(0, len(points)))) for a in params))
+        for j in range(rng.randint(1, 4))
+    )
+    top = _Obj(
+        [
+            ("format", "soft-space/1"),
+            ("universe", _Obj([("points", points), ("params", params)])),
+            ("sets", sets),
+        ]
+    )
+    if rng.random() < 0.5:
+        top.append(("topology", ["PHI", "ABS"] + [name for name, _ in sets]))
+    if rng.random() < 0.3:
+        top.append(("absolute", rng.choice(sets)[0]))
+    for _ in range(rng.randint(0, 3)):
+        objects = [(name, body) for name, body in sets if isinstance(body, _Obj) and body]
+        if not objects:
+            break
+        name, body = rng.choice(objects)
+        index = rng.randrange(len(body))
+        param, entries = body[index]
+        kind = rng.randrange(11)
+        if 3 <= kind <= 5 and type(entries) is not list:
+            entries = []
+            body[index] = (param, entries)
+        if kind == 0:  # missing parameter
+            del body[index]
+            if not body:
+                body.append(("zz", []))
+        elif kind == 1:  # unknown parameter
+            body.insert(rng.randrange(len(body) + 1), ("zz", rng.sample(points, 1)))
+        elif kind == 2:  # duplicate parameter: a repeated key inside a set
+            body.insert(rng.randrange(len(body) + 1), (param, rng.sample(points, 1)))
+        elif kind == 3:  # unknown point
+            entries.insert(rng.randrange(len(entries) + 1), rng.choice(("q", "P0", "")))
+        elif kind == 4:  # duplicate point
+            entries.insert(rng.randrange(len(entries) + 1), rng.choice(points))
+        elif kind == 5:  # non-string entry, hashable or not
+            value = copy.deepcopy(rng.choice(_NON_STRINGS))
+            entries.insert(rng.randrange(len(entries) + 1), value)
+        elif kind == 6:  # a slice that is not an array
+            body[index] = (param, copy.deepcopy(rng.choice(_NON_LISTS)))
+        elif kind == 7:  # a set that is not an object
+            sets[[n for n, _ in sets].index(name)] = (name, rng.choice(([], "F", 0)))
+        elif kind == 8:  # reserved names
+            sets.append((rng.choice(("PHI", "ABS")), body))
+        elif kind == 9:  # a repeated set name
+            sets.append((name, _Obj((a, []) for a in params)))
+        else:  # a repeated key at the top or in the universe
+            target = rng.choice((top, top[1][1]))
+            target.append(rng.choice(target))
+    return _dump(top)
+
+
+def _outcome(text: str):
+    try:
+        doc = parse(text)
+    except DocumentError as exc:
+        return exc.issues
+    return {name: f.bits for name, f in doc.sets.items()}, serialize(doc)
+
+
+def test_decoder_matches_the_slice_wise_oracle(monkeypatch):
+    rng = random.Random(20261018)
+    seen: set[str] = set()
+    parsed = 0
+    for _ in range(800):
+        text = _mutated_document(rng)
+        fast = _outcome(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(document, "_decode_set", _slice_wise_decode_set)
+            slow = _outcome(text)
+        assert fast == slow, text
+        if isinstance(fast, tuple) and isinstance(fast[0], dict):
+            parsed += 1
+        else:
+            seen.update(message.split(" '")[0] for _, message in fast)
+    # every mutation reached its message, and plenty of documents still parse
+    assert parsed >= 100
+    assert {
+        "duplicate key",
+        "expected an array of strings",
+        "expected an object of parameter slices",
+        "reserved name cannot be redefined",
+        "unknown parameter",
+        "unknown point",
+        "duplicate point",
+        "set",  # set 'S0' is missing the slice for parameter ...
+        "absolute must be admissible and nonempty",
+    } <= seen
+
+
+def test_point_bits_are_the_layout():
+    u = Universe.of(["a", "b", "c"], ["e1", "e2"])
+    for k, param in enumerate(u.params):
+        for point in u.points:
+            slices = [0] * u.n_params
+            slices[k] = u.mask_of([point])
+            assert u.point_bits[param][point] == SoftSet.of(u, slices).bits
+    assert list(u.point_bits) == list(u.params)
