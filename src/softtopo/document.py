@@ -279,6 +279,8 @@ def parse(text: str) -> SpaceDocument:
         raise DocumentError([("$", f"invalid JSON at line {exc.lineno}: {exc.msg}")]) from None
     except RecursionError:
         raise DocumentError([("$", "invalid JSON: nesting too deep")]) from None
+    except ValueError as exc:  # an integer over the interpreter's digit limit
+        raise DocumentError([("$", f"invalid JSON: {exc}")]) from None
     if not isinstance(raw, dict):
         raise DocumentError([("$", "document must be a JSON object")])
 

@@ -373,19 +373,28 @@ def test_hostile_documents_exit_2_with_one_line(capsys, tmp_path):
     # 64 x 64 point-parameter pairs is the layout budget itself
     code, out, err = run(capsys, "verify", _constant_doc(tmp_path, 64, 64))
     assert (code, out, err) == (0, "valid topology\n", "")
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100000 + "]" * 100000)
+    # nested past the interpreter's recursion limit, in arrays and objects
+    arrays = tmp_path / "arrays.json"
+    arrays.write_text("[" * 100000 + "]" * 100000)
+    objects = tmp_path / "objects.json"
+    objects.write_text('{"a":' * 100000 + "1" + "}" * 100000)
     raw = tmp_path / "raw.json"
     raw.write_bytes(b"\xff\xfe")
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"format": ' + "1" * 5000 + "}")
     expected = {
         _constant_doc(tmp_path, 65, 64): "$.universe: 65 points x 64 parameters is over the "
         "budget of 4096 point-parameter pairs",
-        deep: "$: invalid JSON: nesting too deep",
+        arrays: "$: invalid JSON: nesting too deep",
+        objects: "$: invalid JSON: nesting too deep",
         raw: f"{raw}: cannot read document: not UTF-8 (invalid start byte at byte 0)",
+        # the interpreter words the rest of this one
+        digits: "$: invalid JSON: Exceeds the limit (4300 digits)",
     }
     for path, message in expected.items():
         code, out, err = run(capsys, "check", "hausdorff", path)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_fuzz_unknown_case(capsys):

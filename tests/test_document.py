@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from softtopo import core, document
-from softtopo.core import SoftElement, SoftSet, Universe, full_set, null_set
+from softtopo.core import SoftElement, SoftSet, full_set, null_set
 from softtopo.document import (
     parse,
     parse_file,
@@ -84,7 +84,7 @@ def test_all_issues_collected_at_once():
     assert ("$.sets.F", "set 'F' is missing the slice for parameter 'e2'") in issues
 
 
-def test_json_level_failures(tmp_path):
+def test_json_level_failures():
     with pytest.raises(DocumentError) as exc:
         parse("{not json")
     path, message = exc.value.issues[0]
@@ -96,54 +96,31 @@ def test_json_level_failures(tmp_path):
         parse_file(fixture_path("does_not_exist.json"))
     path, message = exc.value.issues[0]
     assert message.startswith("cannot read document")
-    # nesting past the interpreter's recursion limit, in arrays and objects
-    for deep in ("[" * 100000 + "]" * 100000, '{"a":' * 100000 + "1" + "}" * 100000):
-        with pytest.raises(DocumentError) as exc:
-            parse(deep)
-        assert exc.value.issues == (("$", "invalid JSON: nesting too deep"),)
-    raw = tmp_path / "raw.json"
-    raw.write_bytes(b"\xff\xfe")
-    with pytest.raises(DocumentError) as exc:
-        parse_file(str(raw))
-    assert exc.value.issues == (
-        (str(raw), "cannot read document: not UTF-8 (invalid start byte at byte 0)"),
-    )
 
 
-def _universe_doc(points: int, params: int) -> str:
-    return json.dumps(
-        {
-            "format": "soft-space/1",
-            "universe": {
-                "points": [f"p{i}" for i in range(points)],
-                "params": [f"e{k}" for k in range(params)],
-            },
-            "topology": ["PHI", "ABS"],
-        }
-    )
-
-
-def test_layout_budget(monkeypatch):
-    # 64 x 64 = 4096 point-parameter pairs is the budget itself
-    doc = parse(_universe_doc(64, 64))
-    assert len(doc.topology.members) == 2
-    with pytest.raises(DocumentError) as exc:
-        parse(_universe_doc(65, 64))
-    assert exc.value.issues == (
-        (
-            "$.universe",
-            "65 points x 64 parameters is over the budget of 4096 point-parameter pairs",
-        ),
-    )
-
-    # refused before any layout-sized table exists
+def test_universe_over_the_layout_budget_builds_no_layout(monkeypatch):
     def no_layout(*args):
         raise AssertionError("layout built for a universe over the budget")
 
     monkeypatch.setattr(core.Packing, "of", no_layout)
+    text = json.dumps(
+        {
+            "format": "soft-space/1",
+            "universe": {
+                "points": [f"p{i}" for i in range(250)],
+                "params": [f"e{k}" for k in range(250)],
+            },
+            "topology": ["PHI", "ABS"],
+        }
+    )
     with pytest.raises(DocumentError) as exc:
-        parse(_universe_doc(250, 250))
-    assert [path for path, _ in exc.value.issues] == ["$.universe"]
+        parse(text)
+    assert exc.value.issues == (
+        (
+            "$.universe",
+            "250 points x 250 parameters is over the budget of 4096 point-parameter pairs",
+        ),
+    )
 
 
 def test_name_resolution(abcd_doc):
@@ -261,8 +238,8 @@ def test_schema_vs_parser_split():
 # --- slice-wise oracle ------------------------------------------------------
 
 def _slice_wise_decode_set(universe, raw, path, issues, set_name):
-    """The decoder before sets were read straight to layout bits: one mask
-    per slice from ``point_index``, then ``SoftSet.of``."""
+    """Reference decoder: one mask per slice from ``point_index``, then
+    ``SoftSet.of``, with every slice checked name by name."""
     if not isinstance(raw, dict):
         issues.add(path, "expected an object of parameter slices")
         return None
@@ -375,8 +352,8 @@ def _outcome(text: str):
     try:
         doc = parse(text)
     except DocumentError as exc:
-        return exc.issues
-    return {name: f.bits for name, f in doc.sets.items()}, serialize(doc)
+        return "issues", exc.issues
+    return "parsed", ({name: f.bits for name, f in doc.sets.items()}, serialize(doc))
 
 
 def test_decoder_matches_the_slice_wise_oracle(monkeypatch):
@@ -390,10 +367,11 @@ def test_decoder_matches_the_slice_wise_oracle(monkeypatch):
             patch.setattr(document, "_decode_set", _slice_wise_decode_set)
             slow = _outcome(text)
         assert fast == slow, text
-        if isinstance(fast, tuple) and isinstance(fast[0], dict):
+        kind, detail = fast
+        if kind == "parsed":
             parsed += 1
         else:
-            seen.update(message.split(" '")[0] for _, message in fast)
+            seen.update(message.split(" '")[0] for _, message in detail)
     # every mutation reached its message, and plenty of documents still parse
     assert parsed >= 100
     assert {
@@ -408,12 +386,3 @@ def test_decoder_matches_the_slice_wise_oracle(monkeypatch):
         "absolute must be admissible and nonempty",
     } <= seen
 
-
-def test_point_bits_are_the_layout():
-    u = Universe.of(["a", "b", "c"], ["e1", "e2"])
-    for k, param in enumerate(u.params):
-        for point in u.points:
-            slices = [0] * u.n_params
-            slices[k] = u.mask_of([point])
-            assert u.point_bits[param][point] == SoftSet.of(u, slices).bits
-    assert list(u.point_bits) == list(u.params)
