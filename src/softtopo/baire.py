@@ -27,6 +27,7 @@ from .errors import NotAdmissibleError, PreconditionError
 from .topology import (
     SoftTopology,
     _cached,
+    admissible_meets,
     closed_sets,
     closure,
     interior,
@@ -306,11 +307,10 @@ def baire_theorem_trial(topo: SoftTopology) -> str:
     the rest.
     """
     from .separation import is_hausdorff
-    from .topology import pairwise_admissible_violations
 
     if not is_hausdorff(topo).holds:
         return "skipped"
-    if pairwise_admissible_violations(topo):
+    if not admissible_meets(topo):
         return "skipped"
     if not is_locally_compact(topo).holds:
         return "skipped"

@@ -48,6 +48,7 @@ from .topology import (
     closure,
     interior,
     limiting_elements,
+    verify,
     verify_topology,
 )
 
@@ -102,7 +103,7 @@ def _load_topology(path: str) -> tuple[SpaceDocument, SoftTopology]:
     doc = parse_file(path)
     if doc.topology is None:
         raise PreconditionError(f"{path}: document carries no topology")
-    report = verify_topology(doc.universe, doc.topology.members, doc.topology.absolute)
+    report = verify(doc.topology)
     if not report.valid:
         details = "; ".join(v.describe() for v in report.violations[:4])
         raise PreconditionError(f"{path}: topology is not valid: {details}")

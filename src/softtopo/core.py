@@ -199,6 +199,14 @@ class SoftSet:
             raise InputError(f"soft set bits {self.bits:#x} outside the universe layout")
 
     @classmethod
+    def unchecked(cls, universe: Universe, bits: int) -> "SoftSet":
+        """``SoftSet(universe, bits)`` without the layout check, for bits
+        known to lie inside it, such as ORs of ``Universe.point_bits``."""
+        s = object.__new__(cls)
+        s.__dict__["universe"], s.__dict__["bits"] = universe, bits
+        return s
+
+    @classmethod
     def of(cls, universe: Universe, slices: t.Iterable[int]) -> "SoftSet":
         """Build from one point bitmask per parameter, in parameter order."""
         slices = tuple(slices)

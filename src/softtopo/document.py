@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses as d
 import json
+import re
 import typing as t
 
 from .core import (
@@ -108,6 +109,19 @@ def _duplicate_checking_hook(issues: _Issues):
     return hook
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _refuse_surrogates(names: t.Iterable[str], path: str, issues: _Issues) -> None:
+    """Refuse declared names holding a lone surrogate, left by a JSON escape
+    outside a pair: output names them, and no Unicode encoding can write
+    one.  A referenced name matches a declared one or is reported as
+    unknown, escaped, so this covers both."""
+    for name in names:
+        if not name.isascii() and _SURROGATE.search(name):
+            issues.add(path, f"name {name!r} holds a lone surrogate")
+
+
 def _expect_str_array(value, path: str, issues: _Issues) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         issues.add(path, "expected an array of strings")
@@ -135,19 +149,21 @@ def _slice_issues(
 
 
 def _decode_set(
-    universe: Universe, raw, path: str, issues: _Issues, set_name: str
+    universe: Universe, raw, issues: _Issues, set_name: str
 ) -> SoftSet | None:
     """One named set: an object mapping every declared parameter to an array
     of declared point names.  Each name maps straight to its layout bit; only
-    a slice that fails the shape test goes through ``_slice_issues``."""
+    a slice that fails the shape test goes through ``_slice_issues``, and
+    only failures build the set's path."""
     if not isinstance(raw, dict):
-        issues.add(path, "expected an object of parameter slices")
+        issues.add(f"$.sets.{set_name}", "expected an object of parameter slices")
         return None
     bits = 0
     ok = True
     for param, bit_of in universe.point_bits.items():
         if param not in raw:
-            issues.add(path, f"set {set_name!r} is missing the slice for parameter {param!r}")
+            message = f"set {set_name!r} is missing the slice for parameter {param!r}"
+            issues.add(f"$.sets.{set_name}", message)
             ok = False
             continue
         entries = raw[param]
@@ -159,18 +175,18 @@ def _decode_set(
         except (KeyError, TypeError):
             mask = None
         if mask is None or mask.bit_count() != len(entries):
-            mask, known = _slice_issues(bit_of, entries, f"{path}.{param}", issues)
+            mask, known = _slice_issues(bit_of, entries, f"$.sets.{set_name}.{param}", issues)
             ok = ok and known
         bits |= mask
     # With every parameter present, a longer object has unknown keys.
     if not ok or len(raw) != universe.n_params:
         for param in raw:
             if param not in universe.point_bits:
-                issues.add(f"{path}.{param}", f"unknown parameter {param!r}")
+                issues.add(f"$.sets.{set_name}.{param}", f"unknown parameter {param!r}")
                 ok = False
     if not ok:
         return None
-    return SoftSet(universe, bits)
+    return SoftSet.unchecked(universe, bits)
 
 
 def _decode_universe(raw, issues: _Issues) -> Universe | None:
@@ -191,6 +207,8 @@ def _decode_universe(raw, issues: _Issues) -> Universe | None:
         issues.add("$.universe.points", "point names must be distinct")
     if len(set(params)) != len(params):
         issues.add("$.universe.params", "parameter names must be distinct")
+    _refuse_surrogates(points, "$.universe.points", issues)
+    _refuse_surrogates(params, "$.universe.params", issues)
     # Checked before any layout-sized table (packing, point bits, the
     # topology kernels' per-bit masks) is built.
     if len(points) * len(params) > _ELEMENT_BUDGET:
@@ -300,11 +318,12 @@ def parse(text: str) -> SpaceDocument:
     if not isinstance(raw_sets, dict):
         issues.add("$.sets", "expected an object of named sets")
         raw_sets = {}
+    _refuse_surrogates(raw_sets, "$.sets", issues)
     for name, body in raw_sets.items():
         if name in RESERVED_NAMES:
             issues.add(f"$.sets.{name}", "reserved name cannot be redefined")
             continue
-        decoded = _decode_set(universe, body, f"$.sets.{name}", issues, name)
+        decoded = _decode_set(universe, body, issues, name)
         if decoded is not None:
             sets[name] = decoded
 
@@ -353,6 +372,7 @@ def parse(text: str) -> SpaceDocument:
     if not isinstance(raw_functions, dict):
         issues.add("$.functions", "expected an object of named functions")
         raw_functions = {}
+    _refuse_surrogates(raw_functions, "$.functions", issues)
     for name, body in raw_functions.items():
         decoded_fn = _decode_function(universe, body, f"$.functions.{name}", issues)
         if decoded_fn is not None:
@@ -363,6 +383,7 @@ def parse(text: str) -> SpaceDocument:
     if not isinstance(raw_elements, dict):
         issues.add("$.elements", "expected an object of named elements")
         raw_elements = {}
+    _refuse_surrogates(raw_elements, "$.elements", issues)
     for name, body in raw_elements.items():
         decoded_el = _decode_element(universe, body, f"$.elements.{name}", issues)
         if decoded_el is not None:

@@ -37,10 +37,10 @@ from ..maps import SoftFunction, definitional_continuity, image, preimage_contin
 from ..separation import is_hausdorff, is_normal, is_regular
 from ..subspace import build_subspace, carrier_set, check_subspace_preconditions
 from ..topology import (
+    admissible_meets,
     closed_sets,
     is_closed,
     limiting_elements,
-    pairwise_admissible_violations,
     verify_topology,
 )
 from .generate import (
@@ -247,7 +247,7 @@ def _hausdorff(inst: Instance) -> bool:
 
 
 def _side_condition(inst: Instance) -> bool:
-    return not pairwise_admissible_violations(inst.topology)
+    return admissible_meets(inst.topology)
 
 
 def _carrier_of(inst: Instance) -> SoftSet:

@@ -16,12 +16,13 @@ elementary-disjoint opens.
 Each checker decides a hypothesis instance with one test on open hulls
 (``topology.open_hull``, the smallest member around a set): some opens
 around the two sides are disjoint, pointwise or elementary, exactly when
-the two hulls are, because disjointness passes to subsets.  Members are
-scanned in member order only for the first witness.  A member list in
-which some hull the checker needs is not a member is not closed, which
-only library callers can pass; it gets the checker's oracle, the
-definitional scan of member pairs for every instance, which the fast path
-must match report for report.
+the two hulls are, because disjointness passes to subsets.  Regular and
+normal decide the whole property with one test per element or closed set
+(``_by_largest_avoiders``).  Members are scanned in member order only for
+the first witness.  A member list in which some hull the checker needs is
+not a member is not closed, which only library callers can pass; it gets
+the checker's oracle, the definitional scan of member pairs for every
+instance, which the fast path must match report for report.
 """
 
 from __future__ import annotations
@@ -55,20 +56,28 @@ def _check(
     name: str,
     instances: t.Iterable[tuple],
     disjoint: t.Callable[[int, int, int], bool],
-    hulls: dict[int, int] | None = None,
+    hulls: bool = False,
     open_sides: bool = False,
-) -> SeparationReport:
+) -> SeparationReport | None:
     """Scan the hypothesis instances ``(a, b)`` in order.  An instance is
     separated by members ``U`` around ``a`` and ``V`` around ``b`` with
     ``disjoint(U, V, a)``, which must still hold for subsets of ``U`` and
-    ``V``.  So the open hulls of ``a`` and ``b``, given by bits in
-    ``hulls``, decide it; without ``hulls`` (the oracle) member pairs are
-    scanned for every instance.  The first witness takes the first ``U``,
-    then ``V``, in member order; with ``open_sides`` two sides that are
-    both members are their own.
+    ``V``.  So with ``hulls`` the open hulls of ``a`` and ``b``, each
+    computed once, decide it, and a hull that is not a member makes the
+    report None: the list is not closed, and the caller takes its oracle.
+    Without ``hulls`` (the oracle) member pairs are scanned for every
+    instance.  The first witness takes the first ``U``, then ``V``, in
+    member order; with ``open_sides`` two sides that are both members are
+    their own.
     """
     packed, members = topo.packed, topo.members
     member_bits = frozenset(packed) if open_sides else frozenset()
+    hulls_of: dict[int, int | None] = {}
+
+    def hull(bits: int) -> int | None:
+        if bits not in hulls_of:
+            hulls_of[bits] = open_hull(topo, bits)
+        return hulls_of[bits]
 
     def separating(inst: tuple) -> tuple | None:
         p, q = inst[0].bits, inst[1].bits
@@ -82,27 +91,56 @@ def _check(
                         return members[i], members[j]
         return None
 
-    if hulls is None:
-        separated = separating
-    else:
-        def separated(inst: tuple) -> bool:
-            p = inst[0].bits
-            return disjoint(hulls[p], hulls[inst[1].bits], p)
-
     witness = None
     for inst in instances:
-        if not separated(inst):
+        if hulls:
+            p = inst[0].bits
+            u, v = hull(p), hull(inst[1].bits)
+            if u is None or v is None:
+                return None
+            separated = disjoint(u, v, p)
+        else:
+            separated = separating(inst) is not None
+        if not separated:
             return SeparationReport(name, False, None, inst)
         if witness is None:
             witness = inst + separating(inst)
     return SeparationReport(name, True, witness, None)
 
 
-def _hulls(topo: SoftTopology, sets: t.Iterable) -> dict[int, int] | None:
-    """The open hulls of the sets' bits, or None if one is not a member:
-    the list is not closed, and the checker takes its oracle."""
-    hulls = {s.bits: open_hull(topo, s.bits) for s in sets}
-    return None if None in hulls.values() else hulls
+def _by_largest_avoiders(
+    topo: SoftTopology,
+    name: str,
+    instances: t.Iterable[tuple],
+    sides: t.Iterable[int],
+    open_sides: bool = False,
+) -> SeparationReport | None:
+    """``_check`` for regular (the elements as ``sides``) and normal (the
+    closed sets), whose instances pair a closed set with a side it avoids
+    pointwise and ask for elementary-disjoint opens.  The closed sets
+    avoiding ``s`` are the closed subsets of ``g = full ^ hull(s)``, so
+    every instance at ``s`` is separated exactly when ``g`` is inadmissible
+    or ``hull(g)`` is elementary-disjoint from ``hull(s)``; the null closed
+    set needs the null member as its hull (FINDINGS.md, "The largest closed
+    set avoiding a set").  When every side passes, only the first instance
+    is scanned, for its witness; otherwise the scan runs to the first
+    counterexample.  None when a needed hull is not a member.
+    """
+    packing, disjoint = topo.universe.packing, _elementary(topo)
+    if open_hull(topo, 0) is None:
+        return None
+    for s in sides:
+        o = open_hull(topo, s)
+        if o is None:
+            return None
+        g = packing.full ^ o
+        if packing.is_admissible(g):
+            h = open_hull(topo, g)
+            if h is None:
+                return None
+            if packing.collapse(h & o):
+                return _check(topo, name, instances, disjoint, True, open_sides)
+    return _check(topo, name, itertools.islice(instances, 1), disjoint, True, open_sides)
 
 
 def _pointwise(u: int, v: int, p: int) -> bool:
@@ -129,11 +167,8 @@ def is_hausdorff(topo: SoftTopology) -> SeparationReport:
     members in member order."""
 
     def build() -> SeparationReport:
-        elements = space_elements(topo)
-        hulls = _hulls(topo, elements)
-        if hulls is None:
-            return hausdorff_oracle(topo)
-        return _check(topo, "hausdorff", _differing_pairs(elements), _pointwise, hulls)
+        instances = _differing_pairs(space_elements(topo))
+        return _check(topo, "hausdorff", instances, _pointwise, True) or hausdorff_oracle(topo)
 
     return _cached(topo, "hausdorff", build)
 
@@ -163,16 +198,20 @@ def is_regular(
 ) -> SeparationReport:
     """Closed sets are separated from elements avoiding them at all parameters.
 
-    Default conclusion: the two opens are elementary-disjoint.  With
-    ``literal_disjointness`` the closed set itself must be elementary-disjoint
-    from its open superset, which only the empty closed set can satisfy.
+    Default conclusion: the two opens are elementary-disjoint, decided with
+    one test per element.  With ``literal_disjointness`` the closed set
+    itself must be elementary-disjoint from its open superset, which only
+    the empty closed set can satisfy.
     """
 
     def build() -> SeparationReport:
-        hulls = _hulls(topo, space_elements(topo) + closed_sets(topo))
-        if hulls is None:
-            return regular_oracle(topo, literal_disjointness)
-        return _check(topo, "regular", *_regular_args(topo, literal_disjointness), hulls)
+        instances, disjoint = _regular_args(topo, literal_disjointness)
+        if literal_disjointness:
+            report = _check(topo, "regular", instances, disjoint, True)
+        else:
+            elements = (x.bits for x in space_elements(topo))
+            report = _by_largest_avoiders(topo, "regular", instances, elements)
+        return report or regular_oracle(topo, literal_disjointness)
 
     return _cached(topo, ("regular", literal_disjointness), build)
 
@@ -192,20 +231,18 @@ def _normal_instances(topo: SoftTopology) -> t.Iterator[tuple]:
 
 
 def is_normal(topo: SoftTopology) -> SeparationReport:
-    """Pointwise-disjoint closed pairs get elementary-disjoint open hulls;
-    disjoint closed sets that are themselves open separate each other."""
+    """Pointwise-disjoint closed pairs get elementary-disjoint open hulls,
+    decided with one test per closed set; disjoint closed sets that are
+    themselves open separate each other."""
 
     def build() -> SeparationReport:
-        hulls = _hulls(topo, closed_sets(topo))
-        if hulls is None:
-            return normal_oracle(topo)
-        return _check(
-            topo, "normal", _normal_instances(topo), _elementary(topo), hulls, True
-        )
+        closed = (c.bits for c in closed_sets(topo))
+        report = _by_largest_avoiders(topo, "normal", _normal_instances(topo), closed, True)
+        return report or normal_oracle(topo)
 
     return _cached(topo, "normal", build)
 
 
 def normal_oracle(topo: SoftTopology) -> SeparationReport:
     """``is_normal`` by definition: member pairs for every instance."""
-    return _check(topo, "normal", _normal_instances(topo), _elementary(topo), None, True)
+    return _check(topo, "normal", _normal_instances(topo), _elementary(topo), False, True)

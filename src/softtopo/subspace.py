@@ -31,7 +31,7 @@ from .topology import (
     SoftTopology,
     _cached,
     pairwise_admissible_violations,
-    verify_topology,
+    verify,
 )
 
 
@@ -125,13 +125,13 @@ def build_subspace(topo: SoftTopology, points: t.Sequence[str]) -> SubspaceResul
                 seen[tr] = len(traces)
                 provenance.append((len(traces), i))
                 traces.append(tr)
-        rep = verify_topology(topo.universe, traces, absolute=carrier)
+        sub = SoftTopology.of(topo.universe, traces, absolute=carrier)
+        rep = verify(sub)
         if not rep.valid:
             raise AssertionError(
                 "trace family failed verification despite preconditions: "
                 + "; ".join(v.describe() for v in rep.violations)
             )
-        sub = SoftTopology.of(topo.universe, traces, absolute=carrier)
         return SubspaceResult(topo, carrier, points, sub, tuple(provenance))
 
     return _cached(topo, ("subspace", points), build)

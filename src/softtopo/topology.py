@@ -14,16 +14,17 @@ which reports every violation.
 
 The kernels work on ``SoftSet.bits``, the packed layout of ``core``:
 ``SoftTopology.packed`` holds the members' bits in member order so scans
-can index into it.  A per-topology table of the same minimal masks gives
-``open_hull``, the smallest member around a set.  In a verified topology
-it always exists, and a list that is not closed shows by lacking one; the
-separation and local compactness checkers decide each hypothesis instance
-with it.  A per-topology column index turns the disjointness rows into
-big-int ORs, on a verified member list.  ``space_elements`` is the one
-value shared across topologies: a process-wide cache holds one element
-tuple per absolute, so every topology over that absolute reuses the same
-elements, bits and hashes, and an absolute over the element budget is
-refused before any element is built.
+can index into it.  A per-topology table of the same minimal masks, kept
+from the ring test when the topology went through ``verify``, gives
+``open_hull``, the smallest member around a set, ``interior``, the largest
+member inside one, and ``admissible_meets``, the side condition on
+pairwise meets.  In a verified topology a hull always exists, and a list
+that is not closed shows by lacking one; the separation and local
+compactness checkers decide their hypotheses with it.  ``space_elements``
+is the one value shared across topologies: a process-wide cache holds one
+element tuple per absolute, so every topology over that absolute reuses
+the same elements, bits and hashes, and an absolute over the element
+budget is refused before any element is built.
 
 The absolute member defaults to the full soft set; subspace topologies reuse
 the same verifier with the constant set on the carrier points as absolute.
@@ -154,7 +155,14 @@ def verify_topology(
     Runs on member bits; ``fuzzing.oracles.verify_topology_oracle`` is
     the ``SoftSet`` reference it must match, violation for violation.
     """
-    absolute = absolute if absolute is not None else full_set(universe)
+    return verify(SoftTopology.of(universe, members, absolute))
+
+
+def verify(topo: SoftTopology) -> TopologyReport:
+    """``verify_topology`` of the topology's own fields.  When the ring
+    test accepts it, its minimal-mask table becomes the topology's hull
+    table, so no check builds that table again."""
+    universe, members, absolute = topo.universe, topo.members, topo.absolute
     violations: list[Violation] = []
 
     for m in members:
@@ -184,10 +192,13 @@ def verify_topology(
         if m.bits & ~absolute.bits:
             violations.append(Violation("member-inside-absolute", (m,), m))
 
-    # The ring may do as many unions as the scan would visit pairs.
-    budget = len(seen) * (len(seen) - 1) // 2
-    if not violations and _ring_accepts(packing, seen, budget):
-        return TopologyReport(valid=True, violations=())
+    if not violations:
+        minimal = _minimal_masks(seen)
+        # The ring may do as many unions as the scan would visit pairs.
+        budget = len(seen) * (len(seen) - 1) // 2
+        if _ring_accepts(packing, minimal, len(seen), budget):
+            topo._cache.setdefault("hulls", (minimal, frozenset(seen)))
+            return TopologyReport(valid=True, violations=())
 
     # Pairwise closure; finite families reduce to this by induction.
     collapse = packing.collapse
@@ -208,9 +219,12 @@ def verify_topology(
     return TopologyReport(valid=not violations, violations=tuple(violations))
 
 
-def _ring_accepts(packing: Packing, seen: set[int], budget: float) -> bool:
-    """Whether the member bits ``seen`` are closed under elementary union
-    and meet, given that they hold 0 and are all admissible.
+def _ring_accepts(
+    packing: Packing, minimal: dict[int, int], count: int, budget: float
+) -> bool:
+    """Whether ``count`` distinct member bits, holding 0 and all
+    admissible, are closed under elementary union and meet, given their
+    table ``minimal`` of ``_minimal_masks``.
 
     For each layout bit ``b`` some member sets, ``M_b`` is the pointwise
     meet of the members containing ``b``.  Let ``D`` be the set of unions
@@ -238,11 +252,9 @@ def _ring_accepts(packing: Packing, seen: set[int], budget: float) -> bool:
     and ``d`` is a member.
 
     Since every member lies in ``D``, the test counts the admissible sets
-    in ``D`` instead of listing them.  The masks take one pass over the
-    members per layout bit; building ``D`` may take at most ``budget``
-    unions, past which the answer is False and the caller scans.
+    in ``D`` instead of listing them.  Building ``D`` may take at most
+    ``budget`` unions, past which the answer is False and the caller scans.
     """
-    minimal = _minimal_masks(seen)
     ring = {0}
     # Smallest first, so that a mask which is a union of others is skipped:
     # it adds no new unions.
@@ -253,19 +265,32 @@ def _ring_accepts(packing: Packing, seen: set[int], budget: float) -> bool:
         if budget < 0:
             return False
         ring |= {r | mask for r in ring}
-    return sum(map(packing.is_admissible, ring)) == len(seen)
+    return sum(map(packing.is_admissible, ring)) == count
 
 
 def _minimal_masks(members: t.Collection[int]) -> dict[int, int]:
     """``M_b`` for each layout bit ``b`` some member sets, keyed by the bit
-    ``1 << b``: the pointwise meet of the members containing ``b``."""
+    ``1 << b``: the pointwise meet of the members containing ``b``.  One
+    pass over the members per bit."""
     minimal: dict[int, int] = {}
     rest = functools.reduce(operator.or_, members, 0)
     while rest:
         bit = rest & -rest
         rest ^= bit
-        minimal[bit] = functools.reduce(operator.and_, [m for m in members if m & bit])
+        meet = -1
+        for m in members:
+            if m & bit:
+                meet &= m
+        minimal[bit] = meet
     return minimal
+
+
+def _hull_table(topo: SoftTopology) -> tuple[dict[int, int], frozenset[int]]:
+    """The topology's ``_minimal_masks`` with its member bits, built here
+    unless ``verify`` kept them.  The hot callers read the cache first."""
+    return _cached(
+        topo, "hulls", lambda: (_minimal_masks(topo.packed), frozenset(topo.packed))
+    )
 
 
 def topology_from(
@@ -275,7 +300,7 @@ def topology_from(
 ) -> SoftTopology:
     """Verify and wrap; raises InvalidTopologyError with the report."""
     topo = SoftTopology.of(universe, members, absolute)
-    report = verify_topology(universe, topo.members, topo.absolute)
+    report = verify(topo)
     if not report.valid:
         raise InvalidTopologyError(report)
     return topo
@@ -363,7 +388,7 @@ def closure(topo: SoftTopology, f: SoftSet) -> SoftSet:
     for c in closed_sets(topo):
         if p & ~c.bits == 0:
             meet &= c.bits
-    return SoftSet(topo.universe, packing.collapse(meet))
+    return SoftSet.unchecked(topo.universe, packing.collapse(meet))
 
 
 def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
@@ -371,7 +396,33 @@ def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
 
     Equals the span of the interior elements of f: each open inside f is
     admissible, so its slices are exactly the coordinates its elements reach.
+    Every open inside f lies inside ``U``, the union of the ``M_b`` inside f
+    over the bits of f, so a ``U`` that is a member is the interior, and an
+    inadmissible ``U`` leaves only the null open once every member is
+    admissible (FINDINGS.md, "The largest closed set avoiding a set").
+    Other lists get ``interior_oracle``.
     """
+    _require_full_absolute(topo, "interior")
+    p = _require_subject(topo, f, "interior")
+    minimal, member_bits = topo._cache.get("hulls") or _hull_table(topo)
+    outside = ~p
+    union = 0
+    # M_b holds b, so an M_b inside f comes from a bit of f.
+    for mask in minimal.values():
+        if not mask & outside:
+            union |= mask
+    if union not in member_bits:
+        is_admissible = topo.universe.packing.is_admissible
+        if is_admissible(union) or not _cached(
+            topo, "admissible", lambda: all(map(is_admissible, topo.packed))
+        ):
+            return interior_oracle(topo, f)
+        union = 0
+    return SoftSet.unchecked(topo.universe, union)
+
+
+def interior_oracle(topo: SoftTopology, f: SoftSet) -> SoftSet:
+    """``interior`` by definition: the union of the members inside f."""
     _require_full_absolute(topo, "interior")
     p = _require_subject(topo, f, "interior")
     union = 0
@@ -483,28 +534,14 @@ def _elements_of(absolute: SoftSet) -> tuple[SoftElement, ...]:
     return tuple(iter_elements(absolute))
 
 
-def _iter_bits(mask: int) -> t.Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def open_hull(topo: SoftTopology, bits: int) -> int | None:
-    """The smallest member containing ``bits``, as bits, or None.
-
-    Every member containing ``bits`` contains the ``M_b`` of each of its
-    bits (``_minimal_masks``), hence their union, so a union that is a
-    member is the smallest member around ``bits`` in any member list.  In a
-    verified topology it is a member for every admissible ``bits`` inside
-    the absolute, since it is an admissible union of the ``M_b``
-    (``_ring_accepts``); so None only comes from lists that are not closed,
-    or from bits that no member contains.
+    """The smallest member containing ``bits``, as bits, or None: the union
+    of the ``M_b`` over its bits, when that is a member (FINDINGS.md, "The
+    smallest open around a set").  In a verified topology it is one for
+    every admissible ``bits`` inside the absolute, so None only comes from
+    lists that are not closed, or from bits that no member contains.
     """
-    minimal, member_bits = _cached(
-        topo, "hulls", lambda: (_minimal_masks(topo.packed), frozenset(topo.packed))
-    )
+    minimal, member_bits = topo._cache.get("hulls") or _hull_table(topo)
     hull = 0
     while bits:
         bit = bits & -bits
@@ -516,77 +553,40 @@ def open_hull(topo: SoftTopology, bits: int) -> int | None:
     return hull if hull in member_bits else None
 
 
-def _columns(topo: SoftTopology) -> dict[int, int]:
-    """For each layout bit index that some member sets: the
-    bitmask over member indices of those members."""
-
-    def build() -> dict[int, int]:
-        columns: dict[int, int] = {}
-        for j, m in enumerate(topo.packed):
-            member = 1 << j
-            while m:
-                low = m & -m
-                b = low.bit_length() - 1
-                columns[b] = columns.get(b, 0) | member
-                m ^= low
-        return columns
-
-    return _cached(topo, "columns", build)
-
-
-def _meeting(columns: dict[int, int], p: int) -> int:
-    """Bitmask over member indices of the members sharing a bit with ``p``."""
-    hits = 0
-    while p:
-        low = p & -p
-        hits |= columns.get(low.bit_length() - 1, 0)
-        p ^= low
-    return hits
-
-
-def disjoint_rows(topo: SoftTopology, elementary: bool) -> list[int]:
-    """Row i: bitmask of the members whose meet with member i is null.
-
-    Pointwise, the meet is null when every slice empties; with
-    ``elementary`` it collapses to null when some slice does.
-    """
-
-    def build() -> list[int]:
-        columns = _columns(topo)
-        fields = topo.universe.packing.fields
-        everyone = (1 << len(topo.members)) - 1
-        rows = []
-        for m in topo.packed:
-            if elementary:
-                row = 0
-                for field in fields:
-                    row |= everyone ^ _meeting(columns, m & field)
-            else:
-                row = everyone ^ _meeting(columns, m)
-            rows.append(row)
-        return rows
-
-    return _cached(topo, ("disjoint", elementary), build)
-
-
 def pairwise_admissible_violations(
     topo: SoftTopology,
 ) -> tuple[tuple[int, int], ...]:
     """Member index pairs (i <= j) whose pointwise meet is inadmissible.
 
-    Several statements assume there are none; callers that only need the
-    first violation can look at position zero.  Such a meet is not null,
-    yet its elementary reading collapses, which takes two parameters.
+    Several statements assume there are none (``admissible_meets``).  Such
+    a meet is not null, yet its elementary reading collapses, which takes
+    two parameters.
     """
+    return _cached(topo, "pairwise_violations", lambda: tuple(_violations(topo)))
+
+
+def admissible_meets(topo: SoftTopology) -> bool:
+    """Whether every pointwise meet of two members is admissible, the side
+    condition of several statements; pairs are scanned up to the first
+    violation only."""
+    return _cached(topo, "admissible_meets", lambda: next(_violations(topo), None) is None)
+
+
+def _violations(topo: SoftTopology) -> t.Iterator[tuple[int, int]]:
+    """The pairs of ``pairwise_admissible_violations``, in order.  A
+    violating meet holds some ``M_b``, which is then inadmissible too, so
+    the pairs are scanned only when some ``M_b`` is; a verified topology
+    then always has one (FINDINGS.md, "The largest closed set avoiding a
+    set")."""
     if topo.universe.n_params == 1:
-        return ()
-
-    def build() -> tuple[tuple[int, int], ...]:
-        pointwise = disjoint_rows(topo, False)
-        elementary = disjoint_rows(topo, True)
-        bad: list[tuple[int, int]] = []
-        for i, (p_row, e_row) in enumerate(zip(pointwise, elementary)):
-            bad.extend((i, i + j) for j in _iter_bits((e_row & ~p_row) >> i))
-        return tuple(bad)
-
-    return _cached(topo, "pairwise_violations", build)
+        return
+    packing = topo.universe.packing
+    if all(map(packing.is_admissible, _hull_table(topo)[0].values())):
+        return
+    full, spare, packed = packing.full, packing.spare, topo.packed
+    for i, m in enumerate(packed):
+        for j in range(i, len(packed)):
+            meet = m & packed[j]
+            # nonnull with an empty slice: Packing.is_admissible, inlined
+            if meet and (meet + full) & spare != spare:
+                yield i, j

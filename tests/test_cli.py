@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from softtopo import cli
+import softtopo
+from softtopo import cli, topology
 from softtopo.cli import main
 from softtopo.document import parse
 from softtopo.fuzzing.harness import serialize_report
@@ -395,6 +400,56 @@ def test_hostile_documents_exit_2_with_one_line(capsys, tmp_path):
         code, out, err = run(capsys, "check", "hausdorff", path)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+
+def test_names_with_a_lone_surrogate_exit_2_with_one_line(capsys, tmp_path):
+    # a UTF-8 stdout cannot write such a name, so it must never reach output
+    env = {
+        **os.environ,
+        "PYTHONIOENCODING": "utf-8",
+        "PYTHONPATH": str(pathlib.Path(softtopo.__file__).parents[1]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "softtopo.cli", "check", "hausdorff",
+         fixture_path("invalid/lone_surrogate.json")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    message = "name '\\udcff' holds a lone surrogate"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: $.universe.points: {message}\n"
+    base = {
+        "format": "soft-space/1",
+        "universe": {"points": ["a", "b"], "params": ["e1"]},
+        "topology": ["PHI", "ABS"],
+    }
+    declared = {
+        "$.universe.params": {"universe": {"points": ["a", "b"], "params": ["\udcff"]}},
+        "$.sets": {"sets": {"\udcff": {"e1": ["a"]}}, "topology": ["PHI", "\udcff", "ABS"]},
+        "$.functions": {"functions": {"\udcff": {"e1": {"a": "a", "b": "b"}}}},
+        "$.elements": {"elements": {"\udcff": {"e1": "a"}}},
+    }
+    for path, fields in declared.items():
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({**base, **fields}))
+        code, out, err = run(capsys, "check", "hausdorff", doc)
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n"), path
+
+
+def test_one_check_builds_the_minimal_mask_table_once(capsys, monkeypatch):
+    calls = []
+    masks = topology._minimal_masks
+    monkeypatch.setattr(
+        topology, "_minimal_masks", lambda members: calls.append(members) or masks(members)
+    )
+    commands = [("check", prop) for prop in (
+        "hausdorff", "regular", "normal", "quasi-compact", "compact", "locally-compact", "baire",
+    )]
+    for name in ("ex23.json", "tau_full_2x2.json"):
+        for command in commands + [("compute", "interior", "--set", "ABS")]:
+            calls.clear()
+            run(capsys, *command[:2], fixture_path(name), *command[2:])
+            assert len(calls) == 1, (name, command)
 
 
 def test_fuzz_unknown_case(capsys):

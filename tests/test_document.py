@@ -30,7 +30,7 @@ def read_fixture(name: str) -> str:
 
 def test_fixture_corpus_is_big_enough():
     assert len(VALID) >= 10
-    assert len(INVALID) == 5
+    assert len(INVALID) == 6
 
 
 @pytest.mark.parametrize("name", VALID)
@@ -54,6 +54,7 @@ def test_serialize_canonicalizes():
 ISSUE_BY_FIXTURE = {
     "bad_format.json": ("$.format", "expected 'soft-space/1'"),
     "duplicate_name.json": ("$", "duplicate key 'F'"),
+    "lone_surrogate.json": ("$.universe.points", "name '\\udcff' holds a lone surrogate"),
     "missing_slice.json": ("$.sets.F", "set 'F' is missing the slice for parameter 'e2'"),
     "reserved_name.json": ("$.sets.PHI", "reserved name cannot be redefined"),
     "unknown_point.json": ("$.sets.F.e1", "unknown point 'q'"),
@@ -230,6 +231,7 @@ def test_schema_vs_parser_split():
         "bad_format.json": True,
         "reserved_name.json": True,
         "duplicate_name.json": False,
+        "lone_surrogate.json": False,
         "missing_slice.json": False,
         "unknown_point.json": False,
     }
@@ -237,9 +239,10 @@ def test_schema_vs_parser_split():
 
 # --- slice-wise oracle ------------------------------------------------------
 
-def _slice_wise_decode_set(universe, raw, path, issues, set_name):
+def _slice_wise_decode_set(universe, raw, issues, set_name):
     """Reference decoder: one mask per slice from ``point_index``, then
     ``SoftSet.of``, with every slice checked name by name."""
+    path = f"$.sets.{set_name}"
     if not isinstance(raw, dict):
         issues.add(path, "expected an object of parameter slices")
         return None

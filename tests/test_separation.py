@@ -11,7 +11,7 @@ from softtopo.core import SoftSet, Universe, full_set, null_set
 from softtopo.document import parse_file
 from softtopo.fuzzing import GeneratorConfig, gen_topology
 from softtopo.fuzzing.generate import full_size, gen_hausdorff_with_stats, trial_rng
-from softtopo.errors import PreconditionError
+from softtopo.errors import PreconditionError, UniverseMismatchError
 from softtopo.separation import (
     hausdorff_oracle,
     is_hausdorff,
@@ -279,9 +279,21 @@ def _member_outside_the_absolute():
     return SoftTopology.of(U22, (null_set(U22), absolute, full_set(U22)), absolute)
 
 
+def _without_the_null_member():
+    """A list lacking the null member in which every element passes the
+    test on its largest avoiding closed set, yet the null closed set, the
+    complement of the absolute, is not separated from (x2,x0): no member
+    is elementary-disjoint from the hull of that element.  The absolute
+    comes last, so the first instance does not show it."""
+    u = _shape(3, 2)
+    slices = ((0b100, 0b110), (0b011, 0b111), (0b010, 0b111), (0b110, 0b111),
+              (0b100, 0b100), (0b111, 0b111))
+    return SoftTopology.of(u, [SoftSet.of(u, masks) for masks in slices])
+
+
 def test_regular_normal_and_local_compactness_match_their_oracles():
     outcomes = set()
-    extra = [_hull_filling_a_slice(), _member_outside_the_absolute()]
+    extra = [_hull_filling_a_slice(), _member_outside_the_absolute(), _without_the_null_member()]
     for topo in _oracle_lists() + extra:
         for literal in (False, True):
             report = _outcome(is_regular, topo, literal)
@@ -337,3 +349,70 @@ def test_regular_checks_the_element_budget_before_the_absolute(monkeypatch):
         is_regular(topo)
     with pytest.raises(PreconditionError, match="needs a topology whose absolute is the full"):
         is_normal(topo)
+
+
+
+def _verified(topo):
+    try:
+        return topology.verify_topology(topo.universe, topo.members).valid
+    except UniverseMismatchError:
+        return False
+
+
+def test_regular_and_normal_take_their_oracles_only_off_verified_topologies(monkeypatch):
+    """The tests on the largest closed set avoiding each element or closed
+    set decide every verified topology; lists without a hull they need take
+    the oracle.  The reports agree either way."""
+    oracles = {name: getattr(separation, name) for name in ("regular_oracle", "normal_oracle")}
+    calls = []
+    for name, oracle in oracles.items():
+        monkeypatch.setattr(
+            separation, name, lambda topo, *args, _o=oracle: calls.append(topo) or _o(topo, *args)
+        )
+    fallbacks, verdicts = set(), set()
+    for topo in _oracle_lists():
+        if topo.absolute != full_set(topo.universe):
+            continue
+        verified = _verified(topo)
+        for check, oracle in zip((is_regular, is_normal), oracles.values()):
+            calls.clear()
+            report = check(topo)
+            assert report == oracle(topo), topo.members
+            assert not (verified and calls), topo.members
+            fallbacks.add(bool(calls))
+            verdicts.add((check.__name__, verified, report.holds))
+    assert fallbacks == {True, False}
+    assert {(name, True, holds) for name in ("is_regular", "is_normal")
+            for holds in (True, False)} <= verdicts
+
+
+def test_regular_and_normal_scan_instances_only_when_they_fail(monkeypatch):
+    """On a verified topology a verdict that holds comes from one test per
+    element or closed set, and only the first instance is scanned, for the
+    witness; a failing one scans up to its counterexample."""
+    scanned = []
+    check = separation._check
+
+    def counting(topo, name, instances, *args):
+        def counted():
+            for inst in instances:
+                scanned.append(inst)
+                yield inst
+
+        return check(topo, name, counted(), *args)
+
+    monkeypatch.setattr(separation, "_check", counting)
+    verdicts = set()
+    for topo in _oracle_lists():
+        if topo.absolute != full_set(topo.universe) or not _verified(topo):
+            continue
+        for checker in (is_regular, is_normal):
+            scanned.clear()
+            report = checker(SoftTopology.of(topo.universe, topo.members))
+            if report.holds:
+                assert len(scanned) <= 1, topo.members
+            else:
+                assert scanned[-1] == report.counterexample
+            verdicts.add((checker.__name__, report.holds, len(scanned) > 1))
+    assert verdicts == {(name, holds, not holds) for name in ("is_regular", "is_normal")
+                        for holds in (True, False)}

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -27,22 +29,24 @@ from softtopo.core import (
     pointwise_intersection,
     span,
 )
+from softtopo import topology
 from softtopo.document import parse_file
 from softtopo.fuzzing.generate import GeneratorConfig, gen_topology, trial_rng, universe_for
 from softtopo.fuzzing.oracles import verify_topology_oracle
 from softtopo.errors import NotAdmissibleError, PreconditionError, UniverseMismatchError
 from softtopo.topology import (
     LimitingMode,
+    _minimal_masks,
     _ring_accepts,
     SoftTopology,
-    _columns,
-    _meeting,
+    _hull_table,
+    admissible_meets,
     closed_sets,
     closure,
-    disjoint_rows,
     full_topology,
     indiscrete_topology,
     interior,
+    interior_oracle,
     is_closed,
     is_interior_element,
     is_limiting,
@@ -54,10 +58,12 @@ from softtopo.topology import (
     pairwise_admissible_violations,
     space_elements,
     topology_from,
+    verify,
     verify_topology,
 )
 
 from conftest import FIXTURES, soft
+from test_separation import _oracle_lists
 
 
 def all_admissible(u: Universe):
@@ -219,7 +225,7 @@ def test_ring_decides_pairwise_closure():
     lists = closed = 0
     for u, seen in _ring_cases():
         expected = _pairwise_closed(u.packing, seen)
-        assert _ring_accepts(u.packing, seen, math.inf) == expected
+        assert _ring_accepts(u.packing, _minimal_masks(seen), len(seen), math.inf) == expected
         members = [SoftSet(u, b) for b in sorted(seen)]
         if full_set(u).bits in seen:
             assert verify_topology(u, members).valid == expected
@@ -258,8 +264,9 @@ def test_ring_over_budget_falls_back_to_the_scan(monkeypatch):
     f, g = soft(u, e1="a", e2="a"), soft(u, e1="a", e2="b")
     members = [null_set(u), f, g, soft(u, e1="a", e2="ab"), full_set(u)]
     seen = {m.bits for m in members}
-    assert not _ring_accepts(u.packing, seen, 10)
-    assert _ring_accepts(u.packing, seen, 11)
+    minimal = _minimal_masks(seen)
+    assert not _ring_accepts(u.packing, minimal, len(seen), 10)
+    assert _ring_accepts(u.packing, minimal, len(seen), 11)
 
     calls = _count_collapses(monkeypatch)
     report = verify_topology(u, members)
@@ -484,8 +491,33 @@ def test_pairwise_admissibility_scan(abcd_topo):
     assert not pairwise_admissible_violations(abcd_topo)
 
 
+def _columns(topo):
+    """For each layout bit index that some member sets: the bitmask over
+    member indices of those members."""
+    columns = {}
+    for j, m in enumerate(topo.packed):
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            columns[b] = columns.get(b, 0) | 1 << j
+            m ^= low
+    return columns
+
+
+def _meeting(columns, p):
+    """Bitmask over member indices of the members sharing a bit with ``p``."""
+    hits = 0
+    while p:
+        low = p & -p
+        hits |= columns.get(low.bit_length() - 1, 0)
+        p ^= low
+    return hits
+
+
 def _disjoint_rows_reference(topo, elementary):
-    """Rows built with one ``_meeting`` per member and per field."""
+    """Row i: bitmask of the members whose meet with member i is null,
+    pointwise or (with ``elementary``) elementary; one ``_meeting`` per
+    member and per field.  The side condition's oracle."""
     columns = _columns(topo)
     packing = topo.universe.packing
     everyone = (1 << len(topo.members)) - 1
@@ -527,15 +559,10 @@ def test_one_parameter_rows_and_violations_need_no_elementary_scan():
             assert pairwise_admissible_violations(topo) == expected
             if params == 1:
                 assert expected == ()
-                # decided without building either row family
-                assert ("disjoint", False) not in topo._cache
-                assert ("disjoint", True) not in topo._cache
+                # decided without building the minimal-mask table
+                assert "hulls" not in topo._cache
+                assert _disjoint_rows_reference(topo, True) == _disjoint_rows_reference(topo, False)
             violated += bool(expected)
-            for elementary in (False, True):
-                rows = disjoint_rows(topo, elementary)
-                assert rows == _disjoint_rows_reference(topo, elementary)
-            if params == 1:
-                assert disjoint_rows(topo, True) == disjoint_rows(topo, False)
     # two parameters: mixed meets occur, so the comparison is not vacuous
     assert violated >= 20
 
@@ -549,6 +576,67 @@ def _full_absolute_fixture_topologies():
                 and verify_topology(topo.universe, topo.members).valid):
             out.append(topo)
     return out
+
+
+def _unclosed_lists():
+    """Seeded member lists over 2x2 and 3x2 drawn from every set of the
+    layout, so that most are not closed and many hold inadmissible sets."""
+    rng = random.Random(43)
+    for points, params in ((2, 2), (3, 2)):
+        u = Universe.of([f"p{i}" for i in range(points)], [f"e{k}" for k in range(params)])
+        pool = [SoftSet.of(u, s) for s in itertools.product(range(2**points), repeat=params)]
+        for _ in range(60):
+            members = [null_set(u), full_set(u)] + rng.sample(pool, rng.randint(1, 6))
+            rng.shuffle(members)
+            yield SoftTopology.of(u, members)
+
+
+def test_side_condition_and_interior_match_their_scans(monkeypatch):
+    """``admissible_meets`` and ``pairwise_admissible_violations`` against
+    the row builder, ``interior`` against the member scan, on the oracle
+    lists and on unclosed lists with inadmissible members."""
+    scans = []
+    monkeypatch.setattr(
+        topology, "interior_oracle",
+        lambda topo, f, _scan=interior_oracle: scans.append(topo) or _scan(topo, f),
+    )
+    rng = random.Random(47)
+    verdicts = set()
+    for topo in _oracle_lists() + list(_unclosed_lists()):
+        expected = _violations_reference(topo)
+        assert pairwise_admissible_violations(topo) == expected, topo.members
+        assert admissible_meets(topo) == (not expected), topo.members
+        try:
+            verified = verify_topology(topo.universe, topo.members, topo.absolute).valid
+        except UniverseMismatchError:
+            verified = False
+        verdicts.add((verified, not expected))
+        if topo.absolute != full_set(topo.universe):
+            continue
+        subjects = list(all_admissible(topo.universe))
+        before = len(scans)
+        for f in rng.sample(subjects, min(len(subjects), 40)):
+            inside = [o for o in topo.packed if not o & ~f.bits]
+            assert interior(topo, f).bits == functools.reduce(operator.or_, inside, 0)
+        assert not (verified and len(scans) > before), topo.members
+        verdicts.add(("scanned", len(scans) > before))
+    # both side-condition verdicts on verified and unverified lists, and
+    # interiors both decided from the table and scanned
+    assert verdicts == {(v, holds) for v in (True, False) for holds in (True, False)} | {
+        ("scanned", True), ("scanned", False)
+    }
+
+
+def test_verify_keeps_the_minimal_mask_table(abcd_doc, abcd_topo):
+    topo = SoftTopology.of(abcd_doc.universe, abcd_topo.members)
+    assert verify(topo).valid
+    assert topo._cache["hulls"] == (_minimal_masks(topo.packed), frozenset(topo.packed))
+    assert _hull_table(topo) is topo._cache["hulls"]
+    # an invalid list keeps nothing
+    topo = SoftTopology.of(abcd_doc.universe, abcd_topo.members[1:])
+    assert not verify(topo).valid
+    assert "hulls" not in topo._cache
+    assert "hulls" in topology_from(abcd_doc.universe, abcd_topo.members)._cache
 
 
 def test_packed_kernels_match_core_operations():
@@ -567,8 +655,8 @@ def test_packed_kernels_match_core_operations():
             assert interior(topo, f) == elementary_union_family(u, inside)
             around = [c for c in expected_closed if is_soft_subset(f, c)]
             assert closure(topo, f) == elementary_intersection_family(u, around)
-        pointwise = disjoint_rows(topo, elementary=False)
-        elementary = disjoint_rows(topo, elementary=True)
+        pointwise = _disjoint_rows_reference(topo, elementary=False)
+        elementary = _disjoint_rows_reference(topo, elementary=True)
         for i, f in enumerate(members):
             for j, g in enumerate(members):
                 assert pointwise[i] >> j & 1 == is_null(pointwise_intersection(f, g))
