@@ -469,6 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # ``main`` hands argv[1:] straight to the named command's parser.
+    parser.commands = sub.choices
 
     p = sub.add_parser("verify", parents=[common], help="check the topology axioms")
     p.add_argument("file")
@@ -536,8 +538,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: t.Sequence[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, byte for byte, without the main
+    parser's pass over a command line that names a command.
+
+    The subparsers action would give argv[1:] to the command's parser and
+    set ``command`` first; so does this.  No command, an unknown one, ``-h``
+    and leftover words go to the main parser, which alone answers them.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: t.Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:

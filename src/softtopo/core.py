@@ -65,7 +65,10 @@ class Universe:
 
     @classmethod
     def of(cls, points: t.Iterable[str], params: t.Iterable[str]) -> "Universe":
-        return cls(tuple(points), tuple(params))
+        """The one shared universe over these names.  Documents and draws
+        over a shape seen before reuse its layout tables instead of
+        rebuilding them; ``Universe(points, params)`` builds a new object."""
+        return _shared_universe(cls, tuple(points), tuple(params))
 
     # The layout is computed on first use and stored on the instance, which
     # a frozen dataclass allows because cached_property writes __dict__.
@@ -125,7 +128,7 @@ class Universe:
         }
 
     def __eq__(self, other: object) -> bool:
-        # Generated universes are shared per shape, so most comparisons
+        # ``Universe.of`` shares one object per shape, so most comparisons
         # are of an object with itself.
         if self is other:
             return True
@@ -139,6 +142,13 @@ class Universe:
 
     def __hash__(self) -> int:
         return self._hash
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_universe(
+    cls: type[Universe], points: tuple[str, ...], params: tuple[str, ...]
+) -> Universe:
+    return cls(points, params)
 
 
 @d.dataclass(frozen=True)

@@ -97,12 +97,9 @@ def universe_for(config: GeneratorConfig) -> Universe:
     """Canonical generated universe: points x0..xN, parameters e0..eM.
     Every config of one shape gets the same object, so its draws, spans and
     fallbacks share one cached layout."""
-    return _shared_universe(config.points, config.params)
-
-
-@functools.lru_cache(maxsize=8)
-def _shared_universe(points: int, params: int) -> Universe:
-    return Universe.of([f"x{i}" for i in range(points)], [f"e{k}" for k in range(params)])
+    return Universe.of(
+        [f"x{i}" for i in range(config.points)], [f"e{k}" for k in range(config.params)]
+    )
 
 
 def trial_seed(seed: int, index: int) -> int:

@@ -8,7 +8,6 @@ by trial index, never by completion order).
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses as d
 import json
 import os
@@ -110,6 +109,10 @@ def run_theorem(
     if pool_size <= 1:
         outcomes = [_run_trial(case, config, i) for i in indices]
     else:
+        # Imported here: it loads logging and more, which one-worker runs
+        # (the default) never need.
+        import concurrent.futures
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=pool_size) as pool:
             # Executor.map yields in argument order, which pins aggregation
             # to trial index regardless of completion order.

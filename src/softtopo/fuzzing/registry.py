@@ -38,9 +38,9 @@ from ..separation import is_hausdorff, is_normal, is_regular
 from ..subspace import build_subspace, carrier_set, check_subspace_preconditions
 from ..topology import (
     admissible_meets,
-    closed_sets,
     is_closed,
     limiting_elements,
+    nonnull_closed_sets,
     verify_topology,
 )
 from .generate import (
@@ -170,7 +170,7 @@ def _build_compact_family(config: GeneratorConfig, rng: random.Random) -> Instan
 
 def _build_closed_null_family(config: GeneratorConfig, rng: random.Random) -> Instance:
     base = _build_topology(config, rng)
-    pool = [c for c in closed_sets(base.topology) if c.bits]
+    pool = nonnull_closed_sets(base.topology)
     family: tuple[SoftSet, ...] = ()
     for _ in range(8):
         if not pool:
@@ -186,13 +186,14 @@ def _build_closed_null_family(config: GeneratorConfig, rng: random.Random) -> In
 
 def _build_closed_chain(config: GeneratorConfig, rng: random.Random) -> Instance:
     base = _build_hausdorff(config, rng)
-    pool = [c for c in closed_sets(base.topology) if c.bits]
+    pool = nonnull_closed_sets(base.topology)
     chain: list[SoftSet] = []
     if pool:
         current = pool[rng.randrange(len(pool))]
         chain.append(current)
         for _ in range(rng.randrange(0, 3)):
-            nested = [c for c in pool if c.bits & ~current.bits == 0]
+            outside = ~current.bits
+            nested = [c for c in pool if not c.bits & outside]
             if not nested:
                 break
             current = nested[rng.randrange(len(nested))]

@@ -10,6 +10,7 @@ honest about axiom (i) without pretending the carrier is the whole space.
 from __future__ import annotations
 
 import dataclasses as d
+import itertools
 import typing as t
 
 from .core import (
@@ -49,19 +50,26 @@ class SubspacePreconditionReport:
     pair_violations: tuple[tuple[int, int], ...]
     trace_violations: tuple[int, ...]
 
-    def describe(self) -> str:
+    def describe(self, limit: int = 10) -> str:
+        """The first ``limit`` violations in order, then how many are left:
+        a full topology over two parameters has over 10**5 violating pairs."""
         if self.satisfied:
             return "subspace preconditions satisfied"
-        lines = []
-        for i, j in self.pair_violations:
-            lines.append(
+        lines = itertools.chain(
+            (
                 f"members {i} and {j} have an inadmissible elementary meet"
-            )
-        for i in self.trace_violations:
-            lines.append(
+                for i, j in self.pair_violations
+            ),
+            (
                 f"member {i} meets the carrier outside the admissible family"
-            )
-        return "; ".join(lines)
+                for i in self.trace_violations
+            ),
+        )
+        text = "; ".join(itertools.islice(lines, limit))
+        total = len(self.pair_violations) + len(self.trace_violations)
+        if total > limit:
+            text += f" (+{total - limit} more, {total} in all)"
+        return text
 
 
 def carrier_set(universe: Universe, points: t.Sequence[str]) -> SoftSet:

@@ -361,9 +361,17 @@ def closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
             comp = packing.full ^ o
             if packing.is_admissible(comp):
                 out[comp] = None
-        return tuple(SoftSet(topo.universe, c) for c in out)
+        # The complement of a member lies inside the layout.
+        return tuple(SoftSet.unchecked(topo.universe, c) for c in out)
 
     return _cached(topo, "closed", build)
+
+
+def nonnull_closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
+    """``closed_sets`` without the null set, in the same order."""
+    return _cached(
+        topo, "closed-nonnull", lambda: tuple(c for c in closed_sets(topo) if c.bits)
+    )
 
 
 # --- closure and interior ---------------------------------------------------

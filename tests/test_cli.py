@@ -247,6 +247,31 @@ def test_subspace_json_reparses(capsys):
     assert doc.topology.absolute == doc.sets["Y"]
 
 
+def test_subspace_listing_is_bounded_on_a_full_topology(capsys, tmp_path):
+    from softtopo.core import Universe
+    from softtopo.fuzzing.instances import Instance, to_text
+    from softtopo.topology import full_topology
+
+    universe = Universe.of(("x0", "x1", "x2"), ("e0", "e1"))
+    path = tmp_path / "full-3x2.json"
+    path.write_text(to_text(Instance(universe, (), full_topology(universe), {})))
+    code, out, err = run(capsys, "subspace", path, "--points", "x0", "--format", "json")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    total = len(payload["pair_violations"]) + len(payload["trace_violations"])
+    assert total > 10
+    code, out, err = run(capsys, "subspace", path, "--points", "x0")
+    assert code == 1 and err == ""
+    # One line: the first ten violations in order, then the number left.
+    first = "; ".join(
+        f"members {i} and {j} have an inadmissible elementary meet"
+        for i, j in payload["pair_violations"][:10]
+    )
+    assert out == (
+        f"subspace preconditions violated: {first} (+{total - 10} more, {total} in all)\n"
+    )
+
+
 # --- map check ------------------------------------------------------------------
 
 def test_map_check_divergence(capsys):
@@ -582,6 +607,63 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert outcomes[6][1] == "" and outcomes[6][2].startswith("usage: softtopo")
     assert outcomes[7][1].startswith("usage: softtopo") and outcomes[7][2] == ""
     assert outcomes[8] == outcomes[1]
+
+
+def _parsed(capsys, parse, argv):
+    """Exit code (None when parsing returned), stdout, stderr and the
+    namespace of one parse of argv."""
+    try:
+        code, args = None, vars(parse(argv))
+    except SystemExit as exc:
+        code, args = exc.code, None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, args
+
+
+def test_argv_dispatch_matches_the_main_parser(capsys, monkeypatch):
+    ex23 = fixture_path("ex23.json")
+    domain, codomain = fixture_path("map_domain.json"), fixture_path("map_codomain.json")
+    cases = [
+        [],
+        ["--help"],
+        ["bogus", "verify", ex23],
+        ["check", "hausdorff"],
+        ["check", "hausdorff", ex23, "--bogus"],
+        ["verify", ex23, "stray"],
+        ["fuzz", "--case", "thm_4_3", "--trials", "many"],
+        ["check", "--format", "json", "--", "regular", ex23],
+        ["map"],
+        ["map", "check"],
+        ["map", "check", "--fn", "f", "--domain", domain, "--codomain", codomain],
+        ["check", "-h"],
+        ["compute", "limiting", ex23, "--set", "F", "--reading", "whole-open"],
+        # A call of the fuzz-separated benchmark workload.
+        ["fuzz", "--case", "thm_4_2", "--trials", "25", "--seed", "7", "--points", "5",
+         "--params", "2", "--workers", "1", "--out", "call000-thm_4_2.json"],
+    ]
+    parser = cli.build_parser()
+    parsed = []
+    for argv in cases:
+        expected = _parsed(capsys, parser.parse_args, list(argv))
+        assert _parsed(capsys, cli._parse_args, list(argv)) == expected, argv
+        if expected[0] is not None:
+            # Help and argv errors exit from main with the same bytes.
+            assert _outcome(capsys, list(argv)) == expected[:3], argv
+        parsed.append(expected)
+    assert [code for code, *_ in parsed] == [2, 0, 2, 2, 2, 2, 2, None, 2, 2, None, 0, None, None]
+    assert parsed[4][2].startswith("usage: softtopo [-h]")
+    assert parsed[4][2].endswith("softtopo: error: unrecognized arguments: --bogus\n")
+    assert "softtopo check: error:" in parsed[3][2]
+    assert parsed[7][3]["command"] == "check" and parsed[7][3]["format"] == "json"
+
+    # A command line that names a command never reaches the main parser.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the main parser parsed a command line")
+
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    for argv, (code, _, _, args) in zip(cases, parsed):
+        if code is None:
+            assert vars(cli._parse_args(list(argv))) == args
 
 
 # --- check output bytes -------------------------------------------------------

@@ -71,7 +71,7 @@ def test_universe_lookups():
 
 
 def test_universe_equality_is_structural():
-    twin = Universe.of(("x", "y", "z"), ("alpha", "beta"))
+    twin = Universe(("x", "y", "z"), ("alpha", "beta"))
     assert twin is not XYZ
     assert twin == XYZ and hash(twin) == hash(XYZ)
     assert XYZ == XYZ
@@ -81,6 +81,18 @@ def test_universe_equality_is_structural():
     assert XYZ != (("x", "y", "z"), ("alpha", "beta"))
     # Sets from equal universes still combine.
     assert pointwise_union(SoftSet(twin, 0b1), SoftSet(XYZ, 0b10)).bits == 0b11
+
+
+def test_universe_of_shares_one_object_per_shape():
+    shared = Universe.of(["x", "y", "z"], iter(["alpha", "beta"]))
+    assert Universe.of(("x", "y", "z"), ("alpha", "beta")) is shared
+    assert shared.packing is Universe.of("xyz", ("alpha", "beta")).packing
+    assert Universe.of(("x", "y", "z"), ("alpha",)) is not shared
+    # The constructor still builds a new object, equal to the shared one.
+    fresh = Universe(("x", "y", "z"), ("alpha", "beta"))
+    assert fresh is not shared and fresh == shared
+    with pytest.raises(InputError):
+        Universe.of(("x", "x"), ("alpha",))
 
 
 def test_soft_set_construction_guards():

@@ -389,3 +389,10 @@ def test_decoder_matches_the_slice_wise_oracle(monkeypatch):
         "absolute must be admissible and nonempty",
     } <= seen
 
+
+def test_two_parses_of_one_document_share_the_universe():
+    text = (FIXTURES / "ex23.json").read_text()
+    first, second = parse(text), parse(text)
+    assert first is not second
+    assert first.universe is second.universe
+    assert first.universe.point_bits is second.universe.point_bits
