@@ -539,13 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: t.Sequence[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, byte for byte, without the main
-    parser's pass over a command line that names a command.
-
-    The subparsers action would give argv[1:] to the command's parser and
-    set ``command`` first; so does this.  No command, an unknown one, ``-h``
-    and leftover words go to the main parser, which alone answers them.
-    """
+    """``build_parser().parse_args(argv)``, byte for byte, minus the main
+    parser's pass when argv names a command: as its subparsers action
+    would, set ``command`` and give argv[1:] to that command's parser.
+    No command, an unknown one, ``-h`` and leftover words still go to the
+    main parser, which alone prints their help or error."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None

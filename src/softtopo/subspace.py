@@ -10,7 +10,6 @@ honest about axiom (i) without pretending the carrier is the whole space.
 from __future__ import annotations
 
 import dataclasses as d
-import itertools
 import typing as t
 
 from .core import (
@@ -35,6 +34,8 @@ from .topology import (
     verify,
 )
 
+_LISTED = 10  # violations named in the text form; the JSON form lists all
+
 
 @d.dataclass(frozen=True)
 class SubspacePreconditionReport:
@@ -50,26 +51,22 @@ class SubspacePreconditionReport:
     pair_violations: tuple[tuple[int, int], ...]
     trace_violations: tuple[int, ...]
 
-    def describe(self, limit: int = 10) -> str:
-        """The first ``limit`` violations in order, then how many are left:
-        a full topology over two parameters has over 10**5 violating pairs."""
+    def describe(self) -> str:
+        """The first ``_LISTED`` violations in order, then how many are
+        left: a full topology over two parameters has over 10**5 pairs."""
         if self.satisfied:
             return "subspace preconditions satisfied"
-        lines = itertools.chain(
-            (
-                f"members {i} and {j} have an inadmissible elementary meet"
-                for i, j in self.pair_violations
-            ),
-            (
-                f"member {i} meets the carrier outside the admissible family"
-                for i in self.trace_violations
-            ),
-        )
-        text = "; ".join(itertools.islice(lines, limit))
+        lines = [
+            f"members {i} and {j} have an inadmissible elementary meet"
+            for i, j in self.pair_violations[:_LISTED]
+        ]
+        lines += [
+            f"member {i} meets the carrier outside the admissible family"
+            for i in self.trace_violations[: _LISTED - len(lines)]
+        ]
         total = len(self.pair_violations) + len(self.trace_violations)
-        if total > limit:
-            text += f" (+{total - limit} more, {total} in all)"
-        return text
+        more = f" (+{total - _LISTED} more, {total} in all)" if total > _LISTED else ""
+        return "; ".join(lines) + more
 
 
 def carrier_set(universe: Universe, points: t.Sequence[str]) -> SoftSet:
