@@ -486,6 +486,97 @@ def test_candidate_mutations_order_and_measure():
         assert instance_size(cand) < instance_size(inst)
 
 
+def _sets(universe: Universe, *specs: str) -> tuple[SoftSet, ...]:
+    """Sets written one slice per parameter: "a|bc" is e1={a}, e2={b,c}."""
+    return tuple(
+        SoftSet.from_points(universe, dict(zip(universe.params, map(list, s.split("|")))))
+        for s in specs
+    )
+
+
+def _projection_instance(**aux_changes) -> Instance:
+    """A 3x2 instance carrying every aux key; each point and parameter can
+    be dropped.  Generators S0 and S2 lose a point to an inadmissible or
+    null projection, S0 and S3 (S0 and S2) coincide without e1 (e2)."""
+    u = Universe.of(("a", "b", "c"), ("e1", "e2"))
+    subbase = _sets(u, "a|ab", "bc|c", "a|a", "b|ab")
+    cod_subbase = _sets(u, "c|ac", "ab|b")
+    aux = {
+        "set": _sets(u, "ab|bc")[0],
+        "sets": _sets(u, "|", "bc|ac"),
+        "carrier": ("a", "c"),
+        "function": SoftFunction(u, u, ((0, 1, 2), (0, 1, 2))),
+        "codomain_subbase": cod_subbase,
+        "codomain": SoftTopology.of(u, close_subbase(u, cod_subbase, None)),
+    }
+    aux.update(aux_changes)
+    topo = SoftTopology.of(u, close_subbase(u, subbase, None))
+    return Instance(u, subbase, topo, aux)
+
+
+def test_shrink_projections_of_every_aux_key():
+    config = GeneratorConfig(points=3, params=2, seed=0)
+    inst = _projection_instance()
+    # label: (points, params, subbase, set, sets, carrier, maps, codomain subbase)
+    expected = {
+        "drop-point:a": ("bc", ("e1", "e2"), ("bc|c", "b|b"), "b|bc",
+                         ("|", "bc|c"), ("c",), ((0, 1), (0, 1)), ("c|c", "b|b")),
+        "drop-point:b": ("ac", ("e1", "e2"), ("a|a", "c|c"), "a|c",
+                         ("|", "c|ac"), ("a", "c"), ((0, 1), (0, 1)), ("c|ac",)),
+        "drop-point:c": ("ab", ("e1", "e2"), ("a|ab", "a|a", "b|ab"), "ab|b",
+                         ("|", "b|a"), ("a",), ((0, 1), (0, 1)), ("ab|b",)),
+        "drop-param:e1": ("abc", ("e2",), ("ab", "c", "a"), "bc",
+                          ("", "ac"), ("a", "c"), ((0, 1, 2),), ("ac", "b")),
+        "drop-param:e2": ("abc", ("e1",), ("a", "bc", "b"), "ab",
+                          ("", "bc"), ("a", "c"), ((0, 1, 2),), ("c", "ab")),
+    }
+    candidates = dict(candidate_mutations(inst, config))
+    assert list(candidates) == [f"drop-generator:{i}" for i in range(4)] + list(expected)
+    for label, (points, params, gens, f, ks, carrier, maps, cod) in expected.items():
+        cand = candidates[label]
+        u = Universe.of(tuple(points), params)
+        assert cand.universe == u, label
+        assert cand.subbase == _sets(u, *gens), label
+        assert cand.topology.members == close_subbase(u, cand.subbase, None), label
+        assert set(cand.aux) == set(inst.aux), label
+        assert cand.aux["set"] == _sets(u, f)[0], label
+        assert cand.aux["sets"] == _sets(u, *ks), label
+        assert cand.aux["carrier"] == carrier, label
+        assert cand.aux["function"] == SoftFunction(u, u, maps), label
+        assert cand.aux["codomain_subbase"] == _sets(u, *cod), label
+        assert cand.aux["codomain"].members == close_subbase(u, _sets(u, *cod), None), label
+
+    def reductions(inst):
+        return [label for label, _ in candidate_mutations(inst, config)
+                if not label.startswith("drop-generator")]
+
+    u = inst.universe
+    every = list(expected)
+    # a set or family member that projects to an inadmissible set
+    lopsided = _sets(u, "a|b")
+    assert reductions(_projection_instance(set=lopsided[0])) == [
+        l for l in every if l not in ("drop-point:a", "drop-point:b")
+    ]
+    assert reductions(_projection_instance(sets=lopsided)) == [
+        l for l in every if l not in ("drop-point:a", "drop-point:b")
+    ]
+    # a carrier emptied by dropping its only point
+    assert reductions(_projection_instance(carrier=("b",))) == [
+        l for l in every if l != "drop-point:b"
+    ]
+    # a surviving point (a, under e2) mapped into the dropped point
+    into_b = SoftFunction(u, u, ((0, 1, 2), (1, 1, 2)))
+    mapped = dict(candidate_mutations(_projection_instance(function=into_b), config))
+    assert [l for l in mapped if not l.startswith("drop-generator")] == [
+        l for l in every if l != "drop-point:b"
+    ]
+    assert mapped["drop-point:a"].aux["function"].point_maps == ((0, 1), (0, 1))
+    assert mapped["drop-point:c"].aux["function"].point_maps == ((0, 1), (1, 1))
+    assert mapped["drop-param:e1"].aux["function"].point_maps == ((1, 1, 2),)
+    # an aux key the projections do not know
+    assert reductions(_projection_instance(bogus=1)) == []
+
+
 def _always_false_case() -> TheoremCase:
     def build(config, rng):
         subbase, topo = gen_topology_with_subbase(config, rng)
