@@ -49,7 +49,6 @@ from .topology import (
     interior,
     limiting_elements,
     verify,
-    verify_topology,
 )
 
 __all__ = ["main"]
@@ -99,10 +98,15 @@ def _format_value(v: t.Any) -> str:
     return str(v)
 
 
-def _load_topology(path: str) -> tuple[SpaceDocument, SoftTopology]:
+def _parse_with_topology(path: str) -> SpaceDocument:
     doc = parse_file(path)
     if doc.topology is None:
         raise PreconditionError(f"{path}: document carries no topology")
+    return doc
+
+
+def _load_topology(path: str) -> tuple[SpaceDocument, SoftTopology]:
+    doc = _parse_with_topology(path)
     report = verify(doc.topology)
     if not report.valid:
         details = "; ".join(v.describe() for v in report.violations[:4])
@@ -114,10 +118,7 @@ def _load_topology(path: str) -> tuple[SpaceDocument, SoftTopology]:
 
 
 def _cmd_verify(args) -> int:
-    doc = parse_file(args.file)
-    if doc.topology is None:
-        raise PreconditionError(f"{args.file}: document carries no topology")
-    report = verify_topology(doc.universe, doc.topology.members, doc.topology.absolute)
+    report = verify(_parse_with_topology(args.file).topology)
     if args.format == "json":
         _emit(
             _dumps(
@@ -431,7 +432,7 @@ def _cmd_fuzz(args) -> int:
         max_topology=args.max_topology,
         trials=args.trials,
     )
-    report = run_theorem(args.case, config, workers=args.workers)
+    report = run_theorem(args.case, config)
     rendered = serialize_report(report) if args.format == "json" else report_text(report)
     if args.out:
         _write(args.out, rendered if args.format == "json" else serialize_report(report))
@@ -531,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", type=int, default=2)
     p.add_argument("--max-topology", type=int, default=512, dest="max_topology")
     p.add_argument("--subbase", type=int, default=3, help="generators per draw")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="trials run in one thread; 1 is the only value")
     p.add_argument("--out", help="write the report to this path")
     p.set_defaults(func=_cmd_fuzz)
 

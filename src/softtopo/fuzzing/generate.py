@@ -93,10 +93,12 @@ class GeneratorConfig:
             raise InputError("trials must be non-negative")
 
 
+@functools.lru_cache(maxsize=16)
 def universe_for(config: GeneratorConfig) -> Universe:
     """Canonical generated universe: points x0..xN, parameters e0..eM.
     Every config of one shape gets the same object, so its draws, spans and
-    fallbacks share one cached layout."""
+    fallbacks share one cached layout.  Cached per (frozen, hashable)
+    config, so the draws of one run do not rebuild the name lists."""
     return Universe.of(
         [f"x{i}" for i in range(config.points)], [f"e{k}" for k in range(config.params)]
     )

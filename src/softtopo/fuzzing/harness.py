@@ -2,15 +2,14 @@
 
 Reports are pure data keyed only by (case, config); no timestamps, host
 names, or other run-local noise, so byte-identical reruns are the expected
-behavior, including under parallel trial execution (results are aggregated
-by trial index, never by completion order).
+behavior.  Trials run in index order, and each is a pure function of
+(case, config, index).
 """
 
 from __future__ import annotations
 
 import dataclasses as d
 import json
-import os
 import typing as t
 
 from ..document import to_payload
@@ -96,32 +95,13 @@ def _run_trial(case: TheoremCase, config: GeneratorConfig, index: int) -> _Outco
     return ("counterexample", record, notes)
 
 
-def run_theorem(
-    case_id: str, config: GeneratorConfig, workers: int = 1
-) -> TrialReport:
+def run_theorem(case_id: str, config: GeneratorConfig) -> TrialReport:
     case = _case_for(case_id)
-    if workers < 1:
-        raise InputError(f"workers must be at least 1, got {workers}")
-    indices = range(config.trials)
-    # Trials are pure Python under the GIL, so threads beyond the core count
-    # only add OS threads; reports do not depend on the pool size.
-    pool_size = 1 if workers == 1 else min(workers, config.trials, os.cpu_count() or 1)
-    if pool_size <= 1:
-        outcomes = [_run_trial(case, config, i) for i in indices]
-    else:
-        # Imported here: it loads logging and more, which one-worker runs
-        # (the default) never need.
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=pool_size) as pool:
-            # Executor.map yields in argument order, which pins aggregation
-            # to trial index regardless of completion order.
-            outcomes = list(pool.map(lambda i: _run_trial(case, config, i), indices))
-
     confirmed = skipped = 0
     records: list[CounterexampleRecord] = []
     stats = {"separated_draws": 0, "accepted_by_sampling": 0, "fallbacks": 0, "attempts": 0}
-    for verdict, record, notes in outcomes:
+    for index in range(config.trials):
+        verdict, record, notes = _run_trial(case, config, index)
         if verdict == "confirmed":
             confirmed += 1
         elif verdict == "skipped":

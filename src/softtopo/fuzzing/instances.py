@@ -174,12 +174,12 @@ def _drop_bit(mask: int, index: int) -> int:
     return low | ((mask >> (index + 1)) << index)
 
 
-def _project_point(s: SoftSet, universe: Universe, index: int) -> SoftSet:
-    return SoftSet.of(universe, (_drop_bit(m, index) for m in s.slices))
+_Maps = tuple[tuple[int, ...], ...]
+"""``SoftFunction.point_maps``: one codomain index per point, per parameter."""
 
 
-def _project_param(s: SoftSet, universe: Universe, index: int) -> SoftSet:
-    return SoftSet.of(universe, s.slices[:index] + s.slices[index + 1 :])
+def _omit(items: tuple, index: int) -> tuple:
+    return items[:index] + items[index + 1 :]
 
 
 def _dedup(sets: t.Iterable[SoftSet]) -> tuple[SoftSet, ...]:
@@ -211,105 +211,91 @@ def _rebuild(
 
 
 def _without_generator(inst: Instance, i: int, cap: int) -> Instance | None:
-    subbase = inst.subbase[:i] + inst.subbase[i + 1 :]
-    return _rebuild(inst.universe, subbase, dict(inst.aux), cap)
+    return _rebuild(inst.universe, _omit(inst.subbase, i), dict(inst.aux), cap)
+
+
+def _projected(
+    inst: Instance,
+    universe: Universe,
+    project: t.Callable[[SoftSet], SoftSet],
+    carrier: t.Callable[[tuple[str, ...]], tuple[str, ...]],
+    function: t.Callable[[_Maps], _Maps | None],
+    cap: int,
+) -> Instance | None:
+    """The instance moved onto the smaller ``universe``: sets through
+    ``project``, the carrier's names through ``carrier`` and the point maps
+    through ``function``.  Generators keep only their admissible nonnull
+    projections, once each.  None when a ``set``/``sets`` entry projects to
+    an inadmissible set, the carrier empties, ``function`` returns None, an
+    aux key is unknown, or a closure passes ``cap``."""
+
+    def generators(sets: t.Iterable[SoftSet]) -> tuple[SoftSet, ...]:
+        return _dedup(p for p in map(project, sets) if is_admissible(p) and not is_null(p))
+
+    aux: dict[str, t.Any] = {}
+    for key, value in inst.aux.items():
+        if key in ("set", "sets"):
+            sets = tuple(map(project, (value,) if key == "set" else value))
+            if not all(map(is_admissible, sets)):
+                return None
+            aux[key] = sets[0] if key == "set" else sets
+        elif key == "carrier":
+            aux[key] = carrier(value)
+            if not aux[key]:
+                return None
+        elif key == "codomain_subbase":
+            aux[key] = generators(value)
+        elif key == "function":
+            maps = function(value.point_maps)
+            if maps is None:
+                return None
+            aux[key] = SoftFunction(universe, universe, maps)
+        elif key != "codomain":  # rebuilt from codomain_subbase
+            return None
+    return _rebuild(universe, generators(inst.subbase), aux, cap)
 
 
 def _without_point(inst: Instance, index: int, cap: int) -> Instance | None:
     old = inst.universe
     if old.n_points < 2:
         return None
-    universe = Universe.of(
-        old.points[:index] + old.points[index + 1 :], old.params
+    universe = Universe.of(_omit(old.points, index), old.params)
+    dropped = old.points[index]
+
+    def maps(point_maps: _Maps) -> _Maps | None:
+        rows = []
+        for pm in point_maps:
+            kept = _omit(pm, index)
+            if index in kept:
+                return None  # a surviving point maps into the hole
+            rows.append(tuple(v - 1 if v > index else v for v in kept))
+        return tuple(rows)
+
+    return _projected(
+        inst,
+        universe,
+        lambda s: SoftSet.of(universe, (_drop_bit(m, index) for m in s.slices)),
+        lambda names: tuple(n for n in names if n != dropped),
+        maps,
+        cap,
     )
-    dropped_name = old.points[index]
-
-    def project_gens(gens: t.Sequence[SoftSet]) -> tuple[SoftSet, ...]:
-        out = []
-        for s in gens:
-            p = _project_point(s, universe, index)
-            if is_admissible(p) and not is_null(p):
-                out.append(p)
-        return _dedup(out)
-
-    subbase = project_gens(inst.subbase)
-    aux: dict[str, t.Any] = {}
-    for key, value in inst.aux.items():
-        if key == "set":
-            p = _project_point(value, universe, index)
-            if not is_admissible(p):
-                return None
-            aux[key] = p
-        elif key == "sets":
-            projected = []
-            for s in value:
-                p = _project_point(s, universe, index)
-                if not is_admissible(p):
-                    return None
-                projected.append(p)
-            aux[key] = tuple(projected)
-        elif key == "carrier":
-            kept = tuple(n for n in value if n != dropped_name)
-            if not kept:
-                return None
-            aux[key] = kept
-        elif key == "codomain_subbase":
-            aux[key] = project_gens(value)
-        elif key == "function":
-            fn: SoftFunction = value
-            new_maps = []
-            for pm in fn.point_maps:
-                row = []
-                for i, v in enumerate(pm):
-                    if i == index:
-                        continue
-                    if v == index:
-                        return None  # a surviving point maps into the hole
-                    row.append(v - 1 if v > index else v)
-                new_maps.append(tuple(row))
-            aux[key] = SoftFunction(universe, universe, tuple(new_maps))
-        elif key == "codomain":
-            continue  # rebuilt from codomain_subbase
-        else:
-            return None
-    return _rebuild(universe, subbase, aux, cap)
 
 
 def _without_param(inst: Instance, index: int, cap: int) -> Instance | None:
+    """Dropping a slice maps admissible sets to admissible sets, so the
+    shared admissibility checks only ever refuse inadmissible input."""
     old = inst.universe
     if old.n_params < 2:
         return None
-    universe = Universe.of(
-        old.points, old.params[:index] + old.params[index + 1 :]
+    universe = Universe.of(old.points, _omit(old.params, index))
+    return _projected(
+        inst,
+        universe,
+        lambda s: SoftSet.of(universe, _omit(s.slices, index)),
+        lambda names: names,
+        lambda point_maps: _omit(point_maps, index),
+        cap,
     )
-    subbase = _dedup(
-        s
-        for s in (_project_param(g, universe, index) for g in inst.subbase)
-        if not is_null(s)
-    )
-    aux: dict[str, t.Any] = {}
-    for key, value in inst.aux.items():
-        if key == "set":
-            aux[key] = _project_param(value, universe, index)
-        elif key == "sets":
-            aux[key] = tuple(_project_param(s, universe, index) for s in value)
-        elif key == "carrier":
-            aux[key] = value
-        elif key == "codomain_subbase":
-            aux[key] = _dedup(
-                s
-                for s in (_project_param(g, universe, index) for g in value)
-                if not is_null(s)
-            )
-        elif key == "function":
-            fn: SoftFunction = value
-            maps = fn.point_maps[:index] + fn.point_maps[index + 1 :]
-            aux[key] = SoftFunction(universe, universe, maps)
-        elif key == "codomain":
-            continue
-        else:
-            return None
-    return _rebuild(universe, subbase, aux, cap)
 
 
 def candidate_mutations(

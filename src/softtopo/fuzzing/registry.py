@@ -211,19 +211,14 @@ def _random_function(rng: random.Random, universe) -> SoftFunction:
 
 def _build_map_case(hausdorff: bool, with_set: bool):
     def build(config: GeneratorConfig, rng: random.Random) -> Instance:
-        base = (_build_hausdorff if hausdorff else _build_topology)(config, rng)
-        cod_builder = (
-            gen_hausdorff_with_stats if hausdorff else gen_topology_with_subbase
-        )
-        drawn = cod_builder(config, rng)
-        if hausdorff:
-            cod_subbase, cod_topo = drawn.subbase, drawn.topology
-        else:
-            cod_subbase, cod_topo = drawn
+        draw = _build_hausdorff if hausdorff else _build_topology
+        base = draw(config, rng)
+        # The codomain's draw notes are dropped: reports count the domain's.
+        cod = draw(config, rng)
         aux: dict[str, t.Any] = {
             "function": _random_function(rng, base.universe),
-            "codomain_subbase": cod_subbase,
-            "codomain": cod_topo,
+            "codomain_subbase": cod.subbase,
+            "codomain": cod.topology,
         }
         if with_set:
             aux["set"] = random_admissible(rng, base.universe)

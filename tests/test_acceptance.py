@@ -226,17 +226,15 @@ def test_baire_shortcut_matches_exhaustive_oracle():
     assert checked >= 1
 
 
-def test_fuzz_reports_are_byte_identical_across_runs_and_workers(tmp_path):
+def test_fuzz_reports_are_byte_identical_across_runs(tmp_path):
     argv = [
         "fuzz", "--case", "thm_4_4", "--trials", "200",
         "--seed", "7", "--points", "4", "--params", "2",
     ]
-    paths = [tmp_path / f"report{i}.json" for i in range(3)]
-    assert main([*argv, "--out", str(paths[0])]) == 0
-    assert main([*argv, "--out", str(paths[1])]) == 0
-    assert main([*argv, "--workers", "4", "--out", str(paths[2])]) == 0
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    paths = [tmp_path / f"report{i}.json" for i in range(2)]
+    for path in paths:
+        assert main([*argv, "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_fuzz_reports_match_the_pinned_digests(tmp_path, capsys):

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
-import os
 import random
 
 import pytest
@@ -640,57 +638,6 @@ def test_run_theorem_payload_shape():
 
     separated = run_theorem("thm_4_4", GeneratorConfig(points=2, params=1, seed=2, trials=5))
     assert "generator" in report_payload(separated)
-
-
-def test_parallel_runs_are_byte_identical():
-    config = GeneratorConfig(points=3, params=2, seed=23, trials=40)
-    sequential = serialize_report(run_theorem("thm_4_5", config, workers=1))
-    parallel = serialize_report(run_theorem("thm_4_5", config, workers=3))
-    assert sequential == parallel
-
-
-def test_worker_pool_is_capped(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """Records the requested pool size and maps sequentially."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    many = GeneratorConfig(points=2, params=1, seed=1, trials=6)
-    few = GeneratorConfig(points=2, params=1, seed=1, trials=3)
-    for config in (many, few):
-        expected = serialize_report(run_theorem("thm_4_5", config))
-        assert serialize_report(run_theorem("thm_4_5", config, workers=10**6)) == expected
-    assert sizes == [4, 3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_theorem("thm_4_5", many, workers=10**6)
-    assert sizes == [4, 3]
-    with pytest.raises(InputError):
-        run_theorem("thm_4_5", many, workers=0)
-
-
-def test_single_worker_runs_skip_the_cpu_count(monkeypatch):
-    config = GeneratorConfig(points=2, params=1, seed=1, trials=3)
-    expected = serialize_report(run_theorem("thm_4_5", config))
-
-    def refuse():
-        raise AssertionError("os.cpu_count called for a one-worker run")
-
-    monkeypatch.setattr(os, "cpu_count", refuse)
-    assert serialize_report(run_theorem("thm_4_5", config, workers=1)) == expected
 
 
 def test_oracles_match_fast_operations():
