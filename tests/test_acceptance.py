@@ -232,8 +232,8 @@ def test_fuzz_reports_are_byte_identical_across_runs(tmp_path):
         "--seed", "7", "--points", "4", "--params", "2",
     ]
     paths = [tmp_path / f"report{i}.json" for i in range(2)]
-    for path in paths:
-        assert main([*argv, "--out", str(path)]) == 0
+    assert main([*argv, "--out", str(paths[0])]) == 0
+    assert main([*argv, "--out", str(paths[1])]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
