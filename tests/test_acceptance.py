@@ -238,9 +238,9 @@ def test_fuzz_reports_are_byte_identical_across_runs(tmp_path):
 
 
 def test_fuzz_reports_match_the_pinned_digests(tmp_path, capsys):
-    # The benchmark's pins, keyed "case@PxQ/seed=S/trials=T", hold the
-    # SHA-256 of the --out bytes; they change only with ALGORITHM_ID.
-    with open(REPO_ROOT / "perfbench" / "digests.json", encoding="utf-8") as fh:
+    # The fuzz pins, keyed "case@PxQ/seed=S/trials=T", hold the SHA-256 of
+    # the --out bytes; they change only with ALGORITHM_ID.
+    with open(FIXTURES / "pins" / "fuzz_digests.json", encoding="utf-8") as fh:
         pins = json.load(fh)[ALGORITHM_ID]
     assert pins
     for key, digest in sorted(pins.items()):
