@@ -24,10 +24,10 @@ from .core import (
     is_null,
 )
 from .errors import NotAdmissibleError, PreconditionError
+from .separation import is_hausdorff
 from .topology import (
     SoftTopology,
     _cached,
-    admissible_meets,
     closed_sets,
     closure,
     interior,
@@ -245,7 +245,6 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
     not a member, gets the oracle.  Opens are scanned in member order.  The
     report is cached on the topology; a non-Hausdorff one raises each time.
     """
-    from .separation import is_hausdorff
 
     def build() -> LocalCompactnessReport:
         if not is_hausdorff(topo).holds:
@@ -298,20 +297,3 @@ def _scan_opens(topo: SoftTopology, found: t.Callable) -> LocalCompactnessReport
                 return LocalCompactnessReport(False, (x, topo.members[oi]), pairs)
     return LocalCompactnessReport(True, None, pairs)
 
-
-def baire_theorem_trial(topo: SoftTopology) -> str:
-    """Verdict for one space: "holds", "fails", or "skipped".
-
-    The hypothesis asks for Hausdorff, local compactness, and opens whose
-    pairwise pointwise meets stay admissible; the Baire verdict decides
-    the rest.
-    """
-    from .separation import is_hausdorff
-
-    if not is_hausdorff(topo).holds:
-        return "skipped"
-    if not admissible_meets(topo):
-        return "skipped"
-    if not is_locally_compact(topo).holds:
-        return "skipped"
-    return "holds" if is_baire(topo).baire else "fails"

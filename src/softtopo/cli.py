@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="comma-separated carrier points")
     p.set_defaults(func=_cmd_subspace)
 
-    p = sub.add_parser("map", parents=[common], help="soft function checks")
+    p = sub.add_parser("map", help="soft function checks")
     map_sub = p.add_subparsers(dest="map_command", required=True)
     mc = map_sub.add_parser("check", parents=[common], help="compare continuity criteria")
     mc.add_argument("--fn", required=True)

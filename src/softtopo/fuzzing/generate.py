@@ -30,11 +30,11 @@ from ..topology import SoftTopology, full_topology
 __all__ = [
     "ALGORITHM_ID",
     "GeneratorConfig",
-    "HausdorffDraw",
     "all_spans",
     "close_subbase",
     "draw_subbase",
     "full_size",
+    "gen_hausdorff",
     "gen_topology",
     "random_admissible",
     "trial_rng",
@@ -44,19 +44,15 @@ __all__ = [
 
 # Pinned in every report so a reader can tell which derivation produced the
 # per-trial streams.  Bump the suffix if the hashing scheme ever changes.
-ALGORITHM_ID = "split-sha256/mt19937-v1"
+ALGORITHM_ID = "split-sha256/mt19937-v2"
 
-# Redraw budgets.  Generation failures are deterministic in the config, so a
+# Redraw budget.  Generation failures are deterministic in the config, so a
 # modest budget either always suffices or always fails for a given seed.
-# Separated draws keep a short budget: with two or more points only the
-# all-admissible-sets topology is separated, so acceptance is rare and extra
-# attempts mostly burn time before the guaranteed fallback.
 _TOPOLOGY_REDRAWS = 20
-_HAUSDORFF_ATTEMPTS = 2
 
-# Largest full topology a separated draw may fall back to.  The fallback
-# builds every admissible set, (2**points - 1)**params + 1 of them, so the
-# budget bounds memory before any draw; 5x2 (962 members) fits, 7x2 does not.
+# Largest full topology a separated draw may build.  It holds every
+# admissible set, (2**points - 1)**params + 1 of them, so the budget bounds
+# memory before anything is built; 5x2 (962 members) fits, 7x2 does not.
 _FULL_TOPOLOGY_BUDGET = 4096
 
 @d.dataclass(frozen=True)
@@ -97,7 +93,7 @@ class GeneratorConfig:
 def universe_for(config: GeneratorConfig) -> Universe:
     """Canonical generated universe: points x0..xN, parameters e0..eM.
     Every config of one shape gets the same object, so its draws, spans and
-    fallbacks share one cached layout.  Cached per (frozen, hashable)
+    full topology share one cached layout.  Cached per (frozen, hashable)
     config, so the draws of one run do not rebuild the name lists."""
     return Universe.of(
         [f"x{i}" for i in range(config.points)], [f"e{k}" for k in range(config.params)]
@@ -135,11 +131,6 @@ def _random_bits(rng: random.Random, universe: Universe) -> int:
     return bits
 
 
-def _subbase_bits(rng: random.Random, universe: Universe, size: int) -> list[int]:
-    """``size`` draws of ``_random_bits``, deduplicated, draw order kept."""
-    return list(dict.fromkeys(_random_bits(rng, universe) for _ in range(size)))
-
-
 def random_admissible(rng: random.Random, universe: Universe) -> SoftSet:
     """A uniformly random soft set with every slice nonempty."""
     return SoftSet(universe, _random_bits(rng, universe))
@@ -155,12 +146,6 @@ def all_spans(universe: Universe) -> tuple[SoftSet, ...]:
     """Single-element spans in lexicographic element order.  Cached like
     ``full_topology``; the tuple holds frozen sets, so sharing it is safe."""
     return tuple(SoftSet(universe, x.bits) for x in iter_elements(full_set(universe)))
-
-
-@functools.lru_cache(maxsize=8)
-def _span_bits(universe: Universe) -> tuple[int, ...]:
-    """The bits of ``all_spans``, in the same order."""
-    return tuple(s.bits for s in all_spans(universe))
 
 
 def close_subbase(
@@ -221,7 +206,8 @@ def draw_subbase(
     rng: random.Random, universe: Universe, size: int
 ) -> tuple[SoftSet, ...]:
     """``size`` random admissible sets, deduplicated, draw order kept."""
-    return tuple(SoftSet(universe, p) for p in _subbase_bits(rng, universe, size))
+    bits = dict.fromkeys(_random_bits(rng, universe) for _ in range(size))
+    return tuple(SoftSet(universe, p) for p in bits)
 
 
 def gen_topology_with_subbase(
@@ -249,68 +235,16 @@ def gen_topology(config: GeneratorConfig, rng: random.Random | None = None) -> S
     return gen_topology_with_subbase(config, rng)[1]
 
 
-@d.dataclass(frozen=True)
-class HausdorffDraw:
-    subbase: tuple[SoftSet, ...]
-    topology: SoftTopology
-    attempts: int
-    sampled: bool  # False when the full-topology fallback was taken
+def gen_hausdorff(config: GeneratorConfig) -> tuple[tuple[SoftSet, ...], SoftTopology]:
+    """The separated topology as (subbase, topology): every single-element
+    span and the topology of all admissible sets.  It draws no randomness
+    and ignores ``max_topology``.  Raises GenerationError for a universe
+    whose full topology exceeds ``_FULL_TOPOLOGY_BUDGET`` members.
 
-
-def _closes_to_full(full: int, generators: t.Sequence[int]) -> bool:
-    """Whether the raw ``|``/``&`` lattice generated by ``generators``,
-    ``0`` and ``full`` is every subset of the layout bits of ``full``: the
-    meet of the generators containing each bit is that bit alone.  See
-    ``gen_hausdorff_with_stats`` for why this decides a full closure.
-    """
-    rest = full
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        meet = full
-        for g in generators:
-            if g & bit:
-                meet &= g
-        if meet != bit:
-            return False
-    return True
-
-
-def gen_hausdorff_with_stats(
-    config: GeneratorConfig, rng: random.Random
-) -> HausdorffDraw:
-    """Rejection-sample a separated topology.
-
-    Each attempt seeds the random subbase with a few single-element spans,
-    which is what separation needs most.  After the attempt budget the draw
-    falls back to the topology of all admissible sets (closure of every
-    span); the fallback ignores ``max_topology`` so the draw stays total.
-    Raises GenerationError, before any draw, for a universe whose full
-    topology exceeds ``_FULL_TOPOLOGY_BUDGET`` members.
-
-    With two or more points only the full topology is separated, so an
-    attempt is decided from its generators ``G`` (subbase plus picked
-    spans) before any closure is built: ``close_subbase(G)`` is the full
-    topology exactly when, for every layout bit ``b``, the meet of the
-    members of ``G`` containing ``b`` (starting from ``full``) is ``b``
-    alone.  Only attempts that pass are closed, and each one that is
-    closed is returned.
-
-    Proof.  Let ``D`` be the set lattice on the layout bits generated by
-    ``G`` together with ``0`` and ``full`` under raw ``|`` and ``&``.
-    ``close_subbase(G)`` holds exactly the admissible members of ``D``
-    plus ``0``.  It is inside ``D`` because collapse maps a value to itself
-    or to ``0``, and ``0`` is in ``D``.  It holds every admissible ``C`` in
-    ``D``: by distributivity ``C`` is a meet of unions of generators; each
-    union is admissible and each partial meet contains ``C``, so no step
-    collapses.  With two or more points every single bit is the raw meet
-    of two spans (same point at its parameter, different points
-    elsewhere), so the closure is full exactly when ``D`` is the whole
-    power set.  By Birkhoff's representation of finite distributive
-    lattices that holds exactly when the smallest member of ``D``
-    containing each bit ``b``, the meet of the generators containing it,
-    is ``{b}``.  At one point the closure is always full but the test can
-    say no, so one-point draws keep closing every attempt.
+    It is the only separated topology: with two or more points a space is
+    separated exactly when it is the full topology, and with one point
+    ``{null, absolute}`` is the only topology (FINDINGS.md).  The spans
+    close to it, so shrinking can re-close smaller subbases.
     """
     universe = universe_for(config)
     size = full_size(universe)
@@ -319,31 +253,4 @@ def gen_hausdorff_with_stats(
             f"separated draws at {config.points}x{config.params} may need the full "
             f"topology of {size} members, over the budget of {_FULL_TOPOLOGY_BUDGET}"
         )
-    # Attempts draw and dedup bits.  ``rng.sample`` picks by index, so
-    # sampling the span bits picks the same spans as sampling ``all_spans``.
-    span_bits = _span_bits(universe)
-    picks = min(len(span_bits), max(1, config.subbase_size))
-    # With two or more points only the full topology is separated (covered
-    # by a unit test), and one point always fits max_topology.  When the
-    # full topology is over max_topology, close_subbase cannot return it,
-    # so the attempts only draw, keeping the RNG stream, and the draw
-    # falls back.
-    closable = size <= config.max_topology
-    full = universe.packing.full
-    for attempt in range(1, _HAUSDORFF_ATTEMPTS + 1):
-        base = _subbase_bits(rng, universe, config.subbase_size)
-        picked = rng.sample(span_bits, picks)
-        if not closable:
-            continue
-        base = list(dict.fromkeys(base + picked))
-        if universe.n_points >= 2 and not _closes_to_full(full, base):
-            continue
-        # The attempt closes to the full topology, which fits max_topology
-        # and is separated (at one point, {null, absolute} is the only
-        # topology), so the closure needs no cap and no check.
-        subbase = tuple(SoftSet(universe, p) for p in base)
-        members = close_subbase(universe, subbase, None)
-        return HausdorffDraw(subbase, SoftTopology.of(universe, members), attempt, True)
-    return HausdorffDraw(
-        all_spans(universe), full_topology(universe), _HAUSDORFF_ATTEMPTS, False
-    )
+    return all_spans(universe), full_topology(universe)

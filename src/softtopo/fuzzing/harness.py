@@ -46,7 +46,6 @@ class TrialReport:
     confirmed: int
     skipped: int
     counterexamples: tuple[CounterexampleRecord, ...]
-    generator_stats: dict[str, int]
 
     @property
     def verdict(self) -> str:
@@ -65,17 +64,16 @@ def _case_for(case_id: str) -> TheoremCase:
         raise InputError(f"unknown case {case_id!r}; known cases: {known}") from None
 
 
-_Outcome = tuple[str, t.Optional[CounterexampleRecord], dict[str, t.Any]]
+_Outcome = tuple[str, t.Optional[CounterexampleRecord]]
 
 
 def _run_trial(case: TheoremCase, config: GeneratorConfig, index: int) -> _Outcome:
     rng = trial_rng(config, index)
     inst = case.build(config, rng)
-    notes = dict(inst.notes)
     if not case.hypothesis(inst):
-        return ("skipped", None, notes)
+        return ("skipped", None)
     if case.conclusion(inst):
-        return ("confirmed", None, notes)
+        return ("confirmed", None)
     minimal, trace = shrink_instance(case, inst, config)
     block = {
         "case": case.case_id,
@@ -92,16 +90,15 @@ def _run_trial(case: TheoremCase, config: GeneratorConfig, index: int) -> _Outco
         shrink_trace=trace,
         document=payload,
     )
-    return ("counterexample", record, notes)
+    return ("counterexample", record)
 
 
 def run_theorem(case_id: str, config: GeneratorConfig) -> TrialReport:
     case = _case_for(case_id)
     confirmed = skipped = 0
     records: list[CounterexampleRecord] = []
-    stats = {"separated_draws": 0, "accepted_by_sampling": 0, "fallbacks": 0, "attempts": 0}
     for index in range(config.trials):
-        verdict, record, notes = _run_trial(case, config, index)
+        verdict, record = _run_trial(case, config, index)
         if verdict == "confirmed":
             confirmed += 1
         elif verdict == "skipped":
@@ -109,15 +106,6 @@ def run_theorem(case_id: str, config: GeneratorConfig) -> TrialReport:
         else:
             assert record is not None
             records.append(record)
-        if "hausdorff_attempts" in notes:
-            stats["separated_draws"] += 1
-            stats["attempts"] += notes["hausdorff_attempts"]
-            if notes.get("hausdorff_sampled"):
-                stats["accepted_by_sampling"] += 1
-            else:
-                stats["fallbacks"] += 1
-    if stats["separated_draws"] == 0:
-        stats = {}
     return TrialReport(
         case_id=case_id,
         algorithm=ALGORITHM_ID,
@@ -125,12 +113,11 @@ def run_theorem(case_id: str, config: GeneratorConfig) -> TrialReport:
         confirmed=confirmed,
         skipped=skipped,
         counterexamples=tuple(records),
-        generator_stats=stats,
     )
 
 
 def report_payload(report: TrialReport) -> dict[str, t.Any]:
-    payload: dict[str, t.Any] = {
+    return {
         "algorithm": report.algorithm,
         "case": report.case_id,
         "config": {
@@ -158,9 +145,6 @@ def report_payload(report: TrialReport) -> dict[str, t.Any]:
         ],
         "verdict": report.verdict,
     }
-    if report.generator_stats:
-        payload["generator"] = dict(report.generator_stats)
-    return payload
 
 
 def serialize_report(report: TrialReport) -> str:
@@ -175,13 +159,6 @@ def report_text(report: TrialReport) -> str:
         f"  seed={report.config.seed} points={report.config.points} "
         f"params={report.config.params} algorithm={report.algorithm}",
     ]
-    if report.generator_stats:
-        s = report.generator_stats
-        lines.append(
-            f"  separated draws: {s['separated_draws']} "
-            f"(sampled {s['accepted_by_sampling']}, fallbacks {s['fallbacks']}, "
-            f"attempts {s['attempts']})"
-        )
     for r in report.counterexamples[:5]:
         lines.append(
             f"  counterexample at trial {r.trial} (seed {r.seed}), "

@@ -37,9 +37,6 @@ class Instance:
     "carrier" a tuple of point names, "function" a SoftFunction over one
     shared universe, "codomain_subbase" a tuple of SoftSet, "codomain" a
     SoftTopology over the same universe."""
-    notes: dict[str, t.Any] = d.field(default_factory=dict)
-    """Generator bookkeeping (attempt counts etc.); never serialized and
-    never consulted by hypothesis or conclusion predicates."""
 
 
 def instance_size(inst: Instance) -> tuple[int, int]:

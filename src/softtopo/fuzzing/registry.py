@@ -45,7 +45,7 @@ from ..topology import (
 )
 from .generate import (
     GeneratorConfig,
-    gen_hausdorff_with_stats,
+    gen_hausdorff,
     gen_topology_with_subbase,
     random_admissible,
 )
@@ -89,17 +89,13 @@ def _build_topology(config: GeneratorConfig, rng: random.Random) -> Instance:
 
 
 def _build_hausdorff(config: GeneratorConfig, rng: random.Random) -> Instance:
-    draw = gen_hausdorff_with_stats(config, rng)
-    inst = Instance(draw.topology.universe, draw.subbase, draw.topology, {})
-    inst.notes["hausdorff_attempts"] = draw.attempts
-    inst.notes["hausdorff_sampled"] = draw.sampled
-    return inst
+    """Takes ``rng`` like every builder; the separated draw uses none of it."""
+    subbase, topo = gen_hausdorff(config)
+    return Instance(topo.universe, subbase, topo, {})
 
 
 def _with_aux(inst: Instance, aux: dict[str, t.Any]) -> Instance:
-    out = Instance(inst.universe, inst.subbase, inst.topology, aux)
-    out.notes.update(inst.notes)
-    return out
+    return Instance(inst.universe, inst.subbase, inst.topology, aux)
 
 
 def _random_carrier(rng: random.Random, inst: Instance, proper: bool) -> tuple[str, ...]:
@@ -213,7 +209,6 @@ def _build_map_case(hausdorff: bool, with_set: bool):
     def build(config: GeneratorConfig, rng: random.Random) -> Instance:
         draw = _build_hausdorff if hausdorff else _build_topology
         base = draw(config, rng)
-        # The codomain's draw notes are dropped: reports count the domain's.
         cod = draw(config, rng)
         aux: dict[str, t.Any] = {
             "function": _random_function(rng, base.universe),

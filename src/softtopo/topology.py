@@ -509,10 +509,7 @@ def nbd_witness(
 ) -> SoftSet | None:
     if is_null(n):
         raise PreconditionError("the null soft set cannot be a neighborhood")
-    for g in topo.members:
-        if is_member(x, g) and is_soft_subset(g, n):
-            return g
-    return None
+    return interior_witness(topo, n, x)
 
 
 def is_nbd(topo: SoftTopology, n: SoftSet, x: SoftElement) -> bool:

@@ -4,7 +4,6 @@ import pytest
 
 from softtopo.baire import (
     baire_subfamily_oracle,
-    baire_theorem_trial,
     first_category_oracle,
     is_baire,
     is_baire_by_nowhere_dense,
@@ -15,6 +14,8 @@ from softtopo.baire import (
 )
 from softtopo.core import SoftSet, Universe, full_set, null_set
 from softtopo.errors import NotAdmissibleError, PreconditionError
+from softtopo.fuzzing.instances import Instance
+from softtopo.fuzzing.registry import REGISTRY
 from softtopo.topology import SoftTopology, full_topology, indiscrete_topology, topology_from
 
 from conftest import soft
@@ -144,11 +145,16 @@ def test_local_compactness(abcd_topo):
 
 
 def test_theorem_trial_verdicts(abcd_topo):
+    case = REGISTRY["thm_5_1"]
+
+    def instance(topo):
+        return Instance(topo.universe, (), topo, {})
+
     # full 2x2 has opens with mixed pointwise meets, so its trial skips
-    assert baire_theorem_trial(full_topology(U22)) == "skipped"
-    assert baire_theorem_trial(abcd_topo) == "skipped"
-    u21 = Universe.of(("a", "b"), ("e1",))
-    assert baire_theorem_trial(full_topology(u21)) == "holds"
+    assert not case.hypothesis(instance(full_topology(U22)))
+    assert not case.hypothesis(instance(abcd_topo))
+    full21 = instance(full_topology(Universe.of(("a", "b"), ("e1",))))
+    assert case.hypothesis(full21) and case.conclusion(full21)
 
 
 def test_local_compactness_and_baire_are_cached_per_topology(ladder_topo):

@@ -298,6 +298,20 @@ def test_map_check_agreement(capsys):
     assert out.endswith("criteria agree\n")
 
 
+def test_map_format_goes_after_check(capsys):
+    files = ("--domain", fixture_path("map_domain.json"),
+             "--codomain", fixture_path("map_codomain.json"))
+    code, out, _ = run(capsys, "map", "check", "--format", "json", "--fn", "f", *files)
+    assert code == 1
+    assert json.loads(out)["agree"] is False
+    # Before the subcommand the flag is refused, not silently overridden.
+    code, out, err = _outcome(capsys, ["map", "--format", "json", "check", "--fn", "f", *files])
+    assert (code, out) == (2, "")
+    # argparse words the error differently across versions.
+    assert "softtopo map: error:" in err
+    assert "Traceback" not in err
+
+
 def test_map_check_unknown_function(capsys):
     code, _, err = run(
         capsys, "map", "check", "--fn", "g",
@@ -317,8 +331,7 @@ def test_fuzz_vacuity_detector(capsys):
     assert out == (
         "case thm_4_6_vacuity: all-skipped\n"
         "  trials=5 confirmed=0 skipped=5 counterexamples=0\n"
-        "  seed=3 points=4 params=2 algorithm=split-sha256/mt19937-v1\n"
-        "  separated draws: 5 (sampled 0, fallbacks 5, attempts 10)\n"
+        "  seed=3 points=4 params=2 algorithm=split-sha256/mt19937-v2\n"
     )
 
 
@@ -556,7 +569,7 @@ def test_fuzz_json_report_matches_out_file(capsys, tmp_path, monkeypatch):
         assert code == 0
         assert out.encode("utf-8") == out_path.read_bytes()
         payload = json.loads(out)
-        assert payload["algorithm"] == "split-sha256/mt19937-v1"
+        assert payload["algorithm"] == "split-sha256/mt19937-v2"
         assert payload["verdict"] == verdict
     assert serialized == [case for case, _, _ in runs]
 

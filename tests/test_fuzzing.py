@@ -17,12 +17,11 @@ from softtopo.core import (
 from softtopo.errors import GenerationError, InputError, PreconditionError
 from softtopo.fuzzing import REGISTRY, GeneratorConfig, TheoremCase, generate, run_theorem
 from softtopo.fuzzing.generate import (
-    _closes_to_full,
     all_spans,
     close_subbase,
     draw_subbase,
     full_size,
-    gen_hausdorff_with_stats,
+    gen_hausdorff,
     gen_topology,
     gen_topology_with_subbase,
     random_admissible,
@@ -47,7 +46,7 @@ from softtopo.fuzzing.oracles import (
 from softtopo.fuzzing.shrink import is_minimal, shrink_instance, still_falsifies
 from softtopo.maps import SoftFunction
 from softtopo.separation import is_hausdorff
-from softtopo.topology import SoftTopology, full_topology, verify_topology
+from softtopo.topology import SoftTopology, _minimal_masks, full_topology, verify_topology
 
 from conftest import soft
 
@@ -215,61 +214,34 @@ def test_gen_topology_budget_error():
 
 def test_gen_hausdorff_draw():
     config = GeneratorConfig(points=2, params=2, seed=9)
-    draw = gen_hausdorff_with_stats(config, trial_rng(config, 0))
-    assert is_hausdorff(draw.topology).holds
-    assert 1 <= draw.attempts <= 2
-    if not draw.sampled:
-        assert draw.topology.members == full_topology(universe_for(config)).members
+    subbase, topo = gen_hausdorff(config)
+    assert is_hausdorff(topo).holds
+    assert set(close_subbase(topo.universe, subbase, None)) == set(topo.members)
 
 
-def test_separated_draw_skips_closures_that_cannot_fit(monkeypatch):
-    calls = []
-    real = generate.close_subbase
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(generate, "close_subbase", counting)
-    # 5x2: the 962-member full topology is over max_topology = 512
-    config = GeneratorConfig(points=5, params=2, seed=9)
+@pytest.mark.parametrize("points, params", [(1, 3), (2, 2), (4, 1), (5, 2)])
+def test_separated_draw_is_the_full_topology(points, params):
+    config = GeneratorConfig(points=points, params=params, seed=9)
+    universe = universe_for(config)
+    subbase, topo = gen_hausdorff(config)
+    assert topo is full_topology(universe)
+    assert subbase == all_spans(universe)
+    # The separated builders take a trial stream and leave it untouched.
     rng = trial_rng(config, 0)
-    draw = gen_hausdorff_with_stats(config, rng)
-    assert calls == []
-    assert (draw.sampled, draw.attempts) == (False, 2)
-    assert draw.topology is full_topology(universe_for(config))
-    # both attempts still drew, so the stream matches a draw that closes
-    expected = trial_rng(config, 0)
-    spans = all_spans(universe_for(config))
-    for _ in range(2):
-        draw_subbase(expected, universe_for(config), config.subbase_size)
-        expected.sample(spans, config.subbase_size)
-    assert rng.getstate() == expected.getstate()
-
-    config = GeneratorConfig(points=4, params=1, seed=9)
-    gen_hausdorff_with_stats(config, trial_rng(config, 0))
-    assert calls
+    state = rng.getstate()
+    inst = REGISTRY["thm_4_7"].build(config, rng)
+    assert inst.topology is topo and inst.subbase == subbase
+    assert rng.getstate() == state
 
 
-def test_separated_draw_skips_bit_tests_that_cannot_fit(monkeypatch):
-    # Past max_topology no attempt can close, so none is tested either.
-    calls = []
-    real = generate._closes_to_full
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(generate, "_closes_to_full", counting)
-    # 5x2: the 962-member full topology is over max_topology = 512
-    config = GeneratorConfig(points=5, params=2, seed=9)
-    for index in range(20):
-        gen_hausdorff_with_stats(config, trial_rng(config, index))
-    assert calls == []
-    # 4x1: the 16-member full topology fits, so every attempt is tested
-    config = GeneratorConfig(points=4, params=1, seed=9)
-    gen_hausdorff_with_stats(config, trial_rng(config, 0))
-    assert calls
+def test_separated_draw_over_budget():
+    # 7x2 has a 16130-member full topology, just over the budget
+    with pytest.raises(GenerationError) as info:
+        gen_hausdorff(GeneratorConfig(points=7, params=2, seed=9))
+    assert str(info.value) == (
+        "separated draws at 7x2 may need the full topology of 16130 "
+        "members, over the budget of 4096"
+    )
 
 
 def test_random_admissible_keeps_the_slice_stream():
@@ -286,8 +258,10 @@ def test_random_admissible_keeps_the_slice_stream():
 
 def test_bit_separation_decides_full_closure():
     """With two or more points, ``close_subbase(G)`` is the full topology
-    exactly when, for every layout bit ``b``, the meet of the generators
-    containing ``b`` is ``b`` alone.
+    exactly when, for every layout bit ``b``, the meet ``M_b`` of ``full``
+    and the generators containing ``b`` is ``b`` alone
+    (``topology._minimal_masks([full, *G])``).  The same lemma underlies
+    ``topology._ring_accepts``.
 
     The closure holds the admissible members of the raw lattice ``D``
     generated by ``G``, ``0`` and ``full``, plus ``0``: collapse sends a
@@ -309,132 +283,13 @@ def test_bit_separation_decides_full_closure():
                 if s not in base:
                     base.append(s)
             closes = len(close_subbase(u, base, None)) == full_size(u)
-            assert _closes_to_full(u.packing.full, [s.bits for s in base]) == closes, base
+            masks = _minimal_masks([u.packing.full, *(s.bits for s in base)])
+            assert all(m == b for b, m in masks.items()) == closes, base
             checked += 1
             full += closes
     assert checked >= 6000
     # both answers occur often enough for the agreement to mean something
     assert 500 <= full <= checked - 500
-
-
-def _closing_every_attempt(config, rng):
-    """The separated draw as it was before the bit-separation test: close
-    every attempt, then filter by size and scan."""
-    universe = universe_for(config)
-    size = full_size(universe)
-    spans = all_spans(universe)
-    for attempt in range(1, 3):
-        base = list(draw_subbase(rng, universe, config.subbase_size))
-        for s in rng.sample(spans, min(len(spans), max(1, config.subbase_size))):
-            if s not in base:
-                base.append(s)
-        members = close_subbase(universe, base, config.max_topology)
-        if members is None or len(members) != size:
-            continue
-        topo = SoftTopology.of(universe, members)
-        if is_hausdorff(topo).holds:
-            return (tuple(base), topo.members, attempt, True)
-    return (spans, full_topology(universe).members, 2, False)
-
-
-def _count_closures(monkeypatch):
-    """Patch ``close_subbase`` to record each call in the returned list."""
-    calls = []
-    real = generate.close_subbase
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(generate, "close_subbase", counting)
-    return calls
-
-
-def test_separated_draw_closes_only_accepted_attempts(monkeypatch):
-    config = GeneratorConfig(points=3, params=2, seed=4)
-    expected = []
-    for index in range(300):
-        rng = trial_rng(config, index)
-        expected.append((_closing_every_attempt(config, rng), rng.getstate()))
-
-    calls = _count_closures(monkeypatch)
-    sampled = 0
-    for index, (want, state) in enumerate(expected):
-        rng = trial_rng(config, index)
-        before = len(calls)
-        draw = gen_hausdorff_with_stats(config, rng)
-        got = (draw.subbase, draw.topology.members, draw.attempts, draw.sampled)
-        assert got == want
-        assert rng.getstate() == state
-        # the one closure is the accepted attempt's
-        assert len(calls) - before == int(draw.sampled)
-        sampled += draw.sampled
-    assert 0 < sampled < len(expected)
-
-
-def _separated_draw_on_soft_sets(config, rng):
-    """The separated draw with every attempt built from ``SoftSet``s, as it
-    was before the attempt loop moved to bits: one ``randrange`` per
-    parameter per generator, deduplication on sets, and a sample of
-    ``all_spans`` itself."""
-    universe = universe_for(config)
-    spans = all_spans(universe)
-    closable = full_size(universe) <= config.max_topology
-    for attempt in range(1, 3):
-        base = []
-        for _ in range(config.subbase_size):
-            s = SoftSet.of(
-                universe,
-                [rng.randrange(1, universe.full_mask + 1) for _ in range(universe.n_params)],
-            )
-            if s not in base:
-                base.append(s)
-        picked = rng.sample(spans, min(len(spans), max(1, config.subbase_size)))
-        if not closable:
-            continue
-        for s in picked:
-            if s not in base:
-                base.append(s)
-        if universe.n_points >= 2 and not _closes_to_full(
-            universe.packing.full, [s.bits for s in base]
-        ):
-            continue
-        members = close_subbase(universe, base, config.max_topology)
-        if members is None:
-            continue
-        topo = SoftTopology.of(universe, members)
-        if is_hausdorff(topo).holds:
-            return (tuple(base), topo.members, attempt, True)
-    return (spans, full_topology(universe).members, 2, False)
-
-
-@pytest.mark.parametrize("points, params", [(1, 3), (4, 1), (2, 2), (3, 2), (5, 2)])
-def test_separated_draw_replays_the_soft_set_attempts(points, params):
-    sampled = 0
-    for seed in range(300):
-        config = GeneratorConfig(points=points, params=params, seed=seed)
-        rng, twin = trial_rng(config, 0), trial_rng(config, 0)
-        draw = gen_hausdorff_with_stats(config, rng)
-        got = (draw.subbase, draw.topology.members, draw.attempts, draw.sampled)
-        assert got == _separated_draw_on_soft_sets(config, twin), seed
-        assert all(type(s) is SoftSet for s in draw.subbase)
-        assert rng.getstate() == twin.getstate(), seed
-        sampled += draw.sampled
-    if (points, params) == (5, 2):
-        assert sampled == 0  # 962 members never fit max_topology = 512
-    elif points == 1:
-        assert sampled == 300
-    else:
-        assert 0 < sampled < 300
-
-
-def test_one_point_separated_draw_still_closes(monkeypatch):
-    calls = _count_closures(monkeypatch)
-    config = GeneratorConfig(points=1, params=3, seed=9)
-    draw = gen_hausdorff_with_stats(config, trial_rng(config, 0))
-    assert len(calls) == 1
-    assert (draw.sampled, draw.attempts) == (True, 1)
-    assert draw.topology.members == full_topology(universe_for(config)).members
 
 
 def test_instance_text_round_trip():
@@ -637,7 +492,7 @@ def test_run_theorem_payload_shape():
     }
 
     separated = run_theorem("thm_4_4", GeneratorConfig(points=2, params=1, seed=2, trials=5))
-    assert "generator" in report_payload(separated)
+    assert "generator" not in report_payload(separated)
 
 
 def test_oracles_match_fast_operations():

@@ -10,7 +10,7 @@ from softtopo.baire import is_locally_compact, locally_compact_oracle
 from softtopo.core import SoftSet, Universe, full_set, null_set
 from softtopo.document import parse_file
 from softtopo.fuzzing import GeneratorConfig, gen_topology
-from softtopo.fuzzing.generate import full_size, gen_hausdorff_with_stats, trial_rng
+from softtopo.fuzzing.generate import full_size, trial_rng
 from softtopo.errors import PreconditionError, UniverseMismatchError
 from softtopo.separation import (
     hausdorff_oracle,
@@ -132,8 +132,8 @@ def _subspaces(topo):
 
 def _oracle_lists():
     """Every fixture topology but the unclosed one, the full topologies up
-    to 3x3 with shuffled member orders, random closures and separated draws, the subspaces of all of
-    those, and the near-full lists."""
+    to 3x3 with shuffled member orders, random closures, the subspaces of all
+    of those, and the near-full lists."""
     topologies = []
     for path in sorted(FIXTURES.glob("*.json")):
         topo = parse_file(str(path)).topology
@@ -152,8 +152,6 @@ def _oracle_lists():
         config = GeneratorConfig(points=points, params=params, seed=5)
         for i in range(40):
             topologies.append(gen_topology(config, trial_rng(config, i)))
-        for i in range(5):
-            topologies.append(gen_hausdorff_with_stats(config, trial_rng(config, i)).topology)
     topologies += [sub for topo in topologies[:] for sub in _subspaces(topo)]
     topologies += _near_full_topologies()
     return topologies
