@@ -15,7 +15,7 @@ from softtopo.core import (
     null_set,
 )
 from softtopo.errors import GenerationError, InputError, PreconditionError
-from softtopo.fuzzing import REGISTRY, GeneratorConfig, TheoremCase, generate, run_theorem
+from softtopo.fuzzing import REGISTRY, GeneratorConfig, TheoremCase, run_theorem
 from softtopo.fuzzing.generate import (
     all_spans,
     close_subbase,
@@ -219,22 +219,19 @@ def test_gen_hausdorff_draw():
     assert set(close_subbase(topo.universe, subbase, None)) == set(topo.members)
 
 
-@pytest.mark.parametrize("points, params", [(1, 3), (2, 2), (4, 1), (5, 2)])
-def test_separated_draw_is_the_full_topology(points, params):
-    config = GeneratorConfig(points=points, params=params, seed=9)
-    universe = universe_for(config)
-    subbase, topo = gen_hausdorff(config)
-    assert topo is full_topology(universe)
-    assert subbase == all_spans(universe)
-    # The separated builders take a trial stream and leave it untouched.
-    rng = trial_rng(config, 0)
-    state = rng.getstate()
-    inst = REGISTRY["thm_4_7"].build(config, rng)
-    assert inst.topology is topo and inst.subbase == subbase
-    assert rng.getstate() == state
-
-
-def test_separated_draw_over_budget():
+def test_separated_draw_is_the_full_topology():
+    for points, params in ((1, 3), (2, 2), (4, 1), (5, 2)):
+        config = GeneratorConfig(points=points, params=params, seed=9)
+        universe = universe_for(config)
+        subbase, topo = gen_hausdorff(config)
+        assert topo is full_topology(universe)
+        assert subbase == all_spans(universe)
+        # The separated builders take a trial stream and leave it untouched.
+        rng = trial_rng(config, 0)
+        state = rng.getstate()
+        inst = REGISTRY["thm_4_7"].build(config, rng)
+        assert inst.topology is topo and inst.subbase == subbase
+        assert rng.getstate() == state
     # 7x2 has a 16130-member full topology, just over the budget
     with pytest.raises(GenerationError) as info:
         gen_hausdorff(GeneratorConfig(points=7, params=2, seed=9))

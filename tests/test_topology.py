@@ -428,6 +428,8 @@ def test_nbd_negative(abcd_doc, abcd_topo):
     x = SoftElement(abcd_doc.universe, (2, 2))
     assert not is_nbd(abcd_topo, n, x)
     assert nbd_witness(abcd_topo, n, x) is None
+    with pytest.raises(PreconditionError, match="cannot be a neighborhood"):
+        nbd_witness(abcd_topo, null_set(abcd_doc.universe), x)
 
 
 # --- scans used by the checkers -------------------------------------------------------
