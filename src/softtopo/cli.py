@@ -273,11 +273,8 @@ def _cmd_elements(args) -> int:
     doc = parse_file(args.file)
     subject = resolve_set(doc, args.set)
     count = element_count(subject)
-    if count > _ELEMENT_GUARD and not args.force:
-        raise PreconditionError(
-            f"{count} soft elements exceeds the guard ({_ELEMENT_GUARD}); "
-            "pass --force to enumerate anyway"
-        )
+    if count > _ELEMENT_GUARD:
+        raise PreconditionError(f"{count} soft elements exceeds the guard ({_ELEMENT_GUARD})")
     elements = list(iter_elements(subject))
     if args.format == "json":
         _emit(
@@ -303,10 +300,7 @@ def _cmd_elements(args) -> int:
 def _subspace_names(doc: SpaceDocument, sub) -> tuple[dict[str, SoftSet], tuple[str, ...]]:
     """Name traces after their first parent origin, suffixed, keeping the
     reserved names for the null trace and the carrier itself."""
-    parent_names: dict[int, str] = {}
-    if doc.topology_names:
-        for i, name in enumerate(doc.topology_names):
-            parent_names[i] = name
+    parent_names = dict(enumerate(doc.topology_names or ()))
     sets: dict[str, SoftSet] = {"Y": sub.carrier}
     names: list[str] = []
     for trace_idx, member in enumerate(sub.topology.members):
@@ -316,7 +310,7 @@ def _subspace_names(doc: SpaceDocument, sub) -> tuple[dict[str, SoftSet], tuple[
         if member == sub.carrier:
             names.append("ABS")
             continue
-        origin = next(o for ti, o in sub.provenance if ti == trace_idx)
+        origin = sub.provenance[trace_idx][1]
         base = parent_names.get(origin, f"M{origin}")
         name = f"{base}_Y"
         while name in sets:
@@ -507,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("elements", parents=[common], help="enumerate soft elements")
     p.add_argument("file")
     p.add_argument("--set", required=True)
-    p.add_argument("--force", action="store_true", help="ignore the enumeration guard")
     p.set_defaults(func=_cmd_elements)
 
     p = sub.add_parser("subspace", parents=[common], help="build the relative topology")

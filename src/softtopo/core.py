@@ -284,26 +284,11 @@ class SoftElement:
             if not 0 <= c < self.universe.n_points:
                 raise InputError(f"coordinate index {c} outside the universe")
 
-    @classmethod
-    def from_points(
-        cls, universe: Universe, by_param: t.Mapping[str, str]
-    ) -> "SoftElement":
-        missing = [a for a in universe.params if a not in by_param]
-        if missing:
-            raise InputError(f"missing coordinates for parameters {missing}")
-        return cls(
-            universe,
-            tuple(universe.point_index(by_param[a]) for a in universe.params),
-        )
-
     @functools.cached_property
     def bits(self) -> int:
         """The ``SoftSet.bits`` of this element's span: one bit per field."""
         width = self.universe.packing.width
         return sum(1 << k * width + c for k, c in enumerate(self.coords))
-
-    def point(self, param: str) -> str:
-        return self.universe.points[self.coords[self.universe.param_index(param)]]
 
     def to_points(self) -> dict[str, str]:
         return {a: self.universe.points[c] for a, c in zip(self.universe.params, self.coords)}

@@ -28,8 +28,6 @@ from .errors import DocumentError, InputError
 from .topology import SoftTopology
 
 __all__ = [
-    "FORMAT",
-    "RESERVED_NAMES",
     "SpaceDocument",
     "encode_set",
     "parse",

@@ -20,7 +20,6 @@ from .registry import REGISTRY, TheoremCase
 from .shrink import shrink_instance
 
 __all__ = [
-    "CounterexampleRecord",
     "TrialReport",
     "report_payload",
     "report_text",

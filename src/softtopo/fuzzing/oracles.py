@@ -31,7 +31,6 @@ from ..topology import TopologyReport, Violation
 
 __all__ = [
     "complement_via_elements",
-    "element_bag",
     "intersection_via_elements",
     "union_via_elements",
     "verify_topology_oracle",

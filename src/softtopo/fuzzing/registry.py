@@ -56,13 +56,12 @@ from .oracles import (
     union_via_elements,
 )
 
-__all__ = ["REGISTRY", "TheoremCase", "is_infinite_soft_set"]
+__all__ = ["REGISTRY", "TheoremCase"]
 
 
 @d.dataclass(frozen=True)
 class TheoremCase:
     case_id: str
-    kind: str
     description: str
     build: t.Callable[[GeneratorConfig, random.Random], Instance]
     hypothesis: t.Callable[[Instance], bool]
@@ -167,15 +166,10 @@ def _build_compact_family(config: GeneratorConfig, rng: random.Random) -> Instan
 def _build_closed_null_family(config: GeneratorConfig, rng: random.Random) -> Instance:
     base = _build_topology(config, rng)
     pool = nonnull_closed_sets(base.topology)
-    family: tuple[SoftSet, ...] = ()
     for _ in range(8):
-        if not pool:
-            break
         size = rng.randrange(2, min(5, len(pool)) + 1) if len(pool) >= 2 else 1
-        picked = tuple(pool[i] for i in sorted(rng.sample(range(len(pool)), size)))
-        family = picked
-        fold = elementary_intersection_family(base.topology.universe, picked)
-        if is_null(fold):
+        family = tuple(pool[i] for i in sorted(rng.sample(range(len(pool)), size)))
+        if is_null(elementary_intersection_family(base.topology.universe, family)):
             break
     return _with_aux(base, {"sets": family})
 
@@ -183,17 +177,13 @@ def _build_closed_null_family(config: GeneratorConfig, rng: random.Random) -> In
 def _build_closed_chain(config: GeneratorConfig, rng: random.Random) -> Instance:
     base = _build_hausdorff(config, rng)
     pool = nonnull_closed_sets(base.topology)
-    chain: list[SoftSet] = []
-    if pool:
-        current = pool[rng.randrange(len(pool))]
+    current = pool[rng.randrange(len(pool))]
+    chain = [current]
+    for _ in range(rng.randrange(0, 3)):
+        outside = ~current.bits
+        nested = [c for c in pool if not c.bits & outside]
+        current = nested[rng.randrange(len(nested))]
         chain.append(current)
-        for _ in range(rng.randrange(0, 3)):
-            outside = ~current.bits
-            nested = [c for c in pool if not c.bits & outside]
-            if not nested:
-                break
-            current = nested[rng.randrange(len(nested))]
-            chain.append(current)
     return _with_aux(base, {"sets": tuple(chain)})
 
 
@@ -313,13 +303,12 @@ def _criteria_agree(inst: Instance) -> bool:
 REGISTRY: dict[str, TheoremCase] = {}
 
 
-def _case(case_id, kind, description, build, hypothesis, conclusion) -> None:
-    REGISTRY[case_id] = TheoremCase(case_id, kind, description, build, hypothesis, conclusion)
+def _case(case_id, description, build, hypothesis, conclusion) -> None:
+    REGISTRY[case_id] = TheoremCase(case_id, description, build, hypothesis, conclusion)
 
 
 _case(
     "thm_3_1_constructive",
-    "topology+carrier",
     "trace families satisfying both preconditions verify as topologies",
     _build_carrier_case(proper=False, hausdorff=False),
     _preconditions_ok,
@@ -332,7 +321,6 @@ _case(
 
 _case(
     "lem_3_1",
-    "topology+set",
     "near every limiting element, every containing open meets the set elsewhere",
     _build_with_set(hausdorff=False),
     lambda inst: len(limiting_elements(inst.topology, inst.aux["set"])) > 0,
@@ -341,7 +329,6 @@ _case(
 
 _case(
     "hausdorff_heredity",
-    "topology+carrier",
     "subspaces of separated spaces stay separated",
     _build_carrier_case(proper=False, hausdorff=True),
     lambda inst: _hausdorff(inst) and _preconditions_ok(inst),
@@ -352,7 +339,6 @@ _case(
 
 _case(
     "thm_4_1",
-    "topology+sets",
     "closed families with empty joint meet admit a finite empty-meet subfamily",
     _build_closed_null_family,
     _family_closed_null_fold,
@@ -366,7 +352,6 @@ _case(
 
 _case(
     "thm_4_2",
-    "topology+sets",
     "decreasing nonempty closed chains in compact spaces have nonempty meet",
     _build_closed_chain,
     lambda inst: is_compact_space(inst.topology).compact
@@ -376,7 +361,6 @@ _case(
 
 _case(
     "thm_4_3",
-    "topology+carrier",
     "compact proper subspaces of separated spaces give compact carrier sets",
     _build_carrier_case(proper=True, hausdorff=True),
     lambda inst: _hausdorff(inst)
@@ -390,7 +374,6 @@ _case(
 
 _case(
     "thm_4_4",
-    "topology+set",
     "compact sets in separated spaces with admissible pairwise meets are closed",
     _build_with_set(hausdorff=True),
     lambda inst: _hausdorff(inst)
@@ -401,7 +384,6 @@ _case(
 
 _case(
     "thm_4_5",
-    "topology+sets",
     "closed subsets of compact sets are compact",
     _build_set_in_compact,
     lambda inst: _hausdorff(inst)
@@ -413,7 +395,6 @@ _case(
 
 _case(
     "prop_4_1a",
-    "topology+sets",
     "the elementary union of two compact sets is compact",
     _build_two_sets,
     lambda inst: _hausdorff(inst)
@@ -425,7 +406,6 @@ _case(
 
 _case(
     "prop_4_1b",
-    "topology+sets",
     "meets of compact families are compact when pairwise meets stay admissible",
     _build_compact_family,
     lambda inst: _hausdorff(inst)
@@ -443,7 +423,6 @@ _case(
 
 _case(
     "thm_4_6_vacuity",
-    "topology+sets",
     "infinite subsets of compact sets have a limiting element (vacuous here)",
     _build_set_in_compact,
     lambda inst: _hausdorff(inst)
@@ -455,7 +434,6 @@ _case(
 
 _case(
     "thm_4_7",
-    "topology",
     "compact separated spaces are regular",
     _build_hausdorff,
     lambda inst: is_compact_space(inst.topology).compact,
@@ -464,7 +442,6 @@ _case(
 
 _case(
     "thm_4_8",
-    "topology",
     "compact separated spaces are normal",
     _build_hausdorff,
     lambda inst: is_compact_space(inst.topology).compact,
@@ -473,7 +450,6 @@ _case(
 
 _case(
     "prop_6_1",
-    "map",
     "continuous images of compact sets are compact",
     _build_map_case(hausdorff=True, with_set=True),
     _continuity_hypothesis,
@@ -484,7 +460,6 @@ _case(
 
 _case(
     "continuity_criteria_agree",
-    "map",
     "elementwise and preimage continuity give one verdict",
     _build_map_case(hausdorff=False, with_set=False),
     lambda inst: True,
@@ -493,7 +468,6 @@ _case(
 
 _case(
     "thm_5_1",
-    "topology",
     "locally compact separated spaces with admissible pairwise meets are Baire",
     _build_hausdorff,
     lambda inst: _hausdorff(inst)
@@ -504,7 +478,6 @@ _case(
 
 _case(
     "baire_definitions_agree",
-    "topology",
     "the meager-union and nowhere-dense-union Baire readings agree",
     _build_topology,
     lambda inst: True,
@@ -514,7 +487,6 @@ _case(
 
 _case(
     "elementary_op_oracle",
-    "topology+sets",
     "slice-wise elementary operations match element materialization",
     _build_op_pair,
     lambda inst: True,

@@ -114,9 +114,6 @@ class SoftTopology:
     ) -> "SoftTopology":
         return cls(universe, tuple(members), absolute or full_set(universe))
 
-    def __hash__(self) -> int:
-        return hash((self.universe, self.members, self.absolute))
-
     @property
     def packed(self) -> tuple[int, ...]:
         """The members' bits, in member order."""
@@ -256,11 +253,11 @@ def _ring_accepts(
     ``budget`` unions, past which the answer is False and the caller scans.
     """
     ring = {0}
-    # Smallest first, so that a mask which is a union of others is skipped:
-    # it adds no new unions.
+    # No mask is a union of others, so each one grows the ring: a part
+    # ``M_c`` of such a union holding the bit ``b`` of ``M_b`` contains
+    # ``M_b``, so the two are equal, and the masks are distinct.  Smallest
+    # first is the fixed order the union budget is counted in.
     for mask in sorted(set(minimal.values()), key=int.bit_count):
-        if mask in ring:
-            continue
         budget -= len(ring)
         if budget < 0:
             return False

@@ -7,6 +7,7 @@ before being pinned.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import json
@@ -266,3 +267,24 @@ def test_cli_exit_codes_and_fixture_round_trip():
     assert main(["verify", fixture_path("ex23.json")]) == 0
     assert main(["verify", fixture_path("not_closed.json")]) == 1
     assert main(["verify", str(FIXTURES / "invalid" / "missing_slice.json")]) == 2
+
+
+def test_every_export_has_a_caller():
+    """Each name in a module's ``__all__`` is a word of some other Python
+    file under ``src/``, ``tests/`` or ``perfbench/``."""
+    files = {
+        path: path.read_text(encoding="utf-8")
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
+    }
+    unused = []
+    for path, text in files.items():
+        if not path.is_relative_to(REPO_ROOT / "src"):
+            continue
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                for name in ast.literal_eval(node.value):
+                    word = re.compile(rf"\b{re.escape(name)}\b")
+                    if not any(word.search(other) for p, other in files.items() if p != path):
+                        unused.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+    assert unused == []

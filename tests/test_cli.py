@@ -53,10 +53,54 @@ def test_verify_json(capsys):
     assert json.loads(out) == {"command": "verify", "valid": True, "violations": []}
 
 
+def test_verify_json_lists_violations(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json", fixture_path("not_closed.json"))
+    assert code == 1
+    assert json.loads(out)["violations"] == [{
+        "axiom": "intersection-closure",
+        "offending": {"e1": ["a"], "e2": ["a"]},
+        "witnesses": [{"e1": ["a"], "e2": ["a", "b"]}, {"e1": ["a", "b"], "e2": ["a"]}],
+    }]
+
+
 def test_verify_needs_topology(capsys):
     code, out, err = run(capsys, "verify", fixture_path("ex22.json"))
     assert code == 2
     assert "document carries no topology" in err
+
+
+def test_verify_lists_a_repeated_member(capsys, tmp_path):
+    doc = json.loads(pathlib.Path(fixture_path("ex23.json")).read_text(encoding="utf-8"))
+    doc["topology"].append("F1")
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", path)
+    assert (code, err) == (1, "")
+    # The offending set is its own witness, so no "-> ... missing" tail.
+    assert out == (
+        "not a valid topology:\n"
+        "  - duplicate-member: (SoftSet(e1:{a}, e2:{b}),)\n"
+    )
+
+
+def test_commands_refuse_an_invalid_topology_with_one_line(capsys):
+    bad = fixture_path("not_closed.json")
+    domain, codomain = fixture_path("map_domain.json"), fixture_path("map_codomain.json")
+    commands = (
+        ("check", "hausdorff", bad),
+        ("compute", "closure", bad, "--set", "ABS"),
+        ("subspace", bad, "--points", "a"),
+        ("map", "check", "--fn", "f", "--domain", bad, "--codomain", codomain),
+        ("map", "check", "--fn", "f", "--domain", domain, "--codomain", bad),
+    )
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (
+            f"error: {bad}: topology is not valid: intersection-closure: "
+            "(SoftSet(e1:{a}, e2:{a,b}), SoftSet(e1:{a,b}, e2:{a})) "
+            "-> SoftSet(e1:{a}, e2:{a}) missing\n"
+        ), argv
 
 
 # --- check --------------------------------------------------------------------
@@ -181,6 +225,33 @@ def test_compute_limiting_readings(capsys):
     )
 
 
+def _json_bytes(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_compute_json(capsys):
+    ex23 = fixture_path("ex23.json")
+    code, out, _ = run(capsys, "compute", "closure", ex23, "--set", "F", "--format", "json")
+    assert code == 0
+    assert out == _json_bytes({
+        "command": "compute", "operation": "closure", "set": "F",
+        "result": {"e1": ["b", "c", "d"], "e2": ["a", "c", "d"]},
+    })
+    code, out, _ = run(capsys, "compute", "interior", ex23, "--set", "G", "--format", "json")
+    assert code == 0
+    assert out == _json_bytes({
+        "command": "compute", "operation": "interior", "set": "G",
+        "result": {"e1": ["a"], "e2": ["b"]},
+    })
+    code, out, _ = run(capsys, "compute", "limiting", ex23, "--set", "F", "--format", "json")
+    assert code == 0
+    assert out == _json_bytes({
+        "command": "compute", "operation": "limiting", "set": "F",
+        "reading": "per-parameter",
+        "result": [{"e1": a, "e2": b} for a, b in ("ba", "bd", "da", "dd")],
+    })
+
+
 # --- elements -----------------------------------------------------------------
 
 def test_elements_listing(capsys):
@@ -201,7 +272,25 @@ def test_elements_guard(capsys, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "elements", str(path), "--set", "ABS")
     assert code == 2 and out == ""
-    assert "exceeds the guard" in err and "--force" in err
+    assert "exceeds the guard" in err and "--force" not in err
+
+
+def test_elements_json(capsys):
+    code, out, _ = run(
+        capsys, "elements", fixture_path("ex23.json"), "--set", "F1", "--format", "json"
+    )
+    assert code == 0
+    assert out == _json_bytes({
+        "command": "elements", "set": "F1", "count": 1,
+        "elements": [{"e1": "a", "e2": "b"}],
+    })
+
+
+def test_elements_has_no_force_flag(capsys):
+    argv = ["elements", "--set", "ABS", fixture_path("ex23.json"), "--force"]
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("softtopo: error: unrecognized arguments: --force\n")
 
 
 # --- subspace -----------------------------------------------------------------
@@ -217,6 +306,22 @@ def test_subspace_text(capsys):
         "  ABS = ({a,c},{a,c})\n"
         "  F_Y = ({a},{c})\n"
         "  G_Y = ({c},{a})\n"
+    )
+
+
+def test_subspace_names_traces_after_their_first_origin(capsys):
+    # S1 meets {b,c} in the null trace and S3 in S2's, so each later trace
+    # sits at a lower index than the parent member it is named after.
+    code, out, _ = run(
+        capsys, "subspace", fixture_path("hausdorff_1param.json"), "--points", "b,c"
+    )
+    assert code == 0
+    assert out == (
+        "subspace on {b,c}:\n"
+        "  PHI = ({})\n"
+        "  S2_Y = ({b})\n"
+        "  S4_Y = ({c})\n"
+        "  ABS = ({b,c})\n"
     )
 
 

@@ -206,6 +206,47 @@ def test_function_structure_checks():
     assert ("$.functions.f", "missing map for parameter 'e1'") in exc.value.issues
 
 
+_UNIVERSE = {"points": ["a", "b"], "params": ["e1"]}
+_TABLE = {"a": "a", "b": "b"}
+
+# Each document differs from a valid one in one field and draws one issue.
+REFUSALS = [
+    ({"universe": ["a", "b"]}, "$.universe", "expected an object with points and params"),
+    ({"universe": {**_UNIVERSE, "extra": 1}}, "$.universe.extra", "unknown key"),
+    ({"universe": {"points": [], "params": ["e1"]}},
+     "$.universe.points", "at least one point is required"),
+    ({"universe": {"points": ["a"], "params": []}},
+     "$.universe.params", "at least one parameter is required"),
+    ({"universe": {"points": ["a", "a"], "params": ["e1"]}},
+     "$.universe.points", "point names must be distinct"),
+    ({"universe": {"points": ["a"], "params": ["e1", "e1"]}},
+     "$.universe.params", "parameter names must be distinct"),
+    ({"sets": []}, "$.sets", "expected an object of named sets"),
+    ({"functions": []}, "$.functions", "expected an object of named functions"),
+    ({"elements": []}, "$.elements", "expected an object of named elements"),
+    ({"fuzz": []}, "$.fuzz", "expected an object"),
+    ({"functions": {"f": []}}, "$.functions.f", "expected an object of per-parameter point maps"),
+    ({"functions": {"f": {"e1": ["a"]}}},
+     "$.functions.f.e1", "expected an object mapping points to points"),
+    ({"functions": {"f": {"e1": {**_TABLE, "q": "a"}}}},
+     "$.functions.f.e1", "unknown source point 'q'"),
+    ({"functions": {"f": {"e1": _TABLE, "e9": _TABLE}}},
+     "$.functions.f.e9", "unknown parameter 'e9'"),
+    ({"elements": {"x": "a"}}, "$.elements.x", "expected an object mapping parameters to points"),
+    ({"elements": {"x": {}}}, "$.elements.x", "missing point for parameter 'e1'"),
+    ({"elements": {"x": {"e1": "q"}}}, "$.elements.x.e1", "unknown point 'q'"),
+    ({"elements": {"x": {"e1": "a", "e9": "a"}}}, "$.elements.x.e9", "unknown parameter 'e9'"),
+]
+
+
+@pytest.mark.parametrize("fields, path, message", REFUSALS)
+def test_parse_refusals(fields, path, message):
+    base = {"format": "soft-space/1", "universe": _UNIVERSE, "topology": ["PHI", "ABS"]}
+    with pytest.raises(DocumentError) as exc:
+        parse(json.dumps({**base, **fields}))
+    assert exc.value.issues == ((path, message),)
+
+
 # --- schema cross-check -------------------------------------------------------
 
 def _schema():

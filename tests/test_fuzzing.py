@@ -434,7 +434,6 @@ def _always_false_case() -> TheoremCase:
 
     return TheoremCase(
         case_id="always_false",
-        kind="selftest",
         description="conclusion never holds; shrinking must reach the floor",
         build=build,
         hypothesis=lambda inst: True,
@@ -462,10 +461,10 @@ def test_still_falsifies_swallows_domain_errors():
 
     case = _always_false_case()
     broken_hypothesis = TheoremCase(
-        "x", "selftest", "d", case.build, boom, lambda inst: False
+        "x", "d", case.build, boom, lambda inst: False
     )
     broken_conclusion = TheoremCase(
-        "y", "selftest", "d", case.build, lambda inst: True, boom
+        "y", "d", case.build, lambda inst: True, boom
     )
     config = GeneratorConfig(points=2, params=1, seed=3)
     inst = case.build(config, trial_rng(config, 0))

@@ -234,6 +234,27 @@ def test_ring_decides_pairwise_closure():
     assert lists >= 6000 and closed >= 2000
 
 
+def test_no_minimal_mask_is_a_union_of_the_masks_before_it():
+    """Why the ring test adds each mask without asking whether the ring
+    already holds it: ``M_b`` is a union of other masks only if one of them
+    holds ``b`` and so contains ``M_b``, and the masks are distinct."""
+    rng = random.Random(23)
+    lists = [seen for _, seen in _ring_cases()]
+    for points, params in ((2, 1), (4, 1), (2, 2), (3, 2), (2, 3), (3, 3)):
+        u = universe_for(GeneratorConfig(points=points, params=params, seed=0))
+        for _ in range(300):
+            lists.append({rng.randint(0, u.packing.full) & u.packing.full
+                          for _ in range(rng.randint(1, 12))})
+    masks = 0
+    for seen in lists:
+        ring = {0}
+        for mask in sorted(set(_minimal_masks(seen).values()), key=int.bit_count):
+            assert mask not in ring
+            ring |= {r | mask for r in ring}
+            masks += 1
+    assert masks >= 30000
+
+
 def _count_collapses(monkeypatch) -> list[int]:
     """Patch ``Packing.collapse`` to append each argument to the returned list."""
     calls: list[int] = []
