@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -49,6 +50,7 @@ from .topology import (
     interior,
     limiting_elements,
     verify,
+    violations_of,
 )
 
 __all__ = ["main"]
@@ -107,9 +109,10 @@ def _parse_with_topology(path: str) -> SpaceDocument:
 
 def _load_topology(path: str) -> tuple[SpaceDocument, SoftTopology]:
     doc = _parse_with_topology(path)
-    report = verify(doc.topology)
-    if not report.valid:
-        details = "; ".join(v.describe() for v in report.violations[:4])
+    # The pairwise scan stops at the violations the message names.
+    shown = tuple(itertools.islice(violations_of(doc.topology), 4))
+    if shown:
+        details = "; ".join(v.describe() for v in shown)
         raise PreconditionError(f"{path}: topology is not valid: {details}")
     return doc, doc.topology
 
@@ -310,7 +313,7 @@ def _subspace_names(doc: SpaceDocument, sub) -> tuple[dict[str, SoftSet], tuple[
         if member == sub.carrier:
             names.append("ABS")
             continue
-        origin = sub.provenance[trace_idx][1]
+        origin = sub.origins[trace_idx]
         base = parent_names.get(origin, f"M{origin}")
         name = f"{base}_Y"
         while name in sets:

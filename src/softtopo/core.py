@@ -326,12 +326,6 @@ class ElementBag:
     def of(cls, universe: Universe, elements: t.Iterable[SoftElement]) -> "ElementBag":
         return cls(universe, tuple(elements))
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> t.Iterator[SoftElement]:
-        return iter(self.elements)
-
 
 # --- constructors ---------------------------------------------------------
 

@@ -410,11 +410,7 @@ _case(
     _build_compact_family,
     lambda inst: _hausdorff(inst)
     and _side_condition(inst)
-    and all(is_compact_set(inst.topology, k).compact for k in inst.aux["sets"])
-    and (
-        is_compact_space(inst.topology).compact
-        or is_compact_set(inst.topology, inst.topology.absolute).compact
-    ),
+    and all(is_compact_set(inst.topology, k).compact for k in inst.aux["sets"]),
     lambda inst: is_compact_set(
         inst.topology,
         elementary_intersection_family(inst.universe, inst.aux["sets"]),

@@ -20,7 +20,6 @@ from .core import (
     is_admissible,
     is_null,
     is_soft_subset,
-    relative_complement,
 )
 from .errors import (
     PreconditionError,
@@ -30,8 +29,8 @@ from .errors import (
 from .topology import (
     SoftTopology,
     _cached,
+    closed_sets,
     pairwise_admissible_violations,
-    verify,
 )
 
 _LISTED = 10  # violations named in the text form; the JSON form lists all
@@ -47,7 +46,6 @@ class SubspacePreconditionReport:
     """
 
     satisfied: bool
-    carrier: SoftSet
     pair_violations: tuple[tuple[int, int], ...]
     trace_violations: tuple[int, ...]
 
@@ -91,7 +89,7 @@ def check_subspace_preconditions(
     ]
     satisfied = not pair_violations and not trace_violations
     return SubspacePreconditionReport(
-        satisfied, carrier, pair_violations, tuple(trace_violations)
+        satisfied, pair_violations, tuple(trace_violations)
     )
 
 
@@ -101,8 +99,8 @@ class SubspaceResult:
     carrier: SoftSet
     points: tuple[str, ...]
     topology: SoftTopology
-    provenance: tuple[tuple[int, int], ...]
-    """(trace index, first parent member index producing it) pairs."""
+    origins: tuple[int, ...]
+    """Per trace, the index of the first parent member producing it."""
 
 
 def build_subspace(topo: SoftTopology, points: t.Sequence[str]) -> SubspaceResult:
@@ -110,9 +108,11 @@ def build_subspace(topo: SoftTopology, points: t.Sequence[str]) -> SubspaceResul
 
     Traces are deduplicated in parent member order, so the carrier's own
     trace (from the absolute) and the null trace land wherever the parent
-    order puts them first; the verifier then re-checks the axioms against
-    the carrier as absolute.  The result is cached on the parent per point
-    tuple; unmet preconditions raise each time.
+    order puts them first.  The trace family is not verified here: Theorem
+    3.1 says it is a topology once the preconditions hold, and the
+    ``thm_3_1_constructive`` fuzz case and the tests check that.  The
+    result is cached on the parent per point tuple; unmet preconditions
+    raise each time.
     """
     points = tuple(points)
 
@@ -121,23 +121,11 @@ def build_subspace(topo: SoftTopology, points: t.Sequence[str]) -> SubspaceResul
         report = check_subspace_preconditions(topo, carrier)
         if not report.satisfied:
             raise SubspacePreconditionError(report)
-        traces: list[SoftSet] = []
-        provenance: list[tuple[int, int]] = []
-        seen: dict[SoftSet, int] = {}
+        origins: dict[SoftSet, int] = {}
         for i, m in enumerate(topo.members):
-            tr = elementary_intersection(m, carrier)
-            if tr not in seen:
-                seen[tr] = len(traces)
-                provenance.append((len(traces), i))
-                traces.append(tr)
-        sub = SoftTopology.of(topo.universe, traces, absolute=carrier)
-        rep = verify(sub)
-        if not rep.valid:
-            raise AssertionError(
-                "trace family failed verification despite preconditions: "
-                + "; ".join(v.describe() for v in rep.violations)
-            )
-        return SubspaceResult(topo, carrier, points, sub, tuple(provenance))
+            origins.setdefault(elementary_intersection(m, carrier), i)
+        sub = SoftTopology.of(topo.universe, origins, absolute=carrier)
+        return SubspaceResult(topo, carrier, points, sub, tuple(origins.values()))
 
     return _cached(topo, ("subspace", points), build)
 
@@ -152,7 +140,7 @@ def is_relatively_closed(sub: SubspaceResult, f: SoftSet) -> bool:
         raise UniverseMismatchError("subject from a different universe")
     if not is_admissible(f) or not is_soft_subset(f, sub.carrier):
         return False
-    comp = relative_complement(f, sub.points)
+    comp = SoftSet(f.universe, sub.carrier.bits ^ f.bits)
     return comp in sub.topology.member_set
 
 
@@ -168,14 +156,14 @@ def decompose_relatively_closed(
 ) -> RelativeClosedDecomposition:
     """Express a relatively closed set as (parent closed) meet carrier.
 
-    Searches parent closed sets in canonical order; the parent complement
-    of the trace origin always works, so the search cannot miss.
+    Searches parent closed sets in canonical order.  When the parent is a
+    topology the search cannot miss: the null set serves the null subject,
+    and for any other the parent complement of the origin of its relative
+    complement is closed and works.
     """
-    from .topology import closed_sets
-
     if not is_relatively_closed(sub, f):
         raise PreconditionError("subject is not relatively closed")
     for c in closed_sets(sub.parent):
         if elementary_intersection(c, sub.carrier) == f:
             return RelativeClosedDecomposition(f, c)
-    raise AssertionError("no parent closed decomposition found")
+    raise PreconditionError("the parent is not a topology: no closed set decomposes the subject")

@@ -9,13 +9,14 @@ test rather than assumed silently.  ``verify_topology`` settles that check
 without visiting the pairs when it can: a list is closed exactly when the
 admissible sets in the ring of unions of its minimal-neighbourhood masks are
 its members (``_ring_accepts``; Birkhoff's rings of sets).  A list the ring
-does not accept within the scan's own pair count gets the pairwise scan,
-which reports every violation.
+does not accept within the scan's own pair count gets the pairwise scan;
+``violations_of`` yields its violations one at a time, so a caller that
+names only the first few stops the scan there.
 
 The kernels work on ``SoftSet.bits``, the packed layout of ``core``:
 ``SoftTopology.packed`` holds the members' bits in member order so scans
 can index into it.  A per-topology table of the same minimal masks, kept
-from the ring test when the topology went through ``verify``, gives
+from the ring test when the topology went through ``violations_of``, gives
 ``open_hull``, the smallest member around a set, ``interior``, the largest
 member inside one, and ``admissible_meets``, the side condition on
 pairwise meets.  In a verified topology a hull always exists, and a list
@@ -123,9 +124,6 @@ class SoftTopology:
     def member_set(self) -> frozenset[SoftSet]:
         return _cached(self, "member_set", lambda: frozenset(self.members))
 
-    def __contains__(self, s: SoftSet) -> bool:
-        return s in self.member_set
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -156,9 +154,17 @@ def verify_topology(
 
 
 def verify(topo: SoftTopology) -> TopologyReport:
-    """``verify_topology`` of the topology's own fields.  When the ring
-    test accepts it, its minimal-mask table becomes the topology's hull
-    table, so no check builds that table again."""
+    """``verify_topology`` of the topology's own fields."""
+    violations = tuple(violations_of(topo))
+    return TopologyReport(valid=not violations, violations=violations)
+
+
+def violations_of(topo: SoftTopology) -> t.Iterator[Violation]:
+    """``verify``'s violations in its order, scanning pairs only as far as
+    the caller reads.  The per-member checks come first, collected in one
+    pass.  When the ring test accepts the list, its minimal-mask table
+    becomes the topology's hull table, so no check builds that table
+    again."""
     universe, members, absolute = topo.universe, topo.members, topo.absolute
     violations: list[Violation] = []
 
@@ -189,13 +195,14 @@ def verify(topo: SoftTopology) -> TopologyReport:
         if m.bits & ~absolute.bits:
             violations.append(Violation("member-inside-absolute", (m,), m))
 
+    yield from violations
     if not violations:
         minimal = _minimal_masks(seen)
         # The ring may do as many unions as the scan would visit pairs.
         budget = len(seen) * (len(seen) - 1) // 2
         if _ring_accepts(packing, minimal, len(seen), budget):
             topo._cache.setdefault("hulls", (minimal, frozenset(seen)))
-            return TopologyReport(valid=True, violations=())
+            return
 
     # Pairwise closure; finite families reduce to this by induction.
     collapse = packing.collapse
@@ -204,16 +211,10 @@ def verify(topo: SoftTopology) -> TopologyReport:
         for g in admissible[i + 1:]:
             union = a | g.bits
             if union not in seen:
-                violations.append(
-                    Violation("union-closure", (f, g), SoftSet(universe, union))
-                )
+                yield Violation("union-closure", (f, g), SoftSet(universe, union))
             meet = collapse(a & g.bits)
             if meet not in seen:
-                violations.append(
-                    Violation("intersection-closure", (f, g), SoftSet(universe, meet))
-                )
-
-    return TopologyReport(valid=not violations, violations=tuple(violations))
+                yield Violation("intersection-closure", (f, g), SoftSet(universe, meet))
 
 
 def _ring_accepts(

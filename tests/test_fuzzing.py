@@ -473,6 +473,20 @@ def test_still_falsifies_swallows_domain_errors():
     assert not still_falsifies(broken_conclusion, inst)
 
 
+def test_thm_3_1_reports_an_unclosed_trace_family():
+    # {a} and {b} without {a,b} meet both side conditions, and on the whole
+    # point set each member is its own trace, so the trace family is the
+    # unclosed parent: a counterexample to report, not a crash.
+    u = Universe.of(("a", "b", "c"), ("e1",))
+    subbase = _sets(u, "a", "b")
+    parent = SoftTopology.of(u, (null_set(u), *subbase, full_set(u)))
+    inst = Instance(u, subbase, parent, {"carrier": u.points})
+    case = REGISTRY["thm_3_1_constructive"]
+    assert case.hypothesis(inst)
+    assert case.conclusion(inst) is False
+    assert still_falsifies(case, inst)
+
+
 def test_run_theorem_payload_shape():
     config = GeneratorConfig(points=3, params=2, seed=2, trials=5)
     report = run_theorem("elementary_op_oracle", config)

@@ -41,7 +41,7 @@ def test_relative_topology_members(fgh_doc, fgh_topo):
     )
     assert sub.topology.absolute == sub.carrier
     assert sub.points == ("a", "c")
-    assert sub.provenance == ((0, 0), (1, 1), (2, 2), (3, 3))
+    assert sub.origins == (0, 1, 2, 3)
     assert sub.parent is fgh_topo
 
 
@@ -100,6 +100,17 @@ def test_decomposition(fgh_doc, fgh_topo):
     assert dec.parent_closed == soft(u, e1="ab", e2="bcd")
     with pytest.raises(PreconditionError):
         decompose_relatively_closed(sub, fgh_doc.sets["H"])
+
+
+def test_decomposition_refuses_a_parent_that_is_not_a_topology():
+    # The lone member traces to the carrier, so the null set is relatively
+    # closed; the member's complement has an empty slice, so no closed set
+    # traces to it.
+    u = Universe.of(("a", "b"), ("e1", "e2"))
+    sub = build_subspace(SoftTopology.of(u, [soft(u, e1="ab", e2="a")]), ("a",))
+    assert is_relatively_closed(sub, null_set(u))
+    with pytest.raises(PreconditionError, match="not a topology"):
+        decompose_relatively_closed(sub, null_set(u))
 
 
 def test_subspaces_are_cached_per_point_tuple():

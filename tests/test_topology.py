@@ -184,6 +184,13 @@ def test_verifier_matches_the_soft_set_oracle():
     for u, members, absolute in _mutated_member_lists(300, seed=5):
         report = verify_topology(u, members, absolute)
         assert report == verify_topology_oracle(u, members, absolute)
+        # The stream's prefixes are the oracle's: callers may stop reading early.
+        assert all(
+            tuple(itertools.islice(
+                topology.violations_of(SoftTopology.of(u, members, absolute)), n
+            )) == report.violations[:n]
+            for n in (1, 4)
+        )
         axioms.update(v.axiom for v in report.violations)
     assert axioms == {
         "duplicate-member", "phi-member", "absolute-member", "member-admissible",
