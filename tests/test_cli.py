@@ -218,10 +218,11 @@ def test_check_compactness_family(capsys):
     assert (code, out) == (0, "locally-compact: holds\n")
 
 
-def test_check_set_scoped_requires_set(capsys):
-    code, _, err = run(capsys, "check", "compact-set", fixture_path("tau_full_2x2.json"))
+@pytest.mark.parametrize("prop", ["compact-set", "nowhere-dense", "first-category"])
+def test_check_set_scoped_requires_set(capsys, prop):
+    code, _, err = run(capsys, "check", prop, fixture_path("tau_full_2x2.json"))
     assert code == 2
-    assert err == "error: check compact-set requires --set NAME\n"
+    assert err == f"error: check {prop} requires --set NAME\n"
 
 
 def test_check_category(capsys):
@@ -903,4 +904,41 @@ CHECK_DIGESTS = {
     "random-4x2-1": "b38057bf3a88e0da11c74b9ddf12bd12d99c955e16b8923580bea061d805bb79",
     "random-4x2-2": "8efc9f823d8b2d4a990745b4c1d28e0a8cc74ca5850f87f3fe574779a2e79a0a",
     "random-4x2-3": "4068b69c0c3a9e22d042ce855f438e488d2f265fa64b3c8a0bffb16a17ffb280",
+}
+
+
+SET_CHECK_COMMANDS = ("compact-set", "nowhere-dense", "first-category")
+
+
+def test_set_check_output_bytes_match_the_pinned_digests(capsys):
+    # SHA-256 over the exit code, stdout and stderr of every set-scoped
+    # check on every named set of a fixture whose topology verifies, plus
+    # PHI and ABS, in text and json, in property and name order.
+    digests = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = parse(path.read_text())
+        topo = doc.topology
+        if topo is None or not topology.verify(topo).valid:
+            continue
+        h = hashlib.sha256()
+        for prop in SET_CHECK_COMMANDS:
+            for name in dict.fromkeys([*doc.sets, "PHI", "ABS"]):
+                for fmt in ("text", "json"):
+                    code, out, err = run(
+                        capsys, "check", prop, str(path), "--set", name, "--format", fmt
+                    )
+                    h.update(f"{code}\0{out}\0{err}\0".encode())
+        digests[path.name] = h.hexdigest()
+    assert digests == SET_CHECK_DIGESTS
+
+
+SET_CHECK_DIGESTS = {
+    "ex23.json": "7b801b01482c13c5bdfdb59afdddfda50ef2c7e2c227efdb4dab4a97e926a5ad",
+    "ex31.json": "400de3212d190a589776c0519d9e444eaef80284c6507622ebca4b738c78509a",
+    "hausdorff_1param.json": "2324874693f558e29f751b2ffeeab856c7608eda5e21195cb28983b5a0489fe3",
+    "indiscrete_2x2.json": "ce0beb723bece9ac014853beb7debef5097faf1627183598c0029842633dc7a3",
+    "map_codomain.json": "cda4e14b94bed4873e58ec67ef5006816f3bb4ed4b3b7beef1284e33ed7a88da",
+    "map_domain.json": "079c39228eb946f5a2996e91f46bc3a1eb8f157d28846991ac4092024ae7a519",
+    "singleton.json": "48e7495c119f34e8a127701e8a6df1169a7469c729aa529b6db4cd199c7714a9",
+    "tau_full_2x2.json": "a5994e02f6c31ca0653ea86b41b69d4b9339ac460d408646aff4659087252b21",
 }
