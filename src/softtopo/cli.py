@@ -166,72 +166,73 @@ def _check_outcome(args, prop: str, holds: bool, details: dict[str, t.Any]) -> i
     return 0 if holds else 1
 
 
+_Verdict = tuple[bool, dict[str, t.Any]]
+
+
+def _fields(report: t.Any, *names: str) -> _Verdict:
+    """The report's ``holds``, and its attributes ``names`` in order."""
+    return report.holds, {name: getattr(report, name) for name in names}
+
+
+def _separation(report: t.Any) -> _Verdict:
+    return _fields(report, "witness", "counterexample")
+
+
+def _compact(topo: SoftTopology, _subject: None, _args) -> _Verdict:
+    rep = is_compact_space(topo)
+    return rep.compact, dict(quasi_compact=rep.quasi.holds, hausdorff=rep.hausdorff.holds)
+
+
+def _compact_set(topo: SoftTopology, subject: SoftSet, _args) -> _Verdict:
+    rep = is_compact_set(topo, subject)
+    return rep.compact, dict(
+        admissible=rep.admissible, complement_admissible=rep.complement_admissible
+    )
+
+
+def _baire(topo: SoftTopology, _subject: None, _args) -> _Verdict:
+    rep = is_baire(topo)
+    return rep.baire, dict(rare_closed=len(rep.rare_closed), union_interior=rep.union_interior)
+
+
+def _first_category(topo: SoftTopology, subject: SoftSet, _args) -> _Verdict:
+    rep = is_first_category(topo, subject)
+    return rep.first_category, dict(verdict=rep.verdict, pieces=len(rep.decomposition))
+
+
+# Each property: whether it needs --set, and its verdict (topology, the named
+# set or None, args) -> (holds, report fields in print order).  A set-scoped
+# report names its set first.  ``check`` offers the properties in this order.
+_PROPERTIES: dict[str, tuple[bool, t.Callable[..., _Verdict]]] = {
+    "hausdorff": (False, lambda topo, _, args: _separation(is_hausdorff(topo))),
+    "regular": (False, lambda topo, _, args: _separation(
+        is_regular(topo, literal_disjointness=args.literal_disjointness)
+    )),
+    "normal": (False, lambda topo, _, args: _separation(is_normal(topo))),
+    "quasi-compact": (False, lambda topo, _, args: _fields(
+        is_quasi_compact(topo), "justification"
+    )),
+    "compact": (False, _compact),
+    "compact-set": (True, _compact_set),
+    "locally-compact": (False, lambda topo, _, args: _fields(
+        is_locally_compact(topo), "counterexample"
+    )),
+    "baire": (False, _baire),
+    "nowhere-dense": (True, lambda topo, f, args: (is_nowhere_dense(topo, f), {})),
+    "first-category": (True, _first_category),
+}
+
+
 def _cmd_check(args) -> int:
     doc, topo = _load_topology(args.file)
-    prop = args.property
-    if prop in ("compact-set", "nowhere-dense", "first-category") and not args.set:
-        raise PreconditionError(f"check {prop} requires --set NAME")
-
-    if prop == "hausdorff":
-        rep = is_hausdorff(topo)
-        return _check_outcome(
-            args, prop, rep.holds,
-            {"witness": rep.witness, "counterexample": rep.counterexample},
-        )
-    if prop == "regular":
-        rep = is_regular(topo, literal_disjointness=args.literal_disjointness)
-        return _check_outcome(
-            args, prop, rep.holds,
-            {"witness": rep.witness, "counterexample": rep.counterexample},
-        )
-    if prop == "normal":
-        rep = is_normal(topo)
-        return _check_outcome(
-            args, prop, rep.holds,
-            {"witness": rep.witness, "counterexample": rep.counterexample},
-        )
-    if prop == "quasi-compact":
-        rep = is_quasi_compact(topo)
-        return _check_outcome(
-            args, prop, rep.holds, {"justification": rep.justification}
-        )
-    if prop == "compact":
-        rep = is_compact_space(topo)
-        return _check_outcome(
-            args, prop, rep.compact,
-            {"quasi_compact": rep.quasi.holds, "hausdorff": rep.hausdorff.holds},
-        )
-    if prop == "compact-set":
-        rep = is_compact_set(topo, resolve_set(doc, args.set))
-        return _check_outcome(
-            args, prop, rep.compact,
-            {
-                "set": args.set,
-                "admissible": rep.admissible,
-                "complement_admissible": rep.complement_admissible,
-            },
-        )
-    if prop == "locally-compact":
-        rep = is_locally_compact(topo)
-        return _check_outcome(
-            args, prop, rep.holds, {"counterexample": rep.counterexample}
-        )
-    if prop == "baire":
-        rep = is_baire(topo)
-        return _check_outcome(
-            args, prop, rep.baire,
-            {"rare_closed": len(rep.rare_closed), "union_interior": rep.union_interior},
-        )
-    if prop == "nowhere-dense":
-        verdict = is_nowhere_dense(topo, resolve_set(doc, args.set))
-        return _check_outcome(args, prop, verdict, {"set": args.set})
-    if prop == "first-category":
-        rep = is_first_category(topo, resolve_set(doc, args.set))
-        return _check_outcome(
-            args, prop, rep.first_category,
-            {"set": args.set, "verdict": rep.verdict, "pieces": len(rep.decomposition)},
-        )
-    raise PreconditionError(f"unknown property {prop!r}")
+    needs_set, verdict = _PROPERTIES[args.property]
+    if needs_set and not args.set:
+        raise PreconditionError(f"check {args.property} requires --set NAME")
+    subject = resolve_set(doc, args.set) if needs_set else None
+    holds, fields = verdict(topo, subject, args)
+    if needs_set:
+        fields = {"set": args.set, **fields}
+    return _check_outcome(args, args.property, holds, fields)
 
 
 # --- compute -----------------------------------------------------------------
@@ -475,14 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("check", parents=[common], help="check a named property")
-    p.add_argument(
-        "property",
-        choices=(
-            "hausdorff", "regular", "normal", "quasi-compact", "compact",
-            "compact-set", "locally-compact", "baire", "nowhere-dense",
-            "first-category",
-        ),
-    )
+    p.add_argument("property", choices=tuple(_PROPERTIES))
     p.add_argument("file")
     p.add_argument("--set", help="named set for the set-scoped properties")
     p.add_argument(

@@ -37,13 +37,6 @@ from .errors import (
 )
 
 
-def _dedup(names: t.Iterable[str]) -> tuple[str, ...]:
-    out = tuple(names)
-    if len(set(out)) != len(out):
-        raise InputError(f"duplicate names in {out!r}")
-    return out
-
-
 @d.dataclass(frozen=True)
 class Universe:
     """An ordered point list and an ordered parameter list.
@@ -60,8 +53,9 @@ class Universe:
             raise InputError("universe needs at least one point")
         if not self.params:
             raise InputError("universe needs at least one parameter")
-        _dedup(self.points)
-        _dedup(self.params)
+        for names in (self.points, self.params):
+            if len(set(names)) != len(names):
+                raise InputError(f"duplicate names in {tuple(names)!r}")
 
     @classmethod
     def of(cls, points: t.Iterable[str], params: t.Iterable[str]) -> "Universe":
@@ -292,13 +286,6 @@ class SoftElement:
 
     def to_points(self) -> dict[str, str]:
         return {a: self.universe.points[c] for a, c in zip(self.universe.params, self.coords)}
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((self.universe, self.coords))
-            object.__setattr__(self, "_h", h)
-        return h
 
     def __repr__(self) -> str:
         return "SoftElement(" + ",".join(

@@ -119,14 +119,7 @@ def report_payload(report: TrialReport) -> dict[str, t.Any]:
     return {
         "algorithm": report.algorithm,
         "case": report.case_id,
-        "config": {
-            "points": report.config.points,
-            "params": report.config.params,
-            "seed": report.config.seed,
-            "subbase_size": report.config.subbase_size,
-            "max_topology": report.config.max_topology,
-            "trials": report.config.trials,
-        },
+        "config": d.asdict(report.config),
         "counts": {
             "trials": report.config.trials,
             "confirmed": report.confirmed,

@@ -179,16 +179,6 @@ def _omit(items: tuple, index: int) -> tuple:
     return items[:index] + items[index + 1 :]
 
 
-def _dedup(sets: t.Iterable[SoftSet]) -> tuple[SoftSet, ...]:
-    out: list[SoftSet] = []
-    seen: set[SoftSet] = set()
-    for s in sets:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return tuple(out)
-
-
 def _rebuild(
     universe: Universe,
     subbase: t.Sequence[SoftSet],
@@ -227,7 +217,9 @@ def _projected(
     aux key is unknown, or a closure passes ``cap``."""
 
     def generators(sets: t.Iterable[SoftSet]) -> tuple[SoftSet, ...]:
-        return _dedup(p for p in map(project, sets) if is_admissible(p) and not is_null(p))
+        return tuple(dict.fromkeys(
+            p for p in map(project, sets) if is_admissible(p) and not is_null(p)
+        ))
 
     aux: dict[str, t.Any] = {}
     for key, value in inst.aux.items():

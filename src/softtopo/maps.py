@@ -232,7 +232,7 @@ def preimage_continuity(
                 trace.append(PreimageEntry(i, w, False, "degenerate"))
                 ok = False
             continue
-        is_open = w in domain_topology.member_set
+        is_open = w.bits in domain_topology.member_bits
         trace.append(PreimageEntry(i, w, True, "open" if is_open else "not-open"))
         ok = ok and is_open
     return PreimageContinuityReport(ok, degenerate, trace)

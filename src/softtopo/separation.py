@@ -71,7 +71,7 @@ def _check(
     their own.
     """
     packed, members = topo.packed, topo.members
-    member_bits = frozenset(packed) if open_sides else frozenset()
+    member_bits = topo.member_bits if open_sides else frozenset()
     hulls_of: dict[int, int | None] = {}
 
     def hull(bits: int) -> int | None:

@@ -140,8 +140,7 @@ def is_relatively_closed(sub: SubspaceResult, f: SoftSet) -> bool:
         raise UniverseMismatchError("subject from a different universe")
     if not is_admissible(f) or not is_soft_subset(f, sub.carrier):
         return False
-    comp = SoftSet(f.universe, sub.carrier.bits ^ f.bits)
-    return comp in sub.topology.member_set
+    return sub.carrier.bits ^ f.bits in sub.topology.member_bits
 
 
 @d.dataclass(frozen=True)

@@ -15,7 +15,8 @@ names only the first few stops the scan there.
 
 The kernels work on ``SoftSet.bits``, the packed layout of ``core``:
 ``SoftTopology.packed`` holds the members' bits in member order so scans
-can index into it.  A per-topology table of the same minimal masks, kept
+can index into it, and ``SoftTopology.member_bits`` the same bits as a set
+for membership.  A per-topology table of the same minimal masks, kept
 from the ring test when the topology went through ``violations_of``, gives
 ``open_hull``, the smallest member around a set, ``interior``, the largest
 member inside one, and ``admissible_meets``, the side condition on
@@ -24,7 +25,7 @@ that is not closed shows by lacking one; the separation and local
 compactness checkers decide their hypotheses with it.  ``space_elements``
 is the one value shared across topologies: a process-wide cache holds one
 element tuple per absolute, so every topology over that absolute reuses
-the same elements, bits and hashes, and an absolute over the element
+the same elements and their cached bits, and an absolute over the element
 budget is refused before any element is built.
 
 The absolute member defaults to the full soft set; subspace topologies reuse
@@ -115,14 +116,15 @@ class SoftTopology:
     ) -> "SoftTopology":
         return cls(universe, tuple(members), absolute or full_set(universe))
 
-    @property
+    @functools.cached_property
     def packed(self) -> tuple[int, ...]:
         """The members' bits, in member order."""
-        return _cached(self, "packed", lambda: tuple(m.bits for m in self.members))
+        return tuple(m.bits for m in self.members)
 
-    @property
-    def member_set(self) -> frozenset[SoftSet]:
-        return _cached(self, "member_set", lambda: frozenset(self.members))
+    @functools.cached_property
+    def member_bits(self) -> frozenset[int]:
+        """The members' bits, for membership tests."""
+        return frozenset(self.packed)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -201,7 +203,7 @@ def violations_of(topo: SoftTopology) -> t.Iterator[Violation]:
         # The ring may do as many unions as the scan would visit pairs.
         budget = len(seen) * (len(seen) - 1) // 2
         if _ring_accepts(packing, minimal, len(seen), budget):
-            topo._cache.setdefault("hulls", (minimal, frozenset(seen)))
+            topo._cache.setdefault("hulls", minimal)
             return
 
     # Pairwise closure; finite families reduce to this by induction.
@@ -283,12 +285,10 @@ def _minimal_masks(members: t.Collection[int]) -> dict[int, int]:
     return minimal
 
 
-def _hull_table(topo: SoftTopology) -> tuple[dict[int, int], frozenset[int]]:
-    """The topology's ``_minimal_masks`` with its member bits, built here
-    unless ``verify`` kept them.  The hot callers read the cache first."""
-    return _cached(
-        topo, "hulls", lambda: (_minimal_masks(topo.packed), frozenset(topo.packed))
-    )
+def _hull_table(topo: SoftTopology) -> dict[int, int]:
+    """The topology's ``_minimal_masks``, built here unless ``verify`` kept
+    them.  The hot callers read the cache first."""
+    return _cached(topo, "hulls", lambda: _minimal_masks(topo.packed))
 
 
 def topology_from(
@@ -330,7 +330,7 @@ def _require_full_absolute(topo: SoftTopology, op: str) -> None:
 # --- open and closed sets ---------------------------------------------------
 
 def is_open(topo: SoftTopology, f: SoftSet) -> bool:
-    return f in topo.member_set
+    return f.universe == topo.universe and f.bits in topo.member_bits
 
 
 def is_closed(topo: SoftTopology, f: SoftSet) -> bool:
@@ -345,7 +345,7 @@ def is_closed(topo: SoftTopology, f: SoftSet) -> bool:
     if not is_admissible(comp):
         return False
     # For an admissible complement the elementary complement equals it.
-    return comp in topo.member_set
+    return comp.bits in topo.member_bits
 
 
 def closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
@@ -410,14 +410,14 @@ def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
     """
     _require_full_absolute(topo, "interior")
     p = _require_subject(topo, f, "interior")
-    minimal, member_bits = topo._cache.get("hulls") or _hull_table(topo)
+    minimal = topo._cache.get("hulls") or _hull_table(topo)
     outside = ~p
     union = 0
     # M_b holds b, so an M_b inside f comes from a bit of f.
     for mask in minimal.values():
         if not mask & outside:
             union |= mask
-    if union not in member_bits:
+    if union not in topo.member_bits:
         is_admissible = topo.universe.packing.is_admissible
         if is_admissible(union) or not _cached(
             topo, "admissible", lambda: all(map(is_admissible, topo.packed))
@@ -520,7 +520,7 @@ def space_elements(topo: SoftTopology) -> tuple[SoftElement, ...]:
     """All soft elements of the absolute member, canonical order.
 
     Every topology over an equal absolute gets the identical tuple, so the
-    elements, with their cached bits and hashes, are built once per
+    elements, with their cached bits, are built once per
     absolute.  Raises PreconditionError, before building any element, for
     an absolute with more than ``_ELEMENT_BUDGET`` elements.
     """
@@ -544,7 +544,7 @@ def open_hull(topo: SoftTopology, bits: int) -> int | None:
     every admissible ``bits`` inside the absolute, so None only comes from
     lists that are not closed, or from bits that no member contains.
     """
-    minimal, member_bits = topo._cache.get("hulls") or _hull_table(topo)
+    minimal = topo._cache.get("hulls") or _hull_table(topo)
     hull = 0
     while bits:
         bit = bits & -bits
@@ -553,7 +553,7 @@ def open_hull(topo: SoftTopology, bits: int) -> int | None:
         if mask is None:
             return None
         hull |= mask
-    return hull if hull in member_bits else None
+    return hull if hull in topo.member_bits else None
 
 
 def pairwise_admissible_violations(
@@ -584,7 +584,7 @@ def _violations(topo: SoftTopology) -> t.Iterator[tuple[int, int]]:
     if topo.universe.n_params == 1:
         return
     packing = topo.universe.packing
-    if all(map(packing.is_admissible, _hull_table(topo)[0].values())):
+    if all(map(packing.is_admissible, _hull_table(topo).values())):
         return
     full, spare, packed = packing.full, packing.spare, topo.packed
     for i, m in enumerate(packed):

@@ -475,3 +475,22 @@ def test_subset_order(pair):
         assert f == g
     meet = elementary_intersection(f, g)
     assert is_soft_subset(meet, f) or is_null(meet)
+
+
+@pytest.mark.parametrize("points, params", [(2, 2), (3, 2), (2, 3)])
+def test_bits_decide_whether_a_set_has_another_element(points, params):
+    # An admissible set has an element other than x exactly when it is
+    # neither null nor the span of x alone; the limiting statement's
+    # conclusion reads this from the bits.
+    u = Universe.of(
+        tuple(f"p{i}" for i in range(points)), tuple(f"e{k}" for k in range(params))
+    )
+    packing = u.packing
+    elements = list(iter_elements(full_set(u)))
+    for bits in range(packing.full + 1):
+        if bits & ~packing.full or not packing.is_admissible(bits):
+            continue
+        m = SoftSet(u, bits)
+        for x in elements:
+            alone = not any(y != x for y in iter_elements(m))
+            assert (m.bits in (0, x.bits)) == alone, (m, x)

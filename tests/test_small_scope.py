@@ -1,23 +1,49 @@
-"""Exhaustive small-scope check of Theorem 3.1.
+"""Exhaustive small-scope checks of Theorem 3.1 and of the checkers.
 
-Every elementary topology of a few small shapes is enumerated, and on each
-one every carrier that meets the two side conditions gets its subspace
-verified.  Run as a script to sweep other shapes:
+Every elementary topology of a few small shapes is enumerated.  On each one
+every carrier that meets the two side conditions gets its subspace
+verified, and every checker is compared with its oracle, the topology's
+members shuffled so that member order matters.  Run as a script to sweep
+other shapes:
 
     PYTHONPATH=src python tests/test_small_scope.py 5x1 2x3
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 
 import pytest
 
+from softtopo.baire import (
+    baire_subfamily_oracle,
+    is_baire,
+    is_baire_by_nowhere_dense,
+    is_locally_compact,
+    locally_compact_oracle,
+    rare_closed_sets,
+)
 from softtopo.core import SoftSet, Universe, elementary_intersection
 from softtopo.fuzzing.generate import close_subbase
+from softtopo.separation import (
+    hausdorff_oracle,
+    is_hausdorff,
+    is_normal,
+    is_regular,
+    normal_oracle,
+    regular_oracle,
+)
 from softtopo.subspace import build_subspace, carrier_set, check_subspace_preconditions
-from softtopo.topology import SoftTopology, verify
+from softtopo.topology import (
+    SoftTopology,
+    interior,
+    interior_oracle,
+    is_closed,
+    is_open,
+    verify,
+)
 
 
 def universe_of(points: int, params: int) -> Universe:
@@ -79,6 +105,41 @@ def sweep(u: Universe, topologies: list[SoftTopology]) -> int:
     return count
 
 
+def check_sweep(u: Universe, topologies: list[SoftTopology], seed: int = 0) -> int:
+    """Compare every checker with its oracle on each topology, its members
+    shuffled; returns how many topologies are Hausdorff."""
+    rng = random.Random(seed)
+    packing = u.packing
+    admissible = [
+        SoftSet.unchecked(u, bits)
+        for bits in range(packing.full + 1)
+        if bits & ~packing.full == 0 and packing.is_admissible(bits)
+    ]
+    separated = 0
+    for listed in topologies:
+        topo = SoftTopology.of(u, rng.sample(listed.members, len(listed.members)))
+        assert verify(topo).valid, topo.members
+        hausdorff = is_hausdorff(topo)
+        assert hausdorff == hausdorff_oracle(topo), topo.members
+        for literal in (False, True):
+            assert is_regular(topo, literal) == regular_oracle(topo, literal), topo.members
+        assert is_normal(topo) == normal_oracle(topo), topo.members
+        if hausdorff.holds:
+            separated += 1
+            assert is_locally_compact(topo) == locally_compact_oracle(topo), topo.members
+        baire = is_baire(topo).baire
+        assert baire == is_baire_by_nowhere_dense(topo), topo.members
+        if 2 ** len(rare_closed_sets(topo)) <= 4096:
+            assert baire == baire_subfamily_oracle(topo), topo.members
+        for f in admissible:
+            assert interior(topo, f) == interior_oracle(topo, f), (topo.members, f)
+            assert is_open(topo, f) == (f in topo.members), (topo.members, f)
+            comp = SoftSet.unchecked(u, packing.full ^ f.bits)
+            closed = packing.is_admissible(comp.bits) and comp in topo.members
+            assert is_closed(topo, f) == closed, (topo.members, f)
+    return separated
+
+
 @pytest.mark.parametrize(
     "points, params, topology_count, subspace_count",
     # 1-parameter topology counts are the labelled topologies, OEIS A000798.
@@ -94,6 +155,14 @@ def test_every_subspace_of_a_small_topology_verifies(
     assert sweep(u, topologies) == subspace_count
 
 
+@pytest.mark.parametrize("points, params", [(2, 1), (3, 1), (2, 2), (4, 1)])
+def test_every_checker_matches_its_oracle_on_a_small_topology(points, params):
+    u = universe_of(points, params)
+    # Hausdorff needs the opens to separate every pair of distinct points,
+    # which only the full topology does at these shapes.
+    assert check_sweep(u, all_topologies(u)) == 1
+
+
 def main(shapes: list[str]) -> None:
     for shape in shapes:
         points, params = map(int, shape.split("x"))
@@ -101,8 +170,10 @@ def main(shapes: list[str]) -> None:
         start = time.perf_counter()
         topologies = all_topologies(u)
         count = sweep(u, topologies)
+        separated = check_sweep(u, topologies)
         print(
-            f"{shape}: {len(topologies)} topologies, {count} subspaces verified"
+            f"{shape}: {len(topologies)} topologies, {count} subspaces verified,"
+            f" checkers match their oracles ({separated} Hausdorff)"
             f" in {time.perf_counter() - start:.1f} s"
         )
 

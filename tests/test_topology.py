@@ -660,7 +660,7 @@ def test_side_condition_and_interior_match_their_scans(monkeypatch):
 def test_verify_keeps_the_minimal_mask_table(abcd_doc, abcd_topo):
     topo = SoftTopology.of(abcd_doc.universe, abcd_topo.members)
     assert verify(topo).valid
-    assert topo._cache["hulls"] == (_minimal_masks(topo.packed), frozenset(topo.packed))
+    assert topo._cache["hulls"] == _minimal_masks(topo.packed)
     assert _hull_table(topo) is topo._cache["hulls"]
     # an invalid list keeps nothing
     topo = SoftTopology.of(abcd_doc.universe, abcd_topo.members[1:])
