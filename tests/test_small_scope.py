@@ -52,16 +52,21 @@ def universe_of(points: int, params: int) -> Universe:
     )
 
 
+def admissible_sets(u: Universe) -> list[SoftSet]:
+    """Every admissible soft set over ``u``, the null set first."""
+    packing = u.packing
+    return [
+        SoftSet.unchecked(u, bits)
+        for bits in range(packing.full + 1)
+        if bits & ~packing.full == 0 and packing.is_admissible(bits)
+    ]
+
+
 def all_topologies(u: Universe) -> list[SoftTopology]:
     """Breadth first from {null, absolute}: each step adds one admissible
     set and closes.  Any topology is reached by adding its members one at a
     time, since every closure on the way stays inside it."""
-    packing = u.packing
-    admissible = [
-        SoftSet.unchecked(u, bits)
-        for bits in range(1, packing.full + 1)
-        if bits & ~packing.full == 0 and packing.is_admissible(bits)
-    ]
+    admissible = admissible_sets(u)
     first = close_subbase(u, (), None)
     found = {frozenset(m.bits for m in first): first}
     frontier = [first]
@@ -110,11 +115,7 @@ def check_sweep(u: Universe, topologies: list[SoftTopology], seed: int = 0) -> i
     shuffled; returns how many topologies are Hausdorff."""
     rng = random.Random(seed)
     packing = u.packing
-    admissible = [
-        SoftSet.unchecked(u, bits)
-        for bits in range(packing.full + 1)
-        if bits & ~packing.full == 0 and packing.is_admissible(bits)
-    ]
+    admissible = admissible_sets(u)
     separated = 0
     for listed in topologies:
         topo = SoftTopology.of(u, rng.sample(listed.members, len(listed.members)))
