@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 import typing as t
@@ -32,6 +31,7 @@ from .core import (
 )
 from .document import (
     SpaceDocument,
+    canonical_json,
     encode_set,
     parse_file,
     resolve_set,
@@ -61,10 +61,6 @@ _ELEMENT_GUARD = 10**6
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     sys.stdout.flush()
-
-
-def _dumps(payload: t.Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def format_set(f: SoftSet) -> str:
@@ -124,7 +120,7 @@ def _cmd_verify(args) -> int:
     report = verify(_parse_with_topology(args.file).topology)
     if args.format == "json":
         _emit(
-            _dumps(
+            canonical_json(
                 {
                     "command": "verify",
                     "valid": report.valid,
@@ -156,7 +152,7 @@ def _check_outcome(args, prop: str, holds: bool, details: dict[str, t.Any]) -> i
     if args.format == "json":
         payload = {"command": "check", "property": prop, "holds": holds}
         payload.update({k: _encode_value(v) for k, v in details.items()})
-        _emit(_dumps(payload))
+        _emit(canonical_json(payload))
     else:
         lines = [f"{prop}: {'holds' if holds else 'fails'}"]
         for k, v in details.items():
@@ -260,7 +256,7 @@ def _cmd_compute(args) -> int:
             payload["result"] = [x.to_points() for x in result]
         else:
             payload["result"] = encode_set(result)
-        _emit(_dumps(payload))
+        _emit(canonical_json(payload))
     else:
         if args.operation == "limiting":
             shown = " ".join(format_element(x) for x in result) or "(none)"
@@ -282,7 +278,7 @@ def _cmd_elements(args) -> int:
     elements = list(iter_elements(subject))
     if args.format == "json":
         _emit(
-            _dumps(
+            canonical_json(
                 {
                     "command": "elements",
                     "set": args.set,
@@ -332,7 +328,7 @@ def _cmd_subspace(args) -> int:
     except SubspacePreconditionError as exc:
         if args.format == "json":
             _emit(
-                _dumps(
+                canonical_json(
                     {
                         "command": "subspace",
                         "satisfied": False,
@@ -380,7 +376,7 @@ def _cmd_map(args) -> int:
     agree = definitional.continuous == by_preimage.continuous
     if args.format == "json":
         _emit(
-            _dumps(
+            canonical_json(
                 {
                     "command": "map-check",
                     "function": args.fn,
@@ -441,7 +437,7 @@ def _cmd_fuzz(args) -> int:
             if args.out
             else f"{args.case}.counterexample.json"
         )
-        _write(path, _dumps(first.document))
+        _write(path, canonical_json(first.document))
         _emit(rendered + f"minimal counterexample written to {path}\n")
         return 1
     _emit(rendered)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import dataclasses as d
 import json
+import math
 import re
 import typing as t
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 from .core import (
     _ELEMENT_BUDGET,
@@ -29,6 +31,7 @@ from .topology import SoftTopology
 
 __all__ = [
     "SpaceDocument",
+    "canonical_json",
     "encode_set",
     "parse",
     "parse_file",
@@ -461,4 +464,69 @@ def to_payload(doc: SpaceDocument) -> dict[str, t.Any]:
 
 def serialize(doc: SpaceDocument) -> str:
     """Canonical text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(to_payload(doc), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return canonical_json(to_payload(doc), ensure_ascii=False)
+
+
+def canonical_json(payload: t.Any, ensure_ascii: bool = True) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2,
+    ensure_ascii=ensure_ascii)`` and a trailing newline, byte for byte.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents
+    (CPython 3.10 to 3.13); this walk leaves out its options and cycle
+    checks, and quotes strings with the C encoders of ``json.encoder``.  Dicts, lists, tuples, strings,
+    ints, floats, bools and None are written as ``json`` writes them; a
+    non-str key or any other type raises TypeError.
+    """
+    quote = encode_basestring_ascii if ensure_ascii else encode_basestring
+    out: list[str] = []
+    _encode(payload, "\n", quote, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(o: t.Any, newline: str, quote: t.Callable[[str], str], out: list[str]) -> None:
+    """Append the text of ``o`` to ``out``; ``newline`` breaks a line and
+    indents it to ``o``'s own level."""
+    if isinstance(o, str):
+        out.append(quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        # json's spellings of the values with no decimal form
+        if math.isfinite(o):
+            out.append(float.__repr__(o))
+        else:
+            out.append("NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _encode(item, inner, quote, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + quote(key) + ": ")
+            _encode(o[key], inner, quote, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+

@@ -199,7 +199,9 @@ def close_subbase(
                 seen.add(w)
                 rows.append(w)
         i += 1
-    return tuple(SoftSet(universe, row) for row in rows)
+    # Each row is 0, the absolute, a checked generator, or a union or
+    # collapsed meet of rows, so it lies inside the layout.
+    return tuple(SoftSet.unchecked(universe, row) for row in rows)
 
 
 def draw_subbase(

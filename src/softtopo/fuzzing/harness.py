@@ -9,10 +9,9 @@ behavior.  Trials run in index order, and each is a pure function of
 from __future__ import annotations
 
 import dataclasses as d
-import json
 import typing as t
 
-from ..document import to_payload
+from ..document import canonical_json, to_payload
 from ..errors import InputError
 from .generate import ALGORITHM_ID, GeneratorConfig, trial_rng, trial_seed
 from .instances import instance_document
@@ -140,7 +139,7 @@ def report_payload(report: TrialReport) -> dict[str, t.Any]:
 
 
 def serialize_report(report: TrialReport) -> str:
-    return json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n"
+    return canonical_json(report_payload(report))
 
 
 def report_text(report: TrialReport) -> str:

@@ -9,8 +9,10 @@ for those degenerate slices instead of hiding them.
 
 Both run on ``SoftSet.bits``: a function keeps, per layout bit, the bit it
 maps to and the bits mapping onto it, so an image or preimage is one OR
-per set bit.  The continuity scans work on the image bits of each member
-and test membership with ``&``/``~``.
+per set bit.  The elementwise reading decides each element on two open
+hulls, the smallest open around it and the smallest around its image,
+and scans the image bits of the members only for a witness; the preimage
+reading tests each preimage's bits against the domain's member bits.
 """
 
 from __future__ import annotations
@@ -19,14 +21,9 @@ import dataclasses as d
 import functools
 import typing as t
 
-from .core import (
-    SoftElement,
-    SoftSet,
-    Universe,
-    is_admissible,
-)
+from .core import SoftElement, SoftSet, Universe
 from .errors import InputError, PreconditionError, UniverseMismatchError
-from .topology import SoftTopology, space_elements
+from .topology import SoftTopology, open_hull, space_elements
 
 
 @d.dataclass(frozen=True)
@@ -153,8 +150,27 @@ def is_continuous_at(
         or codomain_topology.universe != f.codomain
     ):
         raise UniverseMismatchError("element or topology from a different universe")
-    images = [_image_bits(f, u) for u in domain_topology.packed]
+    if _hulls_pass(f, domain_topology, codomain_topology, x.bits):
+        return True
+    images = _images(f, domain_topology)
     return _failure_at(f, domain_topology, codomain_topology, images, x) is None
+
+
+def _hulls_pass(f: SoftFunction, dt: SoftTopology, ct: SoftTopology, xb: int) -> bool:
+    """Whether the element with bits ``xb`` passes on its two open hulls:
+    the image of the smallest open around it lies in the smallest open
+    around its image.  Exact when both hulls exist (FINDINGS.md,
+    "Continuity from open hulls"); False when either is missing, so the
+    caller scans."""
+    around = open_hull(dt, xb)
+    if around is None:
+        return False
+    target = open_hull(ct, _image_bits(f, xb))
+    return target is not None and _image_bits(f, around) & ~target == 0
+
+
+def _images(f: SoftFunction, dt: SoftTopology) -> list[int]:
+    return [_image_bits(f, u) for u in dt.packed]
 
 
 def _failure_at(
@@ -181,10 +197,16 @@ def definitional_continuity(
     domain_topology: SoftTopology,
     codomain_topology: SoftTopology,
 ) -> DefinitionalContinuityReport:
-    """Elementwise reading, scanned in canonical element order."""
+    """Elementwise reading, decided in canonical element order.  Only an
+    element that fails on its hulls, or lacks one, is scanned for its
+    witness."""
     _check_spaces(f, domain_topology, codomain_topology)
-    images = [_image_bits(f, u) for u in domain_topology.packed]
+    images = None
     for x in space_elements(domain_topology):
+        if _hulls_pass(f, domain_topology, codomain_topology, x.bits):
+            continue
+        if images is None:
+            images = _images(f, domain_topology)
         v = _failure_at(f, domain_topology, codomain_topology, images, x)
         if v is not None:
             return DefinitionalContinuityReport(False, (x, v))
@@ -197,14 +219,16 @@ class PreimageEntry:
     preimage: SoftSet
     admissible: bool
     verdict: str
-    """One of "open", "not-open", "degenerate", "skipped"."""
+    """Either "not-open", for an admissible preimage that is no member, or
+    "degenerate", for a mixed one."""
 
 
 @d.dataclass(frozen=True)
 class PreimageContinuityReport:
     continuous: bool
     policy: str
-    trace: tuple[PreimageEntry, ...]
+    failure: PreimageEntry | None
+    """First codomain open, in member order, whose preimage fails."""
 
 
 def preimage_continuity(
@@ -213,7 +237,8 @@ def preimage_continuity(
     codomain_topology: SoftTopology,
     degenerate: str = "violation",
 ) -> PreimageContinuityReport:
-    """Openness of every preimage, with a per-open trace.
+    """Openness of every preimage, scanned in member order up to the first
+    failure.
 
     ``degenerate`` decides what a mixed preimage slice pattern means:
     "violation" fails the check, "skip" leaves that open out of the verdict.
@@ -221,21 +246,18 @@ def preimage_continuity(
     _check_spaces(f, domain_topology, codomain_topology)
     if degenerate not in ("violation", "skip"):
         raise InputError(f"unknown degenerate policy: {degenerate!r}")
-    trace: list[PreimageEntry] = []
-    ok = True
-    for i, v in enumerate(codomain_topology.members):
-        w = preimage(f, v)
-        if not is_admissible(w):
-            if degenerate == "skip":
-                trace.append(PreimageEntry(i, w, False, "skipped"))
-            else:
-                trace.append(PreimageEntry(i, w, False, "degenerate"))
-                ok = False
-            continue
-        is_open = w.bits in domain_topology.member_bits
-        trace.append(PreimageEntry(i, w, True, "open" if is_open else "not-open"))
-        ok = ok and is_open
-    return PreimageContinuityReport(ok, degenerate, trace)
+    backward, opens = f._backward, domain_topology.member_bits
+    is_admissible = f.domain.packing.is_admissible
+    for i, vb in enumerate(codomain_topology.packed):
+        w = _gather(backward, vb)
+        if is_admissible(w):
+            if w not in opens:
+                entry = PreimageEntry(i, SoftSet(f.domain, w), True, "not-open")
+                return PreimageContinuityReport(False, degenerate, entry)
+        elif degenerate == "violation":
+            entry = PreimageEntry(i, SoftSet(f.domain, w), False, "degenerate")
+            return PreimageContinuityReport(False, degenerate, entry)
+    return PreimageContinuityReport(True, degenerate, None)
 
 
 def _check_spaces(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -718,6 +719,61 @@ def test_fuzz_json_report_matches_out_file(capsys, tmp_path, monkeypatch):
         assert payload["algorithm"] == "split-sha256/mt19937-v2"
         assert payload["verdict"] == verdict
     assert serialized == [case for case, _, _ in runs]
+
+
+def _json_command_lines(path: pathlib.Path):
+    """Every ``--format json`` command line on one fixture: verify, each
+    check, compute and elements on every set name, and the subspace on
+    every carrier."""
+    doc = parse(path.read_text())
+    names = [*doc.sets, "PHI", "ABS"]
+    yield ("verify", path)
+    for prop, (needs_set, _) in cli._PROPERTIES.items():
+        for extra in [("--set", name) for name in names] if needs_set else [()]:
+            yield ("check", prop, path, *extra)
+    yield ("check", "regular", path, "--literal-disjointness")
+    for name in names:
+        for operation in ("closure", "interior"):
+            yield ("compute", operation, path, "--set", name)
+        for reading in ("per-parameter", "whole-open"):
+            yield ("compute", "limiting", path, "--set", name, "--reading", reading)
+        yield ("elements", path, "--set", name)
+    points = doc.universe.points
+    for size in range(1, len(points) + 1):
+        for carrier in itertools.combinations(points, size):
+            yield ("subspace", path, "--points", ",".join(carrier))
+
+
+def test_json_outputs_match_json_dumps_on_the_fixtures(capsys, tmp_path):
+    # Each output must be json.dumps's text of its own parse; subspace
+    # documents keep non-ASCII names, as ``serialize`` does.
+    outputs = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        for argv in _json_command_lines(path):
+            _, out, _ = run(capsys, *argv, "--format", "json")
+            outputs[argv] = out
+    outputs["map"] = run(
+        capsys, "map", "check", "--format", "json", "--fn", "f",
+        "--domain", fixture_path("map_domain.json"),
+        "--codomain", fixture_path("map_codomain.json"),
+    )[1]
+    # stdout adds a line naming the counterexample file, so read the files
+    report = tmp_path / "report.json"
+    run(
+        capsys, "fuzz", "--format", "json", "--case", "continuity_criteria_agree",
+        "--points", "2", "--params", "2", "--trials", "25", "--seed", "23", "--out", report,
+    )
+    outputs["fuzz"] = report.read_text()
+    outputs["counterexample"] = (tmp_path / "report.json.counterexample.json").read_text()
+    checked = 0
+    for argv, out in outputs.items():
+        if out:
+            ascii_only = argv[0] != "subspace"
+            assert out == json.dumps(
+                json.loads(out), sort_keys=True, indent=2, ensure_ascii=ascii_only
+            ) + "\n", argv
+            checked += 1
+    assert checked > 400
 
 
 # --- parser ---------------------------------------------------------------------

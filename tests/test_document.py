@@ -11,10 +11,12 @@ import pytest
 from softtopo import core, document
 from softtopo.core import SoftElement, SoftSet, full_set, null_set
 from softtopo.document import (
+    canonical_json,
     parse,
     parse_file,
     resolve_set,
     serialize,
+    to_payload,
 )
 from softtopo.errors import DocumentError, InputError
 
@@ -49,6 +51,44 @@ def test_serialize_canonicalizes():
     assert canonical != messy
     assert serialize(parse(canonical)) == canonical
     assert canonical.endswith("\n")
+
+
+def _json_dumps(payload, ensure_ascii=True) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=ensure_ascii) + "\n"
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_serialize_matches_json_dumps(name):
+    doc = parse(read_fixture(name))
+    assert serialize(doc) == _json_dumps(to_payload(doc), ensure_ascii=False)
+
+
+EDGE_PAYLOADS = (
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[], {}, [{}]]},
+    [True, False, None, 0, -1, 10**40, -(10**40)],
+    {"floats": [0.0, -0.0, 1.5, 1e-7, 1e300, float("nan"), float("inf"), float("-inf")]},
+    "a string",
+    {"é": "ünïcode ✓ \U0001f600", "\x00\x1f": "tab\tnewline\n\"quote\" back\\slash"},
+    {"b": 1, "a": 2, "B": 3, "": 4, "aa": (5, [6, (7,)])},
+    {"fuzz": {"nested": {"deeper": [{"z": None, "y": [1.25, "\u2028"]}]}}},
+)
+
+
+@pytest.mark.parametrize("ensure_ascii", [True, False])
+@pytest.mark.parametrize("payload", EDGE_PAYLOADS)
+def test_canonical_json_matches_json_dumps(payload, ensure_ascii):
+    assert canonical_json(payload, ensure_ascii) == _json_dumps(payload, ensure_ascii)
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": {None: 1}}, {(1, 2): 3}, {"a": {1}}, [b"x"]])
+def test_canonical_json_refuses_keys_and_types_json_would_rewrite(payload):
+    # json.dumps writes an int or None key as a string; the writer refuses
+    # rather than write other bytes than the payload's own
+    with pytest.raises(TypeError):
+        canonical_json(payload)
 
 
 ISSUE_BY_FIXTURE = {

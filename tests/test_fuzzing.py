@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from softtopo.core import (
     full_set,
     null_set,
 )
+from softtopo.document import canonical_json
 from softtopo.errors import GenerationError, InputError, PreconditionError
 from softtopo.fuzzing import REGISTRY, GeneratorConfig, TheoremCase, run_theorem
 from softtopo.fuzzing.generate import (
@@ -80,6 +82,25 @@ def test_registry_contents():
         assert callable(case.build)
         assert callable(case.hypothesis)
         assert callable(case.conclusion)
+
+
+def test_reports_and_counterexamples_match_json_dumps():
+    # One seeded run of every case; the writer must give json.dumps's bytes
+    # for each report and each counterexample document.
+    documents = 0
+    for case_id in sorted(REGISTRY):
+        report = run_theorem(case_id, GeneratorConfig(2, 2, seed=23, trials=20))
+        payload = report_payload(report)
+        assert serialize_report(report) == (
+            json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        ), case_id
+        for record in payload["counterexamples"]:
+            document = record["document"]
+            assert canonical_json(document) == (
+                json.dumps(document, sort_keys=True, indent=2) + "\n"
+            ), case_id
+            documents += 1
+    assert documents > 0
 
 
 def test_trial_seed_split():

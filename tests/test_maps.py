@@ -18,6 +18,8 @@ from softtopo.errors import InputError, PreconditionError, UniverseMismatchError
 from softtopo.fuzzing.generate import GeneratorConfig, gen_topology
 from softtopo.maps import (
     DefinitionalContinuityReport,
+    PreimageContinuityReport,
+    PreimageEntry,
     SoftFunction,
     definitional_continuity,
     image,
@@ -146,6 +148,34 @@ def test_image_preserves_admissibility(point_maps, masks):
     assert is_admissible(image(f, s))
 
 
+def _reference_trace(f, dt, ct, degenerate):
+    """One entry per codomain open, in member order: its preimage, built
+    with ``SoftSet.of``, and the verdict on it under the policy."""
+    trace = []
+    for i, v in enumerate(ct.members):
+        w = _reference_preimage(f, v)
+        if not is_admissible(w):
+            verdict = "skipped" if degenerate == "skip" else "degenerate"
+        else:
+            verdict = "open" if w in dt.members else "not-open"
+        trace.append(PreimageEntry(i, w, is_admissible(w), verdict))
+    return trace
+
+
+def _reference_preimage_continuity(f, dt, ct, degenerate):
+    """The preimage reading with the whole trace built; the failure is its
+    first entry that is neither open nor skipped."""
+    failure = next(
+        (
+            e
+            for e in _reference_trace(f, dt, ct, degenerate)
+            if e.verdict in ("not-open", "degenerate")
+        ),
+        None,
+    )
+    return PreimageContinuityReport(failure is None, degenerate, failure)
+
+
 def test_criteria_diverge_on_degenerate_preimage():
     # codomain carries V = ({a},{b}); its preimage under the constant map
     # is ({a,b},{}), which is mixed, so the preimage reading rejects it
@@ -160,13 +190,16 @@ def test_criteria_diverge_on_degenerate_preimage():
     strict = preimage_continuity(CONST_A, dt, ct)
     assert strict.policy == "violation"
     assert not strict.continuous
-    verdicts = [e.verdict for e in strict.trace]
+    trace = _reference_trace(CONST_A, dt, ct, "violation")
+    verdicts = [e.verdict for e in trace]
     assert verdicts == ["open", "open", "degenerate"]
-    assert strict.trace[2].preimage == SoftSet.of(U22, (U22.mask_of("ab"), 0))
+    assert trace[2].preimage == SoftSet.of(U22, (U22.mask_of("ab"), 0))
+    assert strict.failure == trace[2]
 
     lenient = preimage_continuity(CONST_A, dt, ct, degenerate="skip")
-    assert lenient.continuous
-    assert [e.verdict for e in lenient.trace] == ["open", "open", "skipped"]
+    assert lenient.continuous and lenient.failure is None
+    trace = _reference_trace(CONST_A, dt, ct, "skip")
+    assert [e.verdict for e in trace] == ["open", "open", "skipped"]
 
     with pytest.raises(InputError):
         preimage_continuity(CONST_A, dt, ct, degenerate="ignore")
@@ -177,7 +210,8 @@ def test_criteria_agree_for_identity():
     definitional = definitional_continuity(IDENTITY, tf, tf)
     strict = preimage_continuity(IDENTITY, tf, tf)
     assert definitional.continuous and strict.continuous
-    assert all(e.verdict == "open" for e in strict.trace)
+    assert strict.failure is None
+    assert all(e.verdict == "open" for e in _reference_trace(IDENTITY, tf, tf, "violation"))
 
 
 def test_definitional_failure_details():
@@ -236,6 +270,10 @@ def test_definitional_continuity_matches_reference(points):
         for x in space_elements(dt):
             assert is_continuous_at(f, dt, ct, x) == (
                 _reference_failure_at(f, dt, ct, x) is None
+            )
+        for policy in ("violation", "skip"):
+            assert preimage_continuity(f, dt, ct, policy) == (
+                _reference_preimage_continuity(f, dt, ct, policy)
             )
         continuous += report.continuous
     # both verdicts occur, so witnesses are compared too

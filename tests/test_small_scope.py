@@ -1,16 +1,20 @@
-"""Exhaustive small-scope checks of Theorem 3.1 and of the checkers.
+"""Exhaustive small-scope checks of Theorem 3.1, of the checkers and of
+map continuity.
 
 Every elementary topology of a few small shapes is enumerated.  On each one
 every carrier that meets the two side conditions gets its subspace
 verified, and every checker is compared with its oracle, the topology's
-members shuffled so that member order matters.  Run as a script to sweep
-other shapes:
+members shuffled so that member order matters.  Both continuity readings
+are compared with their literal references on every (domain topology,
+codomain topology, point map) triple of a shape.  Run as a script to sweep
+other shapes, the map sweep after ``--maps``:
 
-    PYTHONPATH=src python tests/test_small_scope.py 5x1 2x3
+    PYTHONPATH=src python tests/test_small_scope.py 5x1 2x3 --maps 3x1 2x2
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import time
@@ -27,6 +31,12 @@ from softtopo.baire import (
 )
 from softtopo.core import SoftSet, Universe, elementary_intersection
 from softtopo.fuzzing.generate import close_subbase
+from softtopo.maps import (
+    SoftFunction,
+    definitional_continuity,
+    is_continuous_at,
+    preimage_continuity,
+)
 from softtopo.separation import (
     hausdorff_oracle,
     is_hausdorff,
@@ -42,7 +52,15 @@ from softtopo.topology import (
     interior_oracle,
     is_closed,
     is_open,
+    open_hull,
+    space_elements,
     verify,
+)
+
+from test_maps import (
+    _reference_definitional,
+    _reference_failure_at,
+    _reference_preimage_continuity,
 )
 
 
@@ -141,6 +159,54 @@ def check_sweep(u: Universe, topologies: list[SoftTopology], seed: int = 0) -> i
     return separated
 
 
+def map_sweep(
+    u: Universe, topologies: list[SoftTopology], seed: int = 0
+) -> tuple[int, int, int]:
+    """Compare ``definitional_continuity``, ``is_continuous_at`` and
+    ``preimage_continuity`` (both policies) with their literal references.
+
+    The triples are every (domain, codomain, point map) with both lists
+    from ``topologies``, members shuffled, and each list with one member
+    dropped, paired with the list it came from both ways and with itself.
+    A dropped list is mostly not closed, and where an element or image
+    lacks an open hull the checker falls back to its scan.  Returns the
+    triple count, how many dropped lists are not closed, and how many
+    elements of dropped lists lack a hull.
+    """
+    rng = random.Random(seed)
+    listed = [SoftTopology.of(u, rng.sample(t.members, len(t.members))) for t in topologies]
+    pairs = list(itertools.product(listed, repeat=2))
+    dropped = []
+    for t in listed:
+        for i in range(len(t.members)):
+            d = SoftTopology.of(u, t.members[:i] + t.members[i + 1:])
+            dropped.append(d)
+            pairs += [(d, t), (t, d), (d, d)]
+    rows = list(itertools.product(range(u.n_points), repeat=u.n_points))
+    count = 0
+    for point_maps in itertools.product(rows, repeat=u.n_params):
+        f = SoftFunction(u, u, point_maps)
+        for dt, ct in pairs:
+            context = (point_maps, dt.members, ct.members)
+            assert definitional_continuity(f, dt, ct) == _reference_definitional(
+                f, dt, ct
+            ), context
+            for x in space_elements(dt):
+                assert is_continuous_at(f, dt, ct, x) == (
+                    _reference_failure_at(f, dt, ct, x) is None
+                ), (context, x)
+            for policy in ("violation", "skip"):
+                assert preimage_continuity(f, dt, ct, policy) == (
+                    _reference_preimage_continuity(f, dt, ct, policy)
+                ), (context, policy)
+            count += 1
+    open_lists = sum(not verify(d).valid for d in dropped)
+    hulless = sum(
+        open_hull(d, x.bits) is None for d in dropped for x in space_elements(d)
+    )
+    return count, open_lists, hulless
+
+
 @pytest.mark.parametrize(
     "points, params, topology_count, subspace_count",
     # 1-parameter topology counts are the labelled topologies, OEIS A000798.
@@ -164,8 +230,18 @@ def test_every_checker_matches_its_oracle_on_a_small_topology(points, params):
     assert check_sweep(u, all_topologies(u)) == 1
 
 
-def main(shapes: list[str]) -> None:
-    for shape in shapes:
+def test_both_continuity_readings_match_their_references_on_every_map():
+    u = universe_of(2, 1)
+    # 4 topologies of 2, 3, 3 and 4 members, and 4 point maps: 16 pairs of
+    # topologies and 3 pairs for each of the 12 dropped lists, under each
+    # map.  The 8 lists without the null set or the absolute are not
+    # closed, and without the absolute 4 elements have no hull.
+    assert map_sweep(u, all_topologies(u)) == ((16 + 3 * 12) * 4, 8, 4)
+
+
+def main(argv: list[str]) -> None:
+    split = argv.index("--maps") if "--maps" in argv else len(argv)
+    for shape in argv[:split]:
         points, params = map(int, shape.split("x"))
         u = universe_of(points, params)
         start = time.perf_counter()
@@ -176,6 +252,16 @@ def main(shapes: list[str]) -> None:
             f"{shape}: {len(topologies)} topologies, {count} subspaces verified,"
             f" checkers match their oracles ({separated} Hausdorff)"
             f" in {time.perf_counter() - start:.1f} s"
+        )
+    for shape in argv[split + 1:]:
+        points, params = map(int, shape.split("x"))
+        u = universe_of(points, params)
+        start = time.perf_counter()
+        triples, open_lists, hulless = map_sweep(u, all_topologies(u))
+        print(
+            f"{shape} maps: {triples} triples match the continuity references"
+            f" ({open_lists} dropped lists not closed, {hulless} elements of"
+            f" dropped lists without a hull) in {time.perf_counter() - start:.1f} s"
         )
 
 
