@@ -11,14 +11,15 @@ is kept alongside as an independent cross-check.
 from __future__ import annotations
 
 import dataclasses as d
+import functools
 import itertools
+import operator
 import typing as t
 
 from .core import (
     SoftElement,
     SoftSet,
     element_count,
-    elementary_intersection,
     elementary_union_family,
     is_admissible,
     is_null,
@@ -28,8 +29,12 @@ from .separation import is_hausdorff
 from .topology import (
     SoftTopology,
     _cached,
+    _closed_bits,
+    _closure_bits,
+    _interior_bits,
+    _require_full_absolute,
+    _require_subject,
     closed_sets,
-    closure,
     interior,
     open_hull,
     space_elements,
@@ -37,13 +42,17 @@ from .topology import (
 
 
 def is_nowhere_dense(topo: SoftTopology, f: SoftSet) -> bool:
+    """Whether the interior of f's closure is null.  The checks of
+    ``closure`` run once; closure and interior are then taken on bits."""
     if not is_admissible(f):
         raise NotAdmissibleError(
             "is_nowhere_dense: subject outside the admissible family"
         )
     if is_null(f):
         raise PreconditionError("nowhere density is not defined for the null set")
-    return is_null(interior(topo, closure(topo, f)))
+    _require_full_absolute(topo, "closure")
+    p = _require_subject(topo, f, "closure")
+    return not _interior_bits(topo, _closure_bits(topo, p))
 
 
 def rare_closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
@@ -51,7 +60,7 @@ def rare_closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
 
     def build() -> tuple[SoftSet, ...]:
         return tuple(
-            c for c in closed_sets(topo) if is_null(interior(topo, c))
+            c for c in closed_sets(topo) if not _interior_bits(topo, c.bits)
         )
 
     return _cached(topo, "rare_closed", build)
@@ -74,9 +83,13 @@ def is_baire(topo: SoftTopology) -> BaireReport:
 
     def build() -> BaireReport:
         rare = rare_closed_sets(topo)
-        union = elementary_union_family(topo.universe, rare)
-        inner = interior(topo, union)
-        return BaireReport(is_null(inner), rare, union, inner)
+        union = _union(c.bits for c in rare)
+        inner = _interior_bits(topo, union)
+        universe = topo.universe
+        return BaireReport(
+            not inner, rare, SoftSet.unchecked(universe, union),
+            SoftSet.unchecked(universe, inner),
+        )
 
     return _cached(topo, "baire", build)
 
@@ -102,15 +115,20 @@ def is_baire_by_nowhere_dense(topo: SoftTopology) -> bool:
 
     For nonnull closed sets the closure step is the identity, so this
     family coincides with the rare closed family up to the null set, which
-    contributes nothing to the union; kept as an independent route.
+    contributes nothing to the union; kept as an independent route, taking
+    the closure and then the interior of each closed set.
     """
-    family = [
+    _require_full_absolute(topo, "closed_sets")
+    family = (
         c
-        for c in closed_sets(topo)
-        if not is_null(c) and is_nowhere_dense(topo, c)
-    ]
-    union = elementary_union_family(topo.universe, family)
-    return is_null(interior(topo, union))
+        for c in _closed_bits(topo)
+        if c and not _interior_bits(topo, _closure_bits(topo, c))
+    )
+    return not _interior_bits(topo, _union(family))
+
+
+def _union(bits: t.Iterable[int]) -> int:
+    return functools.reduce(operator.or_, bits, 0)
 
 
 # --- category ----------------------------------------------------------------
@@ -164,20 +182,20 @@ def is_first_category(
         if union == f:
             return CategoryReport(f, "first-category", tuple(pool), "fast-path")
         return CategoryReport(f, "second-category", (), "fast-path")
+    collapse = topo.universe.packing.collapse
     pieces = []
     for c in rare_closed_sets(topo):
-        p = elementary_intersection(f, c)
-        if not is_null(p):
+        p = collapse(f.bits & c.bits)
+        if p:
             pieces.append(p)
-    union = elementary_union_family(topo.universe, pieces)
-    if union != f:
+    if _union(pieces) != f.bits:
         return CategoryReport(f, "second-category", (), "fast-path")
     chosen: list[SoftSet] = []
     covered = 0
     for p in pieces:
-        if p.bits & ~covered:
-            chosen.append(p)
-            covered |= p.bits
+        if p & ~covered:
+            chosen.append(SoftSet.unchecked(topo.universe, p))
+            covered |= p
         if covered == f.bits:
             break
     return CategoryReport(f, "first-category", tuple(chosen), "fast-path")

@@ -27,7 +27,6 @@ from ..core import (
     elementary_intersection,
     elementary_intersection_family,
     elementary_union,
-    is_member,
     is_null,
     is_soft_subset,
     null_set,
@@ -250,13 +249,13 @@ def _decreasing_nonnull_closed(inst: Instance) -> bool:
 
 def _limiting_conclusion(inst: Instance) -> bool:
     topo, f = inst.topology, inst.aux["set"]
+    collapse = topo.universe.packing.collapse
     for x in limiting_elements(topo, f):
-        for g in topo.members:
-            if not is_member(x, g):
-                continue
-            # The meet is admissible or null: it has an element other
-            # than x unless it is null or the span of x alone.
-            if elementary_intersection(f, g).bits in (0, x.bits):
+        xb = x.bits
+        for g in topo.packed:
+            # The elementary meet is admissible or null: it has an element
+            # other than x unless it is null or the span of x alone.
+            if not xb & ~g and collapse(f.bits & g) in (0, xb):
                 return False
     return True
 

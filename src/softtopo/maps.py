@@ -217,7 +217,6 @@ def definitional_continuity(
 class PreimageEntry:
     member_index: int
     preimage: SoftSet
-    admissible: bool
     verdict: str
     """Either "not-open", for an admissible preimage that is no member, or
     "degenerate", for a mixed one."""
@@ -252,10 +251,10 @@ def preimage_continuity(
         w = _gather(backward, vb)
         if is_admissible(w):
             if w not in opens:
-                entry = PreimageEntry(i, SoftSet(f.domain, w), True, "not-open")
+                entry = PreimageEntry(i, SoftSet(f.domain, w), "not-open")
                 return PreimageContinuityReport(False, degenerate, entry)
         elif degenerate == "violation":
-            entry = PreimageEntry(i, SoftSet(f.domain, w), False, "degenerate")
+            entry = PreimageEntry(i, SoftSet(f.domain, w), "degenerate")
             return PreimageContinuityReport(False, degenerate, entry)
     return PreimageContinuityReport(True, degenerate, None)
 

@@ -22,7 +22,10 @@ from the ring test when the topology went through ``violations_of``, gives
 member inside one, and ``admissible_meets``, the side condition on
 pairwise meets.  In a verified topology a hull always exists, and a list
 that is not closed shows by lacking one; the separation and local
-compactness checkers decide their hypotheses with it.  ``space_elements``
+compactness checkers decide their hypotheses with it.  ``closure`` and
+``interior`` check their input and call bit kernels, ``_closure_bits``
+over a cached tuple of closed bits and ``_interior_bits``, which the Baire
+checks call directly once they have run the same checks.  ``space_elements``
 is the one value shared across topologies: a process-wide cache holds one
 element tuple per absolute, so every topology over that absolute reuses
 the same elements and their cached bits, and an absolute over the element
@@ -351,18 +354,21 @@ def is_closed(topo: SoftTopology, f: SoftSet) -> bool:
 def closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
     """All closed sets, in member order of their complements, deduplicated."""
     _require_full_absolute(topo, "closed_sets")
+    # The complement of a member lies inside the layout.
+    return _cached(topo, "closed", lambda: tuple(
+        SoftSet.unchecked(topo.universe, c) for c in _closed_bits(topo)
+    ))
 
-    def build() -> tuple[SoftSet, ...]:
+
+def _closed_bits(topo: SoftTopology) -> tuple[int, ...]:
+    """``closed_sets`` as bits, for callers that checked the absolute."""
+
+    def build() -> tuple[int, ...]:
         packing = topo.universe.packing
-        out: dict[int, None] = {}
-        for o in topo.packed:
-            comp = packing.full ^ o
-            if packing.is_admissible(comp):
-                out[comp] = None
-        # The complement of a member lies inside the layout.
-        return tuple(SoftSet.unchecked(topo.universe, c) for c in out)
+        comps = (packing.full ^ o for o in topo.packed)
+        return tuple(dict.fromkeys(filter(packing.is_admissible, comps)))
 
-    return _cached(topo, "closed", build)
+    return _cached(topo, "closed-bits", build)
 
 
 def nonnull_closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
@@ -389,12 +395,17 @@ def closure(topo: SoftTopology, f: SoftSet) -> SoftSet:
     """
     _require_full_absolute(topo, "closure")
     p = _require_subject(topo, f, "closure")
+    return SoftSet.unchecked(topo.universe, _closure_bits(topo, p))
+
+
+def _closure_bits(topo: SoftTopology, p: int) -> int:
+    """``closure`` of the bits ``p``, for callers that ran its guards."""
     packing = topo.universe.packing
     meet = packing.full
-    for c in closed_sets(topo):
-        if p & ~c.bits == 0:
-            meet &= c.bits
-    return SoftSet.unchecked(topo.universe, packing.collapse(meet))
+    for c in _closed_bits(topo):
+        if p & ~c == 0:
+            meet &= c
+    return packing.collapse(meet)
 
 
 def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
@@ -410,6 +421,11 @@ def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
     """
     _require_full_absolute(topo, "interior")
     p = _require_subject(topo, f, "interior")
+    return SoftSet.unchecked(topo.universe, _interior_bits(topo, p))
+
+
+def _interior_bits(topo: SoftTopology, p: int) -> int:
+    """``interior`` of the bits ``p``, for callers that ran its guards."""
     minimal = topo._cache.get("hulls") or _hull_table(topo)
     outside = ~p
     union = 0
@@ -422,9 +438,9 @@ def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
         if is_admissible(union) or not _cached(
             topo, "admissible", lambda: all(map(is_admissible, topo.packed))
         ):
-            return interior_oracle(topo, f)
+            return interior_oracle(topo, SoftSet.unchecked(topo.universe, p)).bits
         union = 0
-    return SoftSet.unchecked(topo.universe, union)
+    return union
 
 
 def interior_oracle(topo: SoftTopology, f: SoftSet) -> SoftSet:
@@ -494,10 +510,38 @@ def limiting_elements(
     f: SoftSet,
     mode: LimitingMode = LimitingMode.PER_PARAMETER,
 ) -> tuple[SoftElement, ...]:
-    """Scan all soft elements of the absolute, in canonical order."""
-    return tuple(
-        x for x in space_elements(topo) if is_limiting(topo, f, x, mode)
-    )
+    """The soft elements of the absolute that are limiting, in canonical
+    order.
+
+    The per-parameter reading splits over layout bits: an element is
+    limiting exactly when each of its bits ``b`` passes, and ``b`` in field
+    ``k`` passes when every member holding ``b`` meets f in field ``k`` at
+    some bit other than ``b`` (FINDINGS.md, "Limiting elements split over
+    bits").  So one pass over the members per field decides every element.
+    The whole-open reading scans each element with ``is_limiting``.
+    """
+    elements = space_elements(topo)
+    if mode is LimitingMode.WHOLE_OPEN:
+        return tuple(x for x in elements if is_limiting(topo, f, x, mode))
+    if elements and f.universe != topo.universe:
+        raise UniverseMismatchError("mixed universes in is_limiting")
+    failing = _failing_bits(topo, f.bits)
+    return tuple(x for x in elements if not x.bits & failing)
+
+
+def _failing_bits(topo: SoftTopology, f: int) -> int:
+    """The layout bits that fail the per-parameter reading for the bits
+    ``f``: those some member holds while meeting f in their field at no
+    other bit."""
+    failing = 0
+    for field in topo.universe.packing.fields:
+        for g in topo.packed:
+            near = f & g & field
+            if not near:
+                failing |= g & field
+            elif not near & (near - 1):  # a single bit, which g holds
+                failing |= near
+    return failing
 
 
 # --- neighborhoods ----------------------------------------------------------

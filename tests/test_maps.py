@@ -158,7 +158,7 @@ def _reference_trace(f, dt, ct, degenerate):
             verdict = "skipped" if degenerate == "skip" else "degenerate"
         else:
             verdict = "open" if w in dt.members else "not-open"
-        trace.append(PreimageEntry(i, w, is_admissible(w), verdict))
+        trace.append(PreimageEntry(i, w, verdict))
     return trace
 
 

@@ -4,10 +4,12 @@ map continuity.
 Every elementary topology of a few small shapes is enumerated.  On each one
 every carrier that meets the two side conditions gets its subspace
 verified, and every checker is compared with its oracle, the topology's
-members shuffled so that member order matters.  Both continuity readings
-are compared with their literal references on every (domain topology,
-codomain topology, point map) triple of a shape.  Run as a script to sweep
-other shapes, the map sweep after ``--maps``:
+members shuffled so that member order matters; on every admissible set so
+are closure, interior, nowhere density, first category and both
+limiting-element readings, with an oracle or a literal reference.  Both
+continuity readings are compared with their literal references on every
+(domain topology, codomain topology, point map) triple of a shape.  Run as
+a script to sweep other shapes, the map sweep after ``--maps``:
 
     PYTHONPATH=src python tests/test_small_scope.py 5x1 2x3 --maps 3x1 2x2
 """
@@ -23,13 +25,23 @@ import pytest
 
 from softtopo.baire import (
     baire_subfamily_oracle,
+    first_category_oracle,
     is_baire,
     is_baire_by_nowhere_dense,
+    is_first_category,
     is_locally_compact,
+    is_nowhere_dense,
     locally_compact_oracle,
     rare_closed_sets,
 )
-from softtopo.core import SoftSet, Universe, elementary_intersection
+from softtopo.core import (
+    SoftSet,
+    Universe,
+    elementary_intersection,
+    elementary_intersection_family,
+    is_admissible,
+    is_soft_subset,
+)
 from softtopo.fuzzing.generate import close_subbase
 from softtopo.maps import (
     SoftFunction,
@@ -47,11 +59,14 @@ from softtopo.separation import (
 )
 from softtopo.subspace import build_subspace, carrier_set, check_subspace_preconditions
 from softtopo.topology import (
+    LimitingMode,
     SoftTopology,
+    closure,
     interior,
     interior_oracle,
     is_closed,
     is_open,
+    limiting_elements,
     open_hull,
     space_elements,
     verify,
@@ -128,9 +143,44 @@ def sweep(u: Universe, topologies: list[SoftTopology]) -> int:
     return count
 
 
+def _reference_closure(topo: SoftTopology, f: SoftSet) -> SoftSet:
+    """The elementary intersection of the closed sets containing f, each
+    the complement of a member that is admissible."""
+    u = topo.universe
+    closed = [SoftSet(u, u.packing.full ^ m.bits) for m in topo.members]
+    return elementary_intersection_family(
+        u, [c for c in closed if is_admissible(c) and is_soft_subset(f, c)]
+    )
+
+
+def _reference_limiting(
+    topo: SoftTopology, f: SoftSet, mode: LimitingMode
+) -> tuple:
+    """The limiting elements by a scan of each element against every
+    member, field by field: an open that holds the element (per parameter:
+    at a field; whole open: at every field) must meet f in that field away
+    from the element."""
+    fields = topo.universe.packing.fields
+
+    def limiting(xb: int) -> bool:
+        for g in topo.packed:
+            if mode is LimitingMode.WHOLE_OPEN and xb & ~g:
+                continue
+            near = f.bits & g & ~xb
+            for field in fields:
+                if mode is LimitingMode.PER_PARAMETER and not g & xb & field:
+                    continue
+                if near & field == 0:
+                    return False
+        return True
+
+    return tuple(x for x in space_elements(topo) if limiting(x.bits))
+
+
 def check_sweep(u: Universe, topologies: list[SoftTopology], seed: int = 0) -> int:
-    """Compare every checker with its oracle on each topology, its members
-    shuffled; returns how many topologies are Hausdorff."""
+    """Compare every checker with its oracle or literal reference on each
+    topology, its members shuffled; returns how many topologies are
+    Hausdorff."""
     rng = random.Random(seed)
     packing = u.packing
     admissible = admissible_sets(u)
@@ -156,6 +206,19 @@ def check_sweep(u: Universe, topologies: list[SoftTopology], seed: int = 0) -> i
             comp = SoftSet.unchecked(u, packing.full ^ f.bits)
             closed = packing.is_admissible(comp.bits) and comp in topo.members
             assert is_closed(topo, f) == closed, (topo.members, f)
+            shut = closure(topo, f)
+            assert shut == _reference_closure(topo, f), (topo.members, f)
+            for mode in LimitingMode:
+                assert limiting_elements(topo, f, mode) == _reference_limiting(
+                    topo, f, mode
+                ), (topo.members, f, mode)
+            if f.bits:
+                sparse = not interior_oracle(topo, shut).bits
+                assert is_nowhere_dense(topo, f) == sparse, (topo.members, f)
+                assert (
+                    is_first_category(topo, f).verdict
+                    == first_category_oracle(topo, f).verdict
+                ), (topo.members, f)
     return separated
 
 
