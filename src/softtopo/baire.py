@@ -29,12 +29,10 @@ from .separation import is_hausdorff
 from .topology import (
     SoftTopology,
     _cached,
-    _closed_bits,
     _closure_bits,
     _interior_bits,
-    _require_full_absolute,
-    _require_subject,
     closed_sets,
+    closure,
     interior,
     open_hull,
     space_elements,
@@ -42,17 +40,15 @@ from .topology import (
 
 
 def is_nowhere_dense(topo: SoftTopology, f: SoftSet) -> bool:
-    """Whether the interior of f's closure is null.  The checks of
-    ``closure`` run once; closure and interior are then taken on bits."""
+    """Whether the interior of f's closure is null.  ``closure`` checks f,
+    and the interior is taken on its bits."""
     if not is_admissible(f):
         raise NotAdmissibleError(
             "is_nowhere_dense: subject outside the admissible family"
         )
     if is_null(f):
         raise PreconditionError("nowhere density is not defined for the null set")
-    _require_full_absolute(topo, "closure")
-    p = _require_subject(topo, f, "closure")
-    return not _interior_bits(topo, _closure_bits(topo, p))
+    return not _interior_bits(topo, closure(topo, f).bits)
 
 
 def rare_closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
@@ -118,11 +114,10 @@ def is_baire_by_nowhere_dense(topo: SoftTopology) -> bool:
     contributes nothing to the union; kept as an independent route, taking
     the closure and then the interior of each closed set.
     """
-    _require_full_absolute(topo, "closed_sets")
     family = (
-        c
-        for c in _closed_bits(topo)
-        if c and not _interior_bits(topo, _closure_bits(topo, c))
+        c.bits
+        for c in closed_sets(topo)
+        if c.bits and not _interior_bits(topo, _closure_bits(topo, c.bits))
     )
     return not _interior_bits(topo, _union(family))
 

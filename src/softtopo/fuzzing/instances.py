@@ -184,29 +184,21 @@ def _rebuild(
     subbase: t.Sequence[SoftSet],
     aux: dict[str, t.Any],
     cap: int,
-    codomain: SoftTopology | None = None,
 ) -> Instance | None:
-    """Close ``subbase``, and for a map case the codomain subbase, unless
-    ``codomain`` is given as its closure; None once a closure passes
-    ``cap``."""
     members = close_subbase(universe, subbase, cap)
     if members is None:
         return None
     if "codomain_subbase" in aux:
-        if codomain is None:
-            cod = close_subbase(universe, aux["codomain_subbase"], cap)
-            if cod is None:
-                return None
-            codomain = SoftTopology.of(universe, cod)
+        cod = close_subbase(universe, aux["codomain_subbase"], cap)
+        if cod is None:
+            return None
         aux = dict(aux)
-        aux["codomain"] = codomain
+        aux["codomain"] = SoftTopology.of(universe, cod)
     return Instance(universe, tuple(subbase), SoftTopology.of(universe, members), aux)
 
 
-def _without_generator(
-    inst: Instance, i: int, cap: int, codomain: SoftTopology | None
-) -> Instance | None:
-    return _rebuild(inst.universe, _omit(inst.subbase, i), dict(inst.aux), cap, codomain)
+def _without_generator(inst: Instance, i: int, cap: int) -> Instance | None:
+    return _rebuild(inst.universe, _omit(inst.subbase, i), dict(inst.aux), cap)
 
 
 def _projected(
@@ -296,21 +288,16 @@ def _without_param(inst: Instance, index: int, cap: int) -> Instance | None:
 
 
 def candidate_mutations(
-    inst: Instance, config: GeneratorConfig, codomain: SoftTopology | None = None
+    inst: Instance, config: GeneratorConfig
 ) -> t.Iterator[tuple[str, Instance]]:
     """All one-step reductions, cheapest axis first: drop a subbase
     generator, then a point, then a parameter.  Candidates that cannot be
     rebuilt (closure cap, emptied carrier, unmappable function) are skipped
     here; the semantic gate is the caller's job.
-
-    ``codomain``, when given, is ``close_subbase`` of the instance's
-    codomain subbase under ``config.max_topology``.  A candidate that drops
-    a domain generator keeps that subbase, so it keeps this codomain
-    instead of closing the subbase again.
     """
     cap = config.max_topology
     for i in range(len(inst.subbase)):
-        cand = _without_generator(inst, i, cap, codomain)
+        cand = _without_generator(inst, i, cap)
         if cand is not None:
             yield f"drop-generator:{i}", cand
     for index, name in enumerate(inst.universe.points):

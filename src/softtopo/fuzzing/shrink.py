@@ -31,11 +31,7 @@ def shrink_instance(
     current = inst
     trace: list[str] = []
     while True:
-        # After a step ``current`` is a candidate, whose codomain is the
-        # closure of its codomain subbase.  A built instance's codomain may
-        # list the same members in another order, so it is closed again.
-        codomain = current.aux.get("codomain") if trace else None
-        for label, cand in candidate_mutations(current, config, codomain):
+        for label, cand in candidate_mutations(current, config):
             if still_falsifies(case, cand):
                 current = cand
                 trace.append(label)

@@ -25,11 +25,11 @@ that is not closed shows by lacking one; the separation and local
 compactness checkers decide their hypotheses with it.  ``closure`` and
 ``interior`` check their input and call bit kernels, ``_closure_bits``
 over a cached tuple of closed bits and ``_interior_bits``, which the Baire
-checks call directly once they have run the same checks.  ``space_elements``
-is the one value shared across topologies: a process-wide cache holds one
-element tuple per absolute, so every topology over that absolute reuses
-the same elements and their cached bits, and an absolute over the element
-budget is refused before any element is built.
+checks call directly on sets that ``closure`` or ``closed_sets`` returned.
+``space_elements`` is the one value shared across topologies: a
+process-wide cache holds one element tuple per absolute, so every topology
+over that absolute reuses the same elements and their cached bits, and an
+absolute over the element budget is refused before any element is built.
 
 The absolute member defaults to the full soft set; subspace topologies reuse
 the same verifier with the constant set on the carrier points as absolute.
@@ -523,7 +523,8 @@ def limiting_elements(
     elements = space_elements(topo)
     if mode is LimitingMode.WHOLE_OPEN:
         return tuple(x for x in elements if is_limiting(topo, f, x, mode))
-    if elements and f.universe != topo.universe:
+    # is_limiting's check; the elements lie in the absolute's universe
+    if elements and not topo.universe == topo.absolute.universe == f.universe:
         raise UniverseMismatchError("mixed universes in is_limiting")
     failing = _failing_bits(topo, f.bits)
     return tuple(x for x in elements if not x.bits & failing)

@@ -433,6 +433,15 @@ def test_limiting_elements_whole_open_reading(abcd_doc, abcd_topo):
     assert len(coords) != len(limiting_elements(abcd_topo, f))
 
 
+def test_limiting_elements_reject_an_absolute_of_another_universe():
+    u = Universe.of(("a", "b"), ("e",))
+    other = Universe.of(("c", "d"), ("e",))
+    topo = SoftTopology.of(u, [null_set(u), full_set(u)], full_set(other))
+    for mode in LimitingMode:
+        with pytest.raises(UniverseMismatchError, match="mixed universes"):
+            limiting_elements(topo, full_set(u), mode)
+
+
 def test_is_limiting_spot_check(abcd_doc, abcd_topo):
     f = abcd_doc.sets["F"]
     u = abcd_doc.universe
