@@ -151,9 +151,7 @@ def _require_category_subject(f: SoftSet, where: str) -> None:
         raise PreconditionError(f"{where}: category is not defined for the null set")
 
 
-def is_first_category(
-    topo: SoftTopology, f: SoftSet, pool: t.Sequence[SoftSet] | None = None
-) -> CategoryReport:
+def is_first_category(topo: SoftTopology, f: SoftSet) -> CategoryReport:
     """Whether the subject is a finite union of nowhere dense sets.
 
     Complete at finite scale: any nowhere dense piece sits inside its own
@@ -161,22 +159,10 @@ def is_first_category(
     closed set recovers the maximal usable pieces.  Coverage by those
     pieces is therefore equivalent to the property.  The decomposition
     keeps only pieces that extend coverage, scanned in canonical order.
-
-    An explicit ``pool`` replaces the piece search: every pool entry must
-    be nowhere dense, and the verdict asks whether their union is the
-    subject.
     """
     _require_category_subject(f, "is_first_category")
     if is_nowhere_dense(topo, f):
         return CategoryReport(f, "nowhere-dense", (f,), "fast-path")
-    if pool is not None:
-        for p in pool:
-            if not is_nowhere_dense(topo, p):
-                raise PreconditionError("pool piece is not nowhere dense")
-        union = elementary_union_family(topo.universe, pool)
-        if union == f:
-            return CategoryReport(f, "first-category", tuple(pool), "fast-path")
-        return CategoryReport(f, "second-category", (), "fast-path")
     collapse = topo.universe.packing.collapse
     pieces = []
     for c in rare_closed_sets(topo):

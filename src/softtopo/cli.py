@@ -372,7 +372,7 @@ def _cmd_map(args) -> int:
         dom_doc.universe, cod_doc.universe, dom_doc.functions[args.fn]
     )
     definitional = definitional_continuity(fn, dom_topo, cod_topo)
-    by_preimage = preimage_continuity(fn, dom_topo, cod_topo, degenerate="violation")
+    by_preimage = preimage_continuity(fn, dom_topo, cod_topo)
     agree = definitional.continuous == by_preimage.continuous
     if args.format == "json":
         _emit(

@@ -149,6 +149,34 @@ def _slice_issues(
     return mask, known
 
 
+def _known_params(universe: Universe, raw: dict, path: str, issues: _Issues) -> bool:
+    """Report each key of ``raw`` that is not a declared parameter; whether
+    there was none."""
+    ok = True
+    for param in raw:
+        if param not in universe.point_bits:
+            issues.add(f"{path}.{param}", f"unknown parameter {param!r}")
+            ok = False
+    return ok
+
+
+def _named(raw: dict, key: str, universe: Universe, issues: _Issues, decode) -> dict:
+    """Each entry of the named section ``key`` that ``decode(universe, body,
+    issues, name)`` turns into a value (None marks a refused entry); a
+    section that is not an object reads as empty."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        issues.add(f"$.{key}", f"expected an object of named {key}")
+        return {}
+    _refuse_surrogates(section, f"$.{key}", issues)
+    decoded = {}
+    for name, body in section.items():
+        value = decode(universe, body, issues, name)
+        if value is not None:
+            decoded[name] = value
+    return decoded
+
+
 def _decode_set(
     universe: Universe, raw, issues: _Issues, set_name: str
 ) -> SoftSet | None:
@@ -181,13 +209,19 @@ def _decode_set(
         bits |= mask
     # With every parameter present, a longer object has unknown keys.
     if not ok or len(raw) != universe.n_params:
-        for param in raw:
-            if param not in universe.point_bits:
-                issues.add(f"$.sets.{set_name}.{param}", f"unknown parameter {param!r}")
-                ok = False
+        ok = _known_params(universe, raw, f"$.sets.{set_name}", issues) and ok
     if not ok:
         return None
     return SoftSet.unchecked(universe, bits)
+
+
+def _decode_unreserved_set(
+    universe: Universe, raw, issues: _Issues, set_name: str
+) -> SoftSet | None:
+    if set_name in RESERVED_NAMES:
+        issues.add(f"$.sets.{set_name}", "reserved name cannot be redefined")
+        return None
+    return _decode_set(universe, raw, issues, set_name)
 
 
 def _decode_universe(raw, issues: _Issues) -> Universe | None:
@@ -224,10 +258,11 @@ def _decode_universe(raw, issues: _Issues) -> Universe | None:
 
 
 def _decode_function(
-    universe: Universe, raw, path: str, issues: _Issues
+    universe: Universe, raw, issues: _Issues, name: str
 ) -> dict[str, dict[str, str]] | None:
     """Structural check only.  Target names resolve against a codomain later,
     so a lone document cannot vouch for them."""
+    path = f"$.functions.{name}"
     if not isinstance(raw, dict):
         issues.add(path, "expected an object of per-parameter point maps")
         return None
@@ -253,18 +288,15 @@ def _decode_function(
             if point not in table:
                 issues.add(f"{path}.{param}", f"no target for point {point!r}")
                 ok = False
-    for param in raw:
-        if param not in universe.params:
-            issues.add(f"{path}.{param}", f"unknown parameter {param!r}")
-            ok = False
-    if not ok:
+    if not _known_params(universe, raw, path, issues) or not ok:
         return None
     return {param: dict(raw[param]) for param in universe.params}
 
 
 def _decode_element(
-    universe: Universe, raw, path: str, issues: _Issues
+    universe: Universe, raw, issues: _Issues, name: str
 ) -> SoftElement | None:
+    path = f"$.elements.{name}"
     if not isinstance(raw, dict):
         issues.add(path, "expected an object mapping parameters to points")
         return None
@@ -281,11 +313,7 @@ def _decode_element(
             ok = False
             continue
         coords.append(universe.point_index(point))
-    for param in raw:
-        if param not in universe.params:
-            issues.add(f"{path}.{param}", f"unknown parameter {param!r}")
-            ok = False
-    if not ok:
+    if not _known_params(universe, raw, path, issues) or not ok:
         return None
     return SoftElement(universe, tuple(coords))
 
@@ -314,19 +342,7 @@ def parse(text: str) -> SpaceDocument:
         issues.raise_if_any()
         raise AssertionError("unreachable")
 
-    sets: dict[str, SoftSet] = {}
-    raw_sets = raw.get("sets", {})
-    if not isinstance(raw_sets, dict):
-        issues.add("$.sets", "expected an object of named sets")
-        raw_sets = {}
-    _refuse_surrogates(raw_sets, "$.sets", issues)
-    for name, body in raw_sets.items():
-        if name in RESERVED_NAMES:
-            issues.add(f"$.sets.{name}", "reserved name cannot be redefined")
-            continue
-        decoded = _decode_set(universe, body, issues, name)
-        if decoded is not None:
-            sets[name] = decoded
+    sets = _named(raw, "sets", universe, issues, _decode_unreserved_set)
 
     absolute_name = raw.get("absolute")
     if absolute_name is not None:
@@ -368,27 +384,8 @@ def parse(text: str) -> SpaceDocument:
             absolute = full_set(universe) if absolute_name is None else sets[absolute_name]
             topology = SoftTopology.of(universe, members, absolute)
 
-    functions: dict[str, dict[str, dict[str, str]]] = {}
-    raw_functions = raw.get("functions", {})
-    if not isinstance(raw_functions, dict):
-        issues.add("$.functions", "expected an object of named functions")
-        raw_functions = {}
-    _refuse_surrogates(raw_functions, "$.functions", issues)
-    for name, body in raw_functions.items():
-        decoded_fn = _decode_function(universe, body, f"$.functions.{name}", issues)
-        if decoded_fn is not None:
-            functions[name] = decoded_fn
-
-    elements: dict[str, SoftElement] = {}
-    raw_elements = raw.get("elements", {})
-    if not isinstance(raw_elements, dict):
-        issues.add("$.elements", "expected an object of named elements")
-        raw_elements = {}
-    _refuse_surrogates(raw_elements, "$.elements", issues)
-    for name, body in raw_elements.items():
-        decoded_el = _decode_element(universe, body, f"$.elements.{name}", issues)
-        if decoded_el is not None:
-            elements[name] = decoded_el
+    functions = _named(raw, "functions", universe, issues, _decode_function)
+    elements = _named(raw, "elements", universe, issues, _decode_element)
 
     extras: dict[str, t.Any] = {}
     if "fuzz" in raw:

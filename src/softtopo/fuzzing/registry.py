@@ -285,7 +285,7 @@ def _criteria_agree(inst: Instance) -> bool:
     fn = inst.aux["function"]
     cod = inst.aux["codomain"]
     a = definitional_continuity(fn, inst.topology, cod).continuous
-    b = preimage_continuity(fn, inst.topology, cod, degenerate="violation").continuous
+    b = preimage_continuity(fn, inst.topology, cod).continuous
     return a == b
 
 

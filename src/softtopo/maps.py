@@ -4,8 +4,8 @@ A soft function here is a family of total point maps, one per parameter.
 Images and preimages act slice-wise.  Images of admissible sets stay
 admissible (a nonempty slice cannot map to an empty one); preimages can
 turn admissible sets into mixed ones, which is exactly where the two
-continuity readings part ways, so the preimage checker exposes a policy
-for those degenerate slices instead of hiding them.
+continuity readings part ways: the preimage checker reports such a
+degenerate preimage as its failure instead of hiding it.
 
 Both run on ``SoftSet.bits``: a function keeps, per layout bit, the bit it
 maps to and the bits mapping onto it, so an image or preimage is one OR
@@ -225,7 +225,6 @@ class PreimageEntry:
 @d.dataclass(frozen=True)
 class PreimageContinuityReport:
     continuous: bool
-    policy: str
     failure: PreimageEntry | None
     """First codomain open, in member order, whose preimage fails."""
 
@@ -234,29 +233,23 @@ def preimage_continuity(
     f: SoftFunction,
     domain_topology: SoftTopology,
     codomain_topology: SoftTopology,
-    degenerate: str = "violation",
 ) -> PreimageContinuityReport:
     """Openness of every preimage, scanned in member order up to the first
-    failure.
-
-    ``degenerate`` decides what a mixed preimage slice pattern means:
-    "violation" fails the check, "skip" leaves that open out of the verdict.
-    """
+    failure: an admissible preimage that is no member, or a mixed one."""
     _check_spaces(f, domain_topology, codomain_topology)
-    if degenerate not in ("violation", "skip"):
-        raise InputError(f"unknown degenerate policy: {degenerate!r}")
     backward, opens = f._backward, domain_topology.member_bits
     is_admissible = f.domain.packing.is_admissible
     for i, vb in enumerate(codomain_topology.packed):
         w = _gather(backward, vb)
-        if is_admissible(w):
-            if w not in opens:
-                entry = PreimageEntry(i, SoftSet(f.domain, w), "not-open")
-                return PreimageContinuityReport(False, degenerate, entry)
-        elif degenerate == "violation":
-            entry = PreimageEntry(i, SoftSet(f.domain, w), "degenerate")
-            return PreimageContinuityReport(False, degenerate, entry)
-    return PreimageContinuityReport(True, degenerate, None)
+        if not is_admissible(w):
+            verdict = "degenerate"
+        elif w not in opens:
+            verdict = "not-open"
+        else:
+            continue
+        entry = PreimageEntry(i, SoftSet(f.domain, w), verdict)
+        return PreimageContinuityReport(False, entry)
+    return PreimageContinuityReport(True, None)
 
 
 def _check_spaces(

@@ -488,18 +488,21 @@ def is_limiting(
     x: SoftElement,
     mode: LimitingMode = LimitingMode.PER_PARAMETER,
 ) -> bool:
+    """Whether x is limiting for f.  The per-parameter reading holds when x
+    holds no failing bit (``_failing_bits``); the whole-open reading scans
+    the members holding x, field by field."""
     if x.universe != topo.universe or f.universe != topo.universe:
         raise UniverseMismatchError("mixed universes in is_limiting")
     xb = x.bits
+    if mode is LimitingMode.PER_PARAMETER:
+        return not xb & _failing_bits(topo, f.bits)
     fields = topo.universe.packing.fields
     for g in topo.packed:
-        if mode is LimitingMode.WHOLE_OPEN and xb & ~g:
+        if xb & ~g:
             continue
         # f's bits inside g's slices punctured at x's coordinates
         near = f.bits & g & ~xb
         for field in fields:
-            if mode is LimitingMode.PER_PARAMETER and not g & xb & field:
-                continue
             if near & field == 0:
                 return False
     return True

@@ -114,18 +114,6 @@ def test_category_oracle_agreement(abcd_topo):
         assert fast.verdict == slow.verdict
 
 
-def test_category_pool_mode(ladder_topo):
-    subject = soft(UABC, e1="ab", e2="abc")
-    c1 = soft(UABC, e1="a", e2="ac")
-    c2 = soft(UABC, e1="ab", e2="ab")
-    report = is_first_category(ladder_topo, subject, pool=[c1, c2])
-    assert report.verdict == "first-category"
-    assert report.decomposition == (c1, c2)
-    assert is_first_category(ladder_topo, subject, pool=[c1]).verdict == "second-category"
-    with pytest.raises(PreconditionError):
-        is_first_category(ladder_topo, subject, pool=[subject])
-
-
 def test_category_guards(abcd_topo):
     u = abcd_topo.universe
     with pytest.raises(PreconditionError):

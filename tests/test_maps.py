@@ -148,32 +148,26 @@ def test_image_preserves_admissibility(point_maps, masks):
     assert is_admissible(image(f, s))
 
 
-def _reference_trace(f, dt, ct, degenerate):
+def _reference_trace(f, dt, ct):
     """One entry per codomain open, in member order: its preimage, built
-    with ``SoftSet.of``, and the verdict on it under the policy."""
+    with ``SoftSet.of``, and the verdict on it."""
     trace = []
     for i, v in enumerate(ct.members):
         w = _reference_preimage(f, v)
         if not is_admissible(w):
-            verdict = "skipped" if degenerate == "skip" else "degenerate"
+            verdict = "degenerate"
         else:
             verdict = "open" if w in dt.members else "not-open"
         trace.append(PreimageEntry(i, w, verdict))
     return trace
 
 
-def _reference_preimage_continuity(f, dt, ct, degenerate):
+def _reference_preimage_continuity(f, dt, ct):
     """The preimage reading with the whole trace built; the failure is its
-    first entry that is neither open nor skipped."""
-    failure = next(
-        (
-            e
-            for e in _reference_trace(f, dt, ct, degenerate)
-            if e.verdict in ("not-open", "degenerate")
-        ),
-        None,
-    )
-    return PreimageContinuityReport(failure is None, degenerate, failure)
+    first entry that is not open."""
+    trace = _reference_trace(f, dt, ct)
+    failure = next((e for e in trace if e.verdict != "open"), None)
+    return PreimageContinuityReport(failure is None, failure)
 
 
 def test_criteria_diverge_on_degenerate_preimage():
@@ -188,21 +182,12 @@ def test_criteria_diverge_on_degenerate_preimage():
     assert definitional.continuous and definitional.failure is None
 
     strict = preimage_continuity(CONST_A, dt, ct)
-    assert strict.policy == "violation"
     assert not strict.continuous
-    trace = _reference_trace(CONST_A, dt, ct, "violation")
+    trace = _reference_trace(CONST_A, dt, ct)
     verdicts = [e.verdict for e in trace]
     assert verdicts == ["open", "open", "degenerate"]
     assert trace[2].preimage == SoftSet.of(U22, (U22.mask_of("ab"), 0))
     assert strict.failure == trace[2]
-
-    lenient = preimage_continuity(CONST_A, dt, ct, degenerate="skip")
-    assert lenient.continuous and lenient.failure is None
-    trace = _reference_trace(CONST_A, dt, ct, "skip")
-    assert [e.verdict for e in trace] == ["open", "open", "skipped"]
-
-    with pytest.raises(InputError):
-        preimage_continuity(CONST_A, dt, ct, degenerate="ignore")
 
 
 def test_criteria_agree_for_identity():
@@ -211,7 +196,7 @@ def test_criteria_agree_for_identity():
     strict = preimage_continuity(IDENTITY, tf, tf)
     assert definitional.continuous and strict.continuous
     assert strict.failure is None
-    assert all(e.verdict == "open" for e in _reference_trace(IDENTITY, tf, tf, "violation"))
+    assert all(e.verdict == "open" for e in _reference_trace(IDENTITY, tf, tf))
 
 
 def test_definitional_failure_details():
@@ -271,10 +256,9 @@ def test_definitional_continuity_matches_reference(points):
             assert is_continuous_at(f, dt, ct, x) == (
                 _reference_failure_at(f, dt, ct, x) is None
             )
-        for policy in ("violation", "skip"):
-            assert preimage_continuity(f, dt, ct, policy) == (
-                _reference_preimage_continuity(f, dt, ct, policy)
-            )
+        assert preimage_continuity(f, dt, ct) == (
+            _reference_preimage_continuity(f, dt, ct)
+        )
         continuous += report.continuous
     # both verdicts occur, so witnesses are compared too
     assert 0 < continuous < 120

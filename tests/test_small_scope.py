@@ -6,10 +6,11 @@ every carrier that meets the two side conditions gets its subspace
 verified, and every checker is compared with its oracle, the topology's
 members shuffled so that member order matters; on every admissible set so
 are closure, interior, nowhere density, first category and both
-limiting-element readings, with an oracle or a literal reference.  Both
-continuity readings are compared with their literal references on every
-(domain topology, codomain topology, point map) triple of a shape.  Run as
-a script to sweep other shapes, the map sweep after ``--maps``:
+limiting-element readings, as a list and element by element, with an
+oracle or a literal reference.  Both continuity readings are compared with
+their literal references on every (domain topology, codomain topology,
+point map) triple of a shape.  Run as a script to sweep other shapes, the
+map sweep after ``--maps``:
 
     PYTHONPATH=src python tests/test_small_scope.py 5x1 2x3 --maps 3x1 2x2
 """
@@ -65,6 +66,7 @@ from softtopo.topology import (
     interior,
     interior_oracle,
     is_closed,
+    is_limiting,
     is_open,
     limiting_elements,
     open_hull,
@@ -188,6 +190,7 @@ def check_sweep(u: Universe, topologies: list[SoftTopology], seed: int = 0) -> i
     for listed in topologies:
         topo = SoftTopology.of(u, rng.sample(listed.members, len(listed.members)))
         assert verify(topo).valid, topo.members
+        elements = space_elements(topo)
         hausdorff = is_hausdorff(topo)
         assert hausdorff == hausdorff_oracle(topo), topo.members
         for literal in (False, True):
@@ -209,8 +212,12 @@ def check_sweep(u: Universe, topologies: list[SoftTopology], seed: int = 0) -> i
             shut = closure(topo, f)
             assert shut == _reference_closure(topo, f), (topo.members, f)
             for mode in LimitingMode:
-                assert limiting_elements(topo, f, mode) == _reference_limiting(
-                    topo, f, mode
+                limiting = _reference_limiting(topo, f, mode)
+                assert limiting_elements(topo, f, mode) == limiting, (
+                    topo.members, f, mode
+                )
+                assert limiting == tuple(
+                    x for x in elements if is_limiting(topo, f, x, mode)
                 ), (topo.members, f, mode)
             if f.bits:
                 sparse = not interior_oracle(topo, shut).bits
@@ -226,7 +233,7 @@ def map_sweep(
     u: Universe, topologies: list[SoftTopology], seed: int = 0
 ) -> tuple[int, int, int]:
     """Compare ``definitional_continuity``, ``is_continuous_at`` and
-    ``preimage_continuity`` (both policies) with their literal references.
+    ``preimage_continuity`` with their literal references.
 
     The triples are every (domain, codomain, point map) with both lists
     from ``topologies``, members shuffled, and each list with one member
@@ -258,10 +265,9 @@ def map_sweep(
                 assert is_continuous_at(f, dt, ct, x) == (
                     _reference_failure_at(f, dt, ct, x) is None
                 ), (context, x)
-            for policy in ("violation", "skip"):
-                assert preimage_continuity(f, dt, ct, policy) == (
-                    _reference_preimage_continuity(f, dt, ct, policy)
-                ), (context, policy)
+            assert preimage_continuity(f, dt, ct) == (
+                _reference_preimage_continuity(f, dt, ct)
+            ), context
             count += 1
     open_lists = sum(not verify(d).valid for d in dropped)
     hulless = sum(
