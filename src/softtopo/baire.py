@@ -136,8 +136,6 @@ class CategoryReport:
     decomposition: tuple[SoftSet, ...]
     """Nowhere dense pieces whose elementary union is the subject (empty
     for second category)."""
-    method: str
-    """"fast-path" or "exhaustive-oracle"."""
 
     @property
     def first_category(self) -> bool:
@@ -162,7 +160,7 @@ def is_first_category(topo: SoftTopology, f: SoftSet) -> CategoryReport:
     """
     _require_category_subject(f, "is_first_category")
     if is_nowhere_dense(topo, f):
-        return CategoryReport(f, "nowhere-dense", (f,), "fast-path")
+        return CategoryReport(f, "nowhere-dense", (f,))
     collapse = topo.universe.packing.collapse
     pieces = []
     for c in rare_closed_sets(topo):
@@ -170,7 +168,7 @@ def is_first_category(topo: SoftTopology, f: SoftSet) -> CategoryReport:
         if p:
             pieces.append(p)
     if _union(pieces) != f.bits:
-        return CategoryReport(f, "second-category", (), "fast-path")
+        return CategoryReport(f, "second-category", ())
     chosen: list[SoftSet] = []
     covered = 0
     for p in pieces:
@@ -179,7 +177,7 @@ def is_first_category(topo: SoftTopology, f: SoftSet) -> CategoryReport:
             covered |= p
         if covered == f.bits:
             break
-    return CategoryReport(f, "first-category", tuple(chosen), "fast-path")
+    return CategoryReport(f, "first-category", tuple(chosen))
 
 
 def _nonempty_submasks(mask: int) -> t.Iterator[int]:
@@ -214,9 +212,9 @@ def first_category_oracle(
                 chosen.append(n)
                 covered = [c | m for c, m in zip(covered, combo)]
     if tuple(covered) != f.slices:
-        return CategoryReport(f, "second-category", (), "exhaustive-oracle")
+        return CategoryReport(f, "second-category", ())
     verdict = "nowhere-dense" if is_nowhere_dense(topo, f) else "first-category"
-    return CategoryReport(f, verdict, tuple(chosen), "exhaustive-oracle")
+    return CategoryReport(f, verdict, tuple(chosen))
 
 
 # --- local compactness and the category theorem trial ------------------------

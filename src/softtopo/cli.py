@@ -174,47 +174,45 @@ def _separation(report: t.Any) -> _Verdict:
     return _fields(report, "witness", "counterexample")
 
 
-def _compact(topo: SoftTopology, _subject: None, _args) -> _Verdict:
+def _compact(topo: SoftTopology, _subject: None) -> _Verdict:
     rep = is_compact_space(topo)
     return rep.compact, dict(quasi_compact=rep.quasi.holds, hausdorff=rep.hausdorff.holds)
 
 
-def _compact_set(topo: SoftTopology, subject: SoftSet, _args) -> _Verdict:
+def _compact_set(topo: SoftTopology, subject: SoftSet) -> _Verdict:
     rep = is_compact_set(topo, subject)
     return rep.compact, dict(
         admissible=rep.admissible, complement_admissible=rep.complement_admissible
     )
 
 
-def _baire(topo: SoftTopology, _subject: None, _args) -> _Verdict:
+def _baire(topo: SoftTopology, _subject: None) -> _Verdict:
     rep = is_baire(topo)
     return rep.baire, dict(rare_closed=len(rep.rare_closed), union_interior=rep.union_interior)
 
 
-def _first_category(topo: SoftTopology, subject: SoftSet, _args) -> _Verdict:
+def _first_category(topo: SoftTopology, subject: SoftSet) -> _Verdict:
     rep = is_first_category(topo, subject)
     return rep.first_category, dict(verdict=rep.verdict, pieces=len(rep.decomposition))
 
 
 # Each property: whether it needs --set, and its verdict (topology, the named
-# set or None, args) -> (holds, report fields in print order).  A set-scoped
+# set or None) -> (holds, report fields in print order).  A set-scoped
 # report names its set first.  ``check`` offers the properties in this order.
 _PROPERTIES: dict[str, tuple[bool, t.Callable[..., _Verdict]]] = {
-    "hausdorff": (False, lambda topo, _, args: _separation(is_hausdorff(topo))),
-    "regular": (False, lambda topo, _, args: _separation(
-        is_regular(topo, literal_disjointness=args.literal_disjointness)
-    )),
-    "normal": (False, lambda topo, _, args: _separation(is_normal(topo))),
-    "quasi-compact": (False, lambda topo, _, args: _fields(
+    "hausdorff": (False, lambda topo, _: _separation(is_hausdorff(topo))),
+    "regular": (False, lambda topo, _: _separation(is_regular(topo))),
+    "normal": (False, lambda topo, _: _separation(is_normal(topo))),
+    "quasi-compact": (False, lambda topo, _: _fields(
         is_quasi_compact(topo), "justification"
     )),
     "compact": (False, _compact),
     "compact-set": (True, _compact_set),
-    "locally-compact": (False, lambda topo, _, args: _fields(
+    "locally-compact": (False, lambda topo, _: _fields(
         is_locally_compact(topo), "counterexample"
     )),
     "baire": (False, _baire),
-    "nowhere-dense": (True, lambda topo, f, args: (is_nowhere_dense(topo, f), {})),
+    "nowhere-dense": (True, lambda topo, f: (is_nowhere_dense(topo, f), {})),
     "first-category": (True, _first_category),
 }
 
@@ -225,7 +223,7 @@ def _cmd_check(args) -> int:
     if needs_set and not args.set:
         raise PreconditionError(f"check {args.property} requires --set NAME")
     subject = resolve_set(doc, args.set) if needs_set else None
-    holds, fields = verdict(topo, subject, args)
+    holds, fields = verdict(topo, subject)
     if needs_set:
         fields = {"set": args.set, **fields}
     return _check_outcome(args, args.property, holds, fields)
@@ -475,10 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", choices=tuple(_PROPERTIES))
     p.add_argument("file")
     p.add_argument("--set", help="named set for the set-scoped properties")
-    p.add_argument(
-        "--literal-disjointness", action="store_true",
-        help="for regular: demand literally disjoint elementary meets",
-    )
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("compute", parents=[common], help="closure, interior, or limiting elements")

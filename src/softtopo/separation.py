@@ -9,7 +9,7 @@ parameter, and its separation demand is pointwise disjointness of the two
 opens.  The regular conclusion uses elementary disjointness between the two
 opens; the printed form of that definition (the closed set elementary-
 disjoint from its own superset) is unsatisfiable for nonempty closed sets
-and stays available behind ``literal_disjointness`` for demonstration.  The
+(FINDINGS.md, "Regularity: literal reading versus intended reading").  The
 normal checker keeps the printed asymmetry: pointwise-disjoint closed sets,
 elementary-disjoint opens.
 
@@ -55,13 +55,13 @@ def _check(
     topo: SoftTopology,
     name: str,
     instances: t.Iterable[tuple],
-    disjoint: t.Callable[[int, int, int], bool],
+    disjoint: t.Callable[[int, int], bool],
     hulls: bool = False,
     open_sides: bool = False,
 ) -> SeparationReport | None:
     """Scan the hypothesis instances ``(a, b)`` in order.  An instance is
     separated by members ``U`` around ``a`` and ``V`` around ``b`` with
-    ``disjoint(U, V, a)``, which must still hold for subsets of ``U`` and
+    ``disjoint(U, V)``, which must still hold for subsets of ``U`` and
     ``V``.  So with ``hulls`` the open hulls of ``a`` and ``b``, each
     computed once, decide it, and a hull that is not a member makes the
     report None: the list is not closed, and the caller takes its oracle.
@@ -87,18 +87,17 @@ def _check(
         for i, u in enumerate(packed):
             if u & p == p:
                 for j in around_q:
-                    if disjoint(u, packed[j], p):
+                    if disjoint(u, packed[j]):
                         return members[i], members[j]
         return None
 
     witness = None
     for inst in instances:
         if hulls:
-            p = inst[0].bits
-            u, v = hull(p), hull(inst[1].bits)
+            u, v = hull(inst[0].bits), hull(inst[1].bits)
             if u is None or v is None:
                 return None
-            separated = disjoint(u, v, p)
+            separated = disjoint(u, v)
         else:
             separated = separating(inst) is not None
         if not separated:
@@ -143,13 +142,13 @@ def _by_largest_avoiders(
     return _check(topo, name, itertools.islice(instances, 1), disjoint, True, open_sides)
 
 
-def _pointwise(u: int, v: int, p: int) -> bool:
+def _pointwise(u: int, v: int) -> bool:
     return not u & v
 
 
-def _elementary(topo: SoftTopology) -> t.Callable[[int, int, int], bool]:
+def _elementary(topo: SoftTopology) -> t.Callable[[int, int], bool]:
     collapse = topo.universe.packing.collapse
-    return lambda u, v, p: not collapse(u & v)
+    return lambda u, v: not collapse(u & v)
 
 
 def _differing_pairs(elements: tuple) -> t.Iterator[tuple]:
@@ -178,49 +177,28 @@ def hausdorff_oracle(topo: SoftTopology) -> SeparationReport:
     return _check(topo, "hausdorff", _differing_pairs(space_elements(topo)), _pointwise)
 
 
-def _regular_args(topo: SoftTopology, literal_disjointness: bool) -> tuple:
-    """Closed sets with the elements avoiding them at every parameter, and
-    the disjointness asked of the opens around them."""
+def _regular_instances(topo: SoftTopology) -> t.Iterator[tuple]:
+    """Closed sets with the elements avoiding them at every parameter."""
     elements = space_elements(topo)
-    instances = (
-        (f, x) for f in closed_sets(topo) for x in elements if not f.bits & x.bits
-    )
-    if not literal_disjointness:
-        return instances, _elementary(topo)
-    # The literal reading meets the closed set itself, not the open around
-    # the element, with the open around the closed set.
-    collapse = topo.universe.packing.collapse
-    return instances, lambda u, v, p: not collapse(u & p)
+    return ((f, x) for f in closed_sets(topo) for x in elements if not f.bits & x.bits)
 
 
-def is_regular(
-    topo: SoftTopology, literal_disjointness: bool = False
-) -> SeparationReport:
-    """Closed sets are separated from elements avoiding them at all parameters.
-
-    Default conclusion: the two opens are elementary-disjoint, decided with
-    one test per element.  With ``literal_disjointness`` the closed set
-    itself must be elementary-disjoint from its open superset, which only
-    the empty closed set can satisfy.
-    """
+def is_regular(topo: SoftTopology) -> SeparationReport:
+    """Closed sets are separated from elements avoiding them at all
+    parameters by elementary-disjoint opens, decided with one test per
+    element."""
 
     def build() -> SeparationReport:
-        instances, disjoint = _regular_args(topo, literal_disjointness)
-        if literal_disjointness:
-            report = _check(topo, "regular", instances, disjoint, True)
-        else:
-            elements = (x.bits for x in space_elements(topo))
-            report = _by_largest_avoiders(topo, "regular", instances, elements)
-        return report or regular_oracle(topo, literal_disjointness)
+        elements = (x.bits for x in space_elements(topo))
+        report = _by_largest_avoiders(topo, "regular", _regular_instances(topo), elements)
+        return report or regular_oracle(topo)
 
-    return _cached(topo, ("regular", literal_disjointness), build)
+    return _cached(topo, "regular", build)
 
 
-def regular_oracle(
-    topo: SoftTopology, literal_disjointness: bool = False
-) -> SeparationReport:
+def regular_oracle(topo: SoftTopology) -> SeparationReport:
     """``is_regular`` by definition: member pairs for every instance."""
-    return _check(topo, "regular", *_regular_args(topo, literal_disjointness))
+    return _check(topo, "regular", _regular_instances(topo), _elementary(topo))
 
 
 def _normal_instances(topo: SoftTopology) -> t.Iterator[tuple]:

@@ -156,17 +156,6 @@ def test_check_hausdorff(capsys):
     assert out == "hausdorff: holds\n  witness: [(a,a), (b,b), ({a},{a}), ({b},{b})]\n"
 
 
-def test_check_regular_literal_flag(capsys):
-    code, out, _ = run(capsys, "check", "regular", fixture_path("tau_full_2x2.json"))
-    assert code == 0 and out.startswith("regular: holds")
-    code, out, _ = run(
-        capsys, "check", "regular", "--literal-disjointness",
-        fixture_path("tau_full_2x2.json"),
-    )
-    assert code == 1
-    assert out == "regular: fails\n  counterexample: [({b},{b}), (a,a)]\n"
-
-
 def test_check_baire(capsys):
     code, out, _ = run(capsys, "check", "baire", fixture_path("ex23.json"))
     assert code == 0
@@ -731,7 +720,6 @@ def _json_command_lines(path: pathlib.Path):
     for prop, (needs_set, _) in cli._PROPERTIES.items():
         for extra in [("--set", name) for name in names] if needs_set else [()]:
             yield ("check", prop, path, *extra)
-    yield ("check", "regular", path, "--literal-disjointness")
     for name in names:
         for operation in ("closure", "interior"):
             yield ("compute", operation, path, "--set", name)
@@ -792,7 +780,6 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     limiting = ("compute", "limiting", fixture_path("ex23.json"), "--set", "F")
     vacuity = ("fuzz", "--case", "thm_4_6_vacuity", "--trials", "5")
     cases = [
-        (regular + ("--literal-disjointness",), None),
         (regular, None),
         (vacuity + ("--seed", "3"), None),
         (vacuity, "7"),
@@ -818,13 +805,13 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert (info.misses, info.hits) == (1, len(cases) - 1)
 
     codes = [code for code, _, _ in outcomes]
-    assert codes == [1, 0, 0, 0, 0, 0, 2, 0, 0]
-    assert outcomes[0][1] != outcomes[1][1]  # the flag did not stick
-    assert "seed=3" in outcomes[2][1] and "seed=7" in outcomes[3][1]
-    assert "[whole-open]" in outcomes[4][1] and "[per-parameter]" in outcomes[5][1]
-    assert outcomes[6][1] == "" and outcomes[6][2].startswith("usage: softtopo")
-    assert outcomes[7][1].startswith("usage: softtopo") and outcomes[7][2] == ""
-    assert outcomes[8] == outcomes[1]
+    assert codes == [0, 0, 0, 0, 0, 2, 0, 0]
+    assert "seed=3" in outcomes[1][1] and "seed=7" in outcomes[2][1]
+    # --reading whole-open did not stick to the next call
+    assert "[whole-open]" in outcomes[3][1] and "[per-parameter]" in outcomes[4][1]
+    assert outcomes[5][1] == "" and outcomes[5][2].startswith("usage: softtopo")
+    assert outcomes[6][1].startswith("usage: softtopo") and outcomes[6][2] == ""
+    assert outcomes[7] == outcomes[0]
 
 
 def _parsed(capsys, parse, argv):
@@ -887,8 +874,8 @@ def test_argv_dispatch_matches_the_main_parser(capsys, monkeypatch):
 # --- check output bytes -------------------------------------------------------
 
 CHECK_COMMANDS = (
-    ("hausdorff",), ("regular",), ("regular", "--literal-disjointness"),
-    ("normal",), ("quasi-compact",), ("compact",), ("locally-compact",), ("baire",),
+    ("hausdorff",), ("regular",), ("normal",), ("quasi-compact",), ("compact",),
+    ("locally-compact",), ("baire",),
 )
 
 
@@ -942,24 +929,24 @@ def test_check_output_bytes_match_the_pinned_digests(capsys, tmp_path):
 # A faster scan must find the same first verdict, witness and counterexample,
 # so these change only with a deliberate change of report bytes.
 CHECK_DIGESTS = {
-    "ex23.json": "b6f0321121cb9643da9e8e80336f6d64ac0fa841e99b4dec043f2bcda0b1710d",
-    "ex31.json": "af356e4e924bde89e76524d56e075008e1025a81b3e9773a85af84db4385f3f6",
-    "hausdorff_1param.json": "531506784c2bf54bd8adb9eda810d2e29bdbe7aafdf21cfb740f583b40c18d2d",
-    "indiscrete_2x2.json": "b085605747306881c483ecbf73195f6f7b6fb918bbeee1cc7671b914913b984a",
-    "map_codomain.json": "aa8bef86c586ce704f99956d8afd9ec7c84ac35c61b36598fd12e6a97175d47f",
-    "map_domain.json": "b085605747306881c483ecbf73195f6f7b6fb918bbeee1cc7671b914913b984a",
-    "singleton.json": "17d71a97171937c6993e87f294f48d2bb5158af10257b21da0c354e2b312f69b",
-    "tau_full_2x2.json": "e245a9ad16ce1743a0bcf921f9f0c315c37b9773de2ff32b24d35b4fd11aca36",
-    "full-2x4": "80d6a00a0f48d4f096df9f558be1092defbca1286444b72a4beaea6132b57480",
-    "full-3x3": "7687bfe4ea0f2dac2870277c25d1cc847716d0cda749f8e3d183578843d73796",
-    "random-3x2-0": "3fc1ac9a0f533fb58a6efbf9a7bf8456adc44d0bb32deb0100e3f141576d2e20",
-    "random-3x2-1": "5b3856730eedb708ee65b6ff0082fbd39e6357de632b3c1aa8f58e04ff44756d",
-    "random-3x2-2": "1d3d9c8b524cbeec633abb5bf079467b6132b5a5000ff2dfb925ee766f92042a",
-    "random-3x2-3": "fce60f19e5ed36f115958ecebf1d69d8ed6763908f30298e98996d3f8ea14098",
-    "random-4x2-0": "8aa0c7d5d2ab7ad1b557ba0521d3262e7aa4a0cec8f46bf5d6a5c8f14af6aae2",
-    "random-4x2-1": "b38057bf3a88e0da11c74b9ddf12bd12d99c955e16b8923580bea061d805bb79",
-    "random-4x2-2": "8efc9f823d8b2d4a990745b4c1d28e0a8cc74ca5850f87f3fe574779a2e79a0a",
-    "random-4x2-3": "4068b69c0c3a9e22d042ce855f438e488d2f265fa64b3c8a0bffb16a17ffb280",
+    "ex23.json": "3978b6a6117cc8afe49a3f2e332d2059afa2b7d7680887d9dcc19e1298f091a9",
+    "ex31.json": "130e4b87836365ad54e7daa28115f02ded152463f45b0d5ba6b0393583dfa4b7",
+    "hausdorff_1param.json": "4cbfda3e0a531cab479f30126f36d906b0bf196497eb53662da7a0c97477a80c",
+    "indiscrete_2x2.json": "bc68d6de86fc15b9cab852dce4ec700ed715d5a44479764ac3f24aefa6c18d8b",
+    "map_codomain.json": "00b5ee87390379d00f1298d673649c663d3b5d7b08e70ed7521ebcb49b376b91",
+    "map_domain.json": "bc68d6de86fc15b9cab852dce4ec700ed715d5a44479764ac3f24aefa6c18d8b",
+    "singleton.json": "7440b55d3672f01adba78b8bacf95b9e854d252ff855dbe4f77c30f789ad2546",
+    "tau_full_2x2.json": "7e009bd7d96d8c9bfcada16328ddc29f301eb0369f4d89f2fb53261ab9b87693",
+    "full-2x4": "8b985950a68f3618d9dd73ec63c64c2c709f2a985f3020653e6be1b109398eb8",
+    "full-3x3": "d7c10778d0194b7908e1a082ea6991b68cac3c4f7cb28c8b005a266cddfd4d40",
+    "random-3x2-0": "c945335db859fc6c365e95b847b1a5edf550290e80bd435c8c169a6cf627891f",
+    "random-3x2-1": "89a5e49da17da0d6abc08cff2fc224db96ba51448d4d9fc441b0ab0ef64ef54d",
+    "random-3x2-2": "98c9eb28700793bc835da0161c7f36f1ba08c3754ec8b40094158c95e89ecb7f",
+    "random-3x2-3": "fd311c9eb31ef6f3e0d8f52ecbbebeab23676abcc5352a263cfc382a8dbdb690",
+    "random-4x2-0": "ef178606aa5316268a758da7fbef65450e8d27684cfca975f09555bd02f3e2cf",
+    "random-4x2-1": "edb63f92dbb84f022792b7e9d9b16ae21b083b8e8a1bcc0b318c73950dee7292",
+    "random-4x2-2": "bbb3da683d6fb9772c361b4b1ce28e8f72f2924b8b36405e49b9d5c5495af5b1",
+    "random-4x2-3": "9af3c95755c8ce2d1dcd320a49ff3459d404248cd295d0cb5dd28b5be96d688c",
 }
 
 

@@ -82,15 +82,6 @@ def test_full_topology_is_regular_and_normal():
     assert is_normal(tf).holds
 
 
-def test_literal_disjointness_reading_fails():
-    # read literally, a closed set always meets its own superset
-    report = is_regular(full_topology(U22), literal_disjointness=True)
-    assert not report.holds
-    closed, element = report.counterexample
-    assert closed == soft(U22, e1=["b"], e2=["b"])
-    assert element.coords == (0, 0)
-
-
 def test_regular_negative(abcd_topo):
     # closed ({d},{a}) and element (a,b) admit no separating open pair
     assert not is_regular(abcd_topo).holds
@@ -293,10 +284,9 @@ def test_regular_normal_and_local_compactness_match_their_oracles():
     outcomes = set()
     extra = [_hull_filling_a_slice(), _member_outside_the_absolute(), _without_the_null_member()]
     for topo in _oracle_lists() + extra:
-        for literal in (False, True):
-            report = _outcome(is_regular, topo, literal)
-            assert report == _outcome(regular_oracle, topo, literal), topo
-            outcomes.add(("regular", literal, getattr(report, "holds", None)))
+        report = _outcome(is_regular, topo)
+        assert report == _outcome(regular_oracle, topo), topo
+        outcomes.add(("regular", getattr(report, "holds", None)))
         report = _outcome(is_normal, topo)
         assert report == _outcome(normal_oracle, topo), topo
         outcomes.add(("normal", getattr(report, "holds", None)))
@@ -306,9 +296,7 @@ def test_regular_normal_and_local_compactness_match_their_oracles():
             outcomes.add(("locally-compact", report.holds))
     # both verdicts, and the full-absolute precondition, occur for each
     assert outcomes == {
-        (name, *reading, verdict)
-        for name, reading in (("regular", (False,)), ("regular", (True,)), ("normal", ()))
-        for verdict in (True, False, None)
+        (name, verdict) for name in ("regular", "normal") for verdict in (True, False, None)
     } | {("locally-compact", True), ("locally-compact", False)}
 
 

@@ -193,8 +193,7 @@ def check_sweep(u: Universe, topologies: list[SoftTopology], seed: int = 0) -> i
         elements = space_elements(topo)
         hausdorff = is_hausdorff(topo)
         assert hausdorff == hausdorff_oracle(topo), topo.members
-        for literal in (False, True):
-            assert is_regular(topo, literal) == regular_oracle(topo, literal), topo.members
+        assert is_regular(topo) == regular_oracle(topo), topo.members
         assert is_normal(topo) == normal_oracle(topo), topo.members
         if hausdorff.holds:
             separated += 1
