@@ -130,25 +130,6 @@ def _expect_str_array(value, path: str, issues: _Issues) -> list[str]:
     return value
 
 
-def _slice_issues(
-    bit_of: dict[str, int], entries, path: str, issues: _Issues
-) -> tuple[int, bool]:
-    """The failure path of one slice: its issues in document order, the
-    bits of its known points, and whether every name was a known point.  A
-    slice that is not an array of strings reads as empty."""
-    mask, known = 0, True
-    for point in _expect_str_array(entries, path, issues):
-        bit = bit_of.get(point)
-        if bit is None:
-            issues.add(path, f"unknown point {point!r}")
-            known = False
-            continue
-        if mask & bit:
-            issues.add(path, f"duplicate point {point!r}")
-        mask |= bit
-    return mask, known
-
-
 def _known_params(universe: Universe, raw: dict, path: str, issues: _Issues) -> bool:
     """Report each key of ``raw`` that is not a declared parameter; whether
     there was none."""
@@ -160,18 +141,60 @@ def _known_params(universe: Universe, raw: dict, path: str, issues: _Issues) -> 
     return ok
 
 
-def _named(raw: dict, key: str, universe: Universe, issues: _Issues, decode) -> dict:
-    """Each entry of the named section ``key`` that ``decode(universe, body,
-    issues, name)`` turns into a value (None marks a refused entry); a
-    section that is not an object reads as empty."""
+def _section(raw: dict, key: str, issues: _Issues) -> dict:
+    """The named section ``key``; a section that is not an object reads as
+    empty."""
     section = raw.get(key, {})
     if not isinstance(section, dict):
         issues.add(f"$.{key}", f"expected an object of named {key}")
         return {}
     _refuse_surrogates(section, f"$.{key}", issues)
+    return section
+
+
+def _named(raw: dict, key: str, universe: Universe, issues: _Issues, decode) -> dict:
+    """Each entry of the named section ``key`` that ``decode(universe, body,
+    issues, name)`` turns into a value (None marks a refused entry)."""
     decoded = {}
-    for name, body in section.items():
+    for name, body in _section(raw, key, issues).items():
         value = decode(universe, body, issues, name)
+        if value is not None:
+            decoded[name] = value
+    return decoded
+
+
+def _decode_sets(raw: dict, universe: Universe, issues: _Issues) -> dict[str, SoftSet]:
+    """The named sets, in one pass.  A set that is an object of exactly the
+    declared parameters, each slice a list of distinct declared point names,
+    is summed straight from ``Universe.point_bits``; every other set goes
+    through ``_decode_set``, which words its issues."""
+    tables = [(param, bit_of.__getitem__) for param, bit_of in universe.point_bits.items()]
+    n_params = universe.n_params
+    decoded = {}
+    for name, body in _section(raw, "sets", issues).items():
+        if name in RESERVED_NAMES:
+            issues.add(f"$.sets.{name}", "reserved name cannot be redefined")
+            continue
+        if body.__class__ is dict and len(body) == n_params:
+            bits = 0
+            # A sum of layout bits has one set bit per name exactly when the
+            # names are distinct, since a repeated bit carries.  A missing
+            # parameter, or a name that is not a known point, raises.
+            try:
+                for param, bit in tables:
+                    entries = body[param]
+                    if entries.__class__ is not list:
+                        break
+                    mask = sum(map(bit, entries))
+                    if mask.bit_count() != len(entries):
+                        break
+                    bits |= mask
+                else:
+                    decoded[name] = SoftSet.unchecked(universe, bits)
+                    continue
+            except (KeyError, TypeError):
+                pass
+        value = _decode_set(universe, body, issues, name)
         if value is not None:
             decoded[name] = value
     return decoded
@@ -180,48 +203,31 @@ def _named(raw: dict, key: str, universe: Universe, issues: _Issues, decode) -> 
 def _decode_set(
     universe: Universe, raw, issues: _Issues, set_name: str
 ) -> SoftSet | None:
-    """One named set: an object mapping every declared parameter to an array
-    of declared point names.  Each name maps straight to its layout bit; only
-    a slice that fails the shape test goes through ``_slice_issues``, and
-    only failures build the set's path."""
+    """A named set that ``_decode_sets`` did not accept: its issues in
+    document order.  A slice that is not an array of strings reads as
+    empty, and a set whose only fault is a repeated point still decodes."""
+    path = f"$.sets.{set_name}"
     if not isinstance(raw, dict):
-        issues.add(f"$.sets.{set_name}", "expected an object of parameter slices")
+        issues.add(path, "expected an object of parameter slices")
         return None
     bits = 0
     ok = True
     for param, bit_of in universe.point_bits.items():
         if param not in raw:
-            message = f"set {set_name!r} is missing the slice for parameter {param!r}"
-            issues.add(f"$.sets.{set_name}", message)
+            issues.add(path, f"set {set_name!r} is missing the slice for parameter {param!r}")
             ok = False
             continue
-        entries = raw[param]
-        # A sum of layout bits has one set bit per name exactly when the
-        # names are distinct, since a repeated bit carries.  A name that is
-        # not a known point (or not a string) raises.
-        try:
-            mask = sum(map(bit_of.__getitem__, entries)) if isinstance(entries, list) else None
-        except (KeyError, TypeError):
-            mask = None
-        if mask is None or mask.bit_count() != len(entries):
-            mask, known = _slice_issues(bit_of, entries, f"$.sets.{set_name}.{param}", issues)
-            ok = ok and known
-        bits |= mask
-    # With every parameter present, a longer object has unknown keys.
-    if not ok or len(raw) != universe.n_params:
-        ok = _known_params(universe, raw, f"$.sets.{set_name}", issues) and ok
-    if not ok:
-        return None
-    return SoftSet.unchecked(universe, bits)
-
-
-def _decode_unreserved_set(
-    universe: Universe, raw, issues: _Issues, set_name: str
-) -> SoftSet | None:
-    if set_name in RESERVED_NAMES:
-        issues.add(f"$.sets.{set_name}", "reserved name cannot be redefined")
-        return None
-    return _decode_set(universe, raw, issues, set_name)
+        for point in _expect_str_array(raw[param], f"{path}.{param}", issues):
+            bit = bit_of.get(point)
+            if bit is None:
+                issues.add(f"{path}.{param}", f"unknown point {point!r}")
+                ok = False
+                continue
+            if bits & bit:
+                issues.add(f"{path}.{param}", f"duplicate point {point!r}")
+            bits |= bit
+    ok = _known_params(universe, raw, path, issues) and ok
+    return SoftSet.unchecked(universe, bits) if ok else None
 
 
 def _decode_universe(raw, issues: _Issues) -> Universe | None:
@@ -342,7 +348,7 @@ def parse(text: str) -> SpaceDocument:
         issues.raise_if_any()
         raise AssertionError("unreachable")
 
-    sets = _named(raw, "sets", universe, issues, _decode_unreserved_set)
+    sets = _decode_sets(raw, universe, issues)
 
     absolute_name = raw.get("absolute")
     if absolute_name is not None:

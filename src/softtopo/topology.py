@@ -315,9 +315,11 @@ def indiscrete_topology(universe: Universe) -> SoftTopology:
 def full_topology(universe: Universe) -> SoftTopology:
     """Every admissible soft set is open; members in lexicographic slice order."""
     nonempty = range(1, universe.full_mask + 1)
+    width = universe.packing.width
+    # Each parameter's nonempty slices, shifted into its field once.
+    fields = [[mask << k * width for mask in nonempty] for k in range(universe.n_params)]
     members = [null_set(universe)] + [
-        SoftSet.of(universe, masks)
-        for masks in itertools.product(nonempty, repeat=universe.n_params)
+        SoftSet.unchecked(universe, sum(parts)) for parts in itertools.product(*fields)
     ]
     return SoftTopology.of(universe, members)
 
@@ -520,8 +522,9 @@ def limiting_elements(
     limiting exactly when each of its bits ``b`` passes, and ``b`` in field
     ``k`` passes when every member holding ``b`` meets f in field ``k`` at
     some bit other than ``b`` (FINDINGS.md, "Limiting elements split over
-    bits").  So one pass over the members per field decides every element.
-    The whole-open reading scans each element with ``is_limiting``.
+    bits").  So one pass over the members per field decides every element,
+    and the topology caches its failing bits per f.  The whole-open reading
+    scans each element with ``is_limiting``.
     """
     elements = space_elements(topo)
     if mode is LimitingMode.WHOLE_OPEN:
@@ -529,7 +532,7 @@ def limiting_elements(
     # is_limiting's check; the elements lie in the absolute's universe
     if elements and not topo.universe == topo.absolute.universe == f.universe:
         raise UniverseMismatchError("mixed universes in is_limiting")
-    failing = _failing_bits(topo, f.bits)
+    failing = _cached(topo, ("failing", f.bits), lambda: _failing_bits(topo, f.bits))
     return tuple(x for x in elements if not x.bits & failing)
 
 

@@ -358,6 +358,19 @@ def _slice_wise_decode_set(universe, raw, issues, set_name):
     return SoftSet.of(universe, masks)
 
 
+def _slice_wise_decode_sets(raw, universe, issues):
+    """Reference for the whole ``sets`` section: reserved names refused, and
+    every other set through ``_slice_wise_decode_set``."""
+
+    def decode(universe, body, issues, name):
+        if name in ("PHI", "ABS"):
+            issues.add(f"$.sets.{name}", "reserved name cannot be redefined")
+            return None
+        return _slice_wise_decode_set(universe, body, issues, name)
+
+    return document._named(raw, "sets", universe, issues, decode)
+
+
 class _Obj(list):
     """A JSON object as (key, value) pairs, so keys may repeat."""
 
@@ -375,7 +388,9 @@ _NON_LISTS = ("a", 3, None, _Obj(), _Obj([("a", ["a"])]))
 
 
 def _mutated_document(rng: random.Random) -> str:
-    points = [f"p{i}" for i in range(rng.randint(1, 4))]
+    # One-character names let a string slice spell declared points.
+    points = list("abcd" if rng.random() < 0.5 else ("p0", "p1", "p2", "p3"))
+    points = points[: rng.randint(1, 4)]
     params = [f"e{k}" for k in range(rng.randint(1, 3))]
     sets = _Obj(
         (f"S{j}", _Obj((a, rng.sample(points, rng.randint(0, len(points)))) for a in params))
@@ -399,7 +414,7 @@ def _mutated_document(rng: random.Random) -> str:
         name, body = rng.choice(objects)
         index = rng.randrange(len(body))
         param, entries = body[index]
-        kind = rng.randrange(11)
+        kind = rng.randrange(12)
         if 3 <= kind <= 5 and type(entries) is not list:
             entries = []
             body[index] = (param, entries)
@@ -418,17 +433,20 @@ def _mutated_document(rng: random.Random) -> str:
         elif kind == 5:  # non-string entry, hashable or not
             value = copy.deepcopy(rng.choice(_NON_STRINGS))
             entries.insert(rng.randrange(len(entries) + 1), value)
-        elif kind == 6:  # a slice that is not an array
-            body[index] = (param, copy.deepcopy(rng.choice(_NON_LISTS)))
+        elif kind == 6:  # a slice that is not an array, or a string of points
+            spelled = "".join(rng.sample(points, rng.randint(1, len(points))))
+            body[index] = (param, copy.deepcopy(rng.choice(_NON_LISTS + (spelled,))))
         elif kind == 7:  # a set that is not an object
             sets[[n for n, _ in sets].index(name)] = (name, rng.choice(([], "F", 0)))
         elif kind == 8:  # reserved names
             sets.append((rng.choice(("PHI", "ABS")), body))
         elif kind == 9:  # a repeated set name
             sets.append((name, _Obj((a, []) for a in params)))
-        else:  # a repeated key at the top or in the universe
+        elif kind == 10:  # a repeated key at the top or in the universe
             target = rng.choice((top, top[1][1]))
             target.append(rng.choice(target))
+        else:  # a parameter swapped for an unknown key, keeping the key count
+            body[index] = ("zz", entries)
     return _dump(top)
 
 
@@ -448,7 +466,7 @@ def test_decoder_matches_the_slice_wise_oracle(monkeypatch):
         text = _mutated_document(rng)
         fast = _outcome(text)
         with monkeypatch.context() as patch:
-            patch.setattr(document, "_decode_set", _slice_wise_decode_set)
+            patch.setattr(document, "_decode_sets", _slice_wise_decode_sets)
             slow = _outcome(text)
         assert fast == slow, text
         kind, detail = fast

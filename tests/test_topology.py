@@ -31,6 +31,7 @@ from softtopo.core import (
 )
 from softtopo import topology
 from softtopo.document import parse_file
+from softtopo.fuzzing import run_theorem
 from softtopo.fuzzing.generate import GeneratorConfig, gen_topology, trial_rng, universe_for
 from softtopo.fuzzing.oracles import verify_topology_oracle
 from softtopo.errors import NotAdmissibleError, PreconditionError, UniverseMismatchError
@@ -302,6 +303,17 @@ def test_ring_over_budget_falls_back_to_the_scan(monkeypatch):
     assert report.valid and report == verify_topology_oracle(u, members)
 
 
+def test_full_topology_lists_every_admissible_set_in_slice_order():
+    for points, params in ((2, 2), (2, 4), (3, 2), (3, 3), (4, 1), (5, 2), (6, 2)):
+        u = Universe.of(tuple(f"p{i}" for i in range(points)),
+                        tuple(f"e{i}" for i in range(params)))
+        nonempty = range(1, u.full_mask + 1)
+        expected = (null_set(u),) + tuple(
+            SoftSet.of(u, masks) for masks in itertools.product(nonempty, repeat=params)
+        )
+        assert full_topology(u).members == expected
+
+
 def test_full_topology_is_memoized():
     u = Universe.of(("a", "b"), ("e1", "e2"))
     assert full_topology(u) is full_topology(Universe.of(("a", "b"), ("e1", "e2")))
@@ -431,6 +443,21 @@ def test_limiting_elements_whole_open_reading(abcd_doc, abcd_topo):
     ]
     # the readings genuinely differ on this space
     assert len(coords) != len(limiting_elements(abcd_topo, f))
+
+
+def test_lem_3_1_finds_the_failing_bits_once_per_trial(monkeypatch):
+    # The hypothesis and the conclusion both read limiting_elements of one
+    # topology and set; the 50 trials draw 50 distinct such pairs.
+    calls = []
+
+    def counted(topo, f):
+        calls.append((topo, f))
+        return failing_bits(topo, f)
+
+    failing_bits = topology._failing_bits
+    monkeypatch.setattr(topology, "_failing_bits", counted)
+    run_theorem("lem_3_1", GeneratorConfig(3, 2, seed=1, trials=50))
+    assert len(calls) == len({(id(topo), f) for topo, f in calls}) == 50
 
 
 def test_limiting_elements_reject_an_absolute_of_another_universe():
