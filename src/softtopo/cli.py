@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import os
 import sys
 import typing as t
@@ -32,7 +31,6 @@ from .core import (
 from .document import (
     SpaceDocument,
     canonical_json,
-    encode_set,
     parse_file,
     resolve_set,
     serialize,
@@ -49,8 +47,8 @@ from .topology import (
     closure,
     interior,
     limiting_elements,
+    named_violations,
     verify,
-    violations_of,
 )
 
 __all__ = ["main"]
@@ -77,9 +75,7 @@ def format_element(x: SoftElement) -> str:
 
 def _encode_value(v: t.Any) -> t.Any:
     """Witness payloads mix sets, elements, and tuples; encode recursively."""
-    if isinstance(v, SoftSet):
-        return encode_set(v)
-    if isinstance(v, SoftElement):
+    if isinstance(v, (SoftSet, SoftElement)):
         return v.to_points()
     if isinstance(v, tuple):
         return [_encode_value(item) for item in v]
@@ -105,8 +101,7 @@ def _parse_with_topology(path: str) -> SpaceDocument:
 
 def _load_topology(path: str) -> tuple[SpaceDocument, SoftTopology]:
     doc = _parse_with_topology(path)
-    # The pairwise scan stops at the violations the message names.
-    shown = tuple(itertools.islice(violations_of(doc.topology), 4))
+    shown = named_violations(doc.topology)
     if shown:
         details = "; ".join(v.describe() for v in shown)
         raise PreconditionError(f"{path}: topology is not valid: {details}")
@@ -253,7 +248,7 @@ def _cmd_compute(args) -> int:
             payload["reading"] = args.reading
             payload["result"] = [x.to_points() for x in result]
         else:
-            payload["result"] = encode_set(result)
+            payload["result"] = result.to_points()
         _emit(canonical_json(payload))
     else:
         if args.operation == "limiting":

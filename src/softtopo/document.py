@@ -32,7 +32,6 @@ from .topology import SoftTopology
 __all__ = [
     "SpaceDocument",
     "canonical_json",
-    "encode_set",
     "parse",
     "parse_file",
     "resolve_set",
@@ -429,14 +428,6 @@ def parse_file(path: str) -> SpaceDocument:
 # --- encoding ---------------------------------------------------------------
 
 
-def encode_set(f: SoftSet) -> dict[str, list[str]]:
-    """Per-parameter point arrays, points in universe order."""
-    return {
-        param: list(f.universe.names_of(mask))
-        for param, mask in zip(f.universe.params, f.slices)
-    }
-
-
 def to_payload(doc: SpaceDocument) -> dict[str, t.Any]:
     payload: dict[str, t.Any] = {
         "format": FORMAT,
@@ -446,7 +437,7 @@ def to_payload(doc: SpaceDocument) -> dict[str, t.Any]:
         },
     }
     if doc.sets:
-        payload["sets"] = {name: encode_set(f) for name, f in doc.sets.items()}
+        payload["sets"] = {name: f.to_points() for name, f in doc.sets.items()}
     if doc.absolute_name is not None:
         payload["absolute"] = doc.absolute_name
     if doc.topology_names is not None:

@@ -35,13 +35,13 @@ class NotAdmissibleError(PreconditionError):
 
 
 class InvalidTopologyError(InputError):
-    """A member list failed topology verification ; carries the report."""
+    """A member list failed topology verification; carries the violations
+    it names."""
 
-    def __init__(self, report):
-        self.report = report
-        lines = "; ".join(v.describe() for v in report.violations[:3])
-        more = "" if len(report.violations) <= 3 else f" (+{len(report.violations) - 3} more)"
-        super().__init__(f"not a valid topology: {lines}{more}")
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        lines = "; ".join(v.describe() for v in self.violations)
+        super().__init__(f"not a valid topology: {lines}")
 
 
 class SubspacePreconditionError(PreconditionError):

@@ -151,7 +151,7 @@ def all_spans(universe: Universe) -> tuple[SoftSet, ...]:
 def close_subbase(
     universe: Universe,
     subbase: t.Sequence[SoftSet],
-    cap: int | None,
+    cap: int,
 ) -> tuple[SoftSet, ...] | None:
     """Smallest member list containing the subbase and closed under both
     elementary binary operations.  Returns None once the list would exceed
@@ -171,7 +171,7 @@ def close_subbase(
             raise NotAdmissibleError(f"subbase: inadmissible generator {s!r}")
         p = s.bits
         if p not in seen:
-            if cap is not None and len(rows) >= cap:
+            if len(rows) >= cap:
                 return None
             seen.add(p)
             rows.append(p)
@@ -186,7 +186,7 @@ def close_subbase(
         for b in rows[2:i]:
             w = a | b
             if w not in seen:
-                if cap is not None and len(rows) >= cap:
+                if len(rows) >= cap:
                     return None
                 seen.add(w)
                 rows.append(w)
@@ -194,7 +194,7 @@ def close_subbase(
             if (w + full) & spare != spare:
                 w = 0
             if w not in seen:
-                if cap is not None and len(rows) >= cap:
+                if len(rows) >= cap:
                     return None
                 seen.add(w)
                 rows.append(w)

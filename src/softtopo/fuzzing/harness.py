@@ -19,7 +19,6 @@ from .registry import REGISTRY, TheoremCase
 from .shrink import shrink_instance
 
 __all__ = [
-    "TrialReport",
     "report_payload",
     "report_text",
     "run_theorem",

@@ -12,7 +12,7 @@ import dataclasses as d
 import typing as t
 
 from ..core import SoftSet, Universe, full_set, is_admissible, is_null, null_set
-from ..document import SpaceDocument, parse, resolve_set, serialize
+from ..document import SpaceDocument, resolve_set, serialize
 from ..errors import DocumentError
 from ..maps import SoftFunction
 from ..topology import SoftTopology
@@ -157,10 +157,6 @@ def from_document(doc: SpaceDocument) -> Instance:
             doc.universe, doc.universe, doc.functions[raw_aux["function"]]
         )
     return Instance(doc.universe, subbase, doc.topology, aux)
-
-
-def from_text(text: str) -> Instance:
-    return from_document(parse(text))
 
 
 # --- mutations --------------------------------------------------------------

@@ -5,7 +5,7 @@ every soft element of the operands, combine the element bags, and take the
 span of the result.  The fast implementations in ``core`` must agree with
 these on admissible inputs.  ``verify_topology_oracle`` checks the topology
 axioms with ``SoftSet`` values and the ``core`` operations, the reference for
-the packed ``topology.verify_topology``.
+the packed ``topology.verify``.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def verify_topology_oracle(
     members: t.Sequence[SoftSet],
     absolute: SoftSet | None = None,
 ) -> TopologyReport:
-    """Every axiom violation, in the order ``verify_topology`` reports them,
+    """Every axiom violation, in the order ``topology.verify`` reports them,
     found with one ``SoftSet`` per pairwise union and meet."""
     absolute = absolute if absolute is not None else full_set(universe)
     violations: list[Violation] = []

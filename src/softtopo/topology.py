@@ -5,7 +5,7 @@ containing the empty soft set and a designated absolute member, with every
 member admissible and the list closed under pairwise elementary union and
 pairwise elementary intersection.  Closure under arbitrary unions reduces to
 the pairwise check for finite lists; the reduction itself is covered by a
-test rather than assumed silently.  ``verify_topology`` settles that check
+test rather than assumed silently.  ``verify`` settles that check
 without visiting the pairs when it can: a list is closed exactly when the
 admissible sets in the ring of unions of its minimal-neighbourhood masks are
 its members (``_ring_accepts``; Birkhoff's rings of sets).  A list the ring
@@ -145,21 +145,12 @@ def _cached(topo: SoftTopology, key, builder):
 
 # --- construction and verification -----------------------------------------
 
-def verify_topology(
-    universe: Universe,
-    members: t.Sequence[SoftSet],
-    absolute: SoftSet | None = None,
-) -> TopologyReport:
+def verify(topo: SoftTopology) -> TopologyReport:
     """Check every axiom and report all violations, not just the first.
 
     Runs on member bits; ``fuzzing.oracles.verify_topology_oracle`` is
     the ``SoftSet`` reference it must match, violation for violation.
     """
-    return verify(SoftTopology.of(universe, members, absolute))
-
-
-def verify(topo: SoftTopology) -> TopologyReport:
-    """``verify_topology`` of the topology's own fields."""
     violations = tuple(violations_of(topo))
     return TopologyReport(valid=not violations, violations=violations)
 
@@ -299,12 +290,19 @@ def topology_from(
     members: t.Iterable[SoftSet],
     absolute: SoftSet | None = None,
 ) -> SoftTopology:
-    """Verify and wrap; raises InvalidTopologyError with the report."""
+    """Verify and wrap; raises InvalidTopologyError naming the
+    ``named_violations``."""
     topo = SoftTopology.of(universe, members, absolute)
-    report = verify(topo)
-    if not report.valid:
-        raise InvalidTopologyError(report)
+    shown = named_violations(topo)
+    if shown:
+        raise InvalidTopologyError(shown)
     return topo
+
+
+def named_violations(topo: SoftTopology) -> tuple[Violation, ...]:
+    """The first four of ``verify``'s violations, the ones a refusal names;
+    the pairwise scan stops after them."""
+    return tuple(itertools.islice(violations_of(topo), 4))
 
 
 def indiscrete_topology(universe: Universe) -> SoftTopology:
@@ -497,7 +495,7 @@ def is_limiting(
         raise UniverseMismatchError("mixed universes in is_limiting")
     xb = x.bits
     if mode is LimitingMode.PER_PARAMETER:
-        return not xb & _failing_bits(topo, f.bits)
+        return not xb & _failing(topo, f.bits)
     fields = topo.universe.packing.fields
     for g in topo.packed:
         if xb & ~g:
@@ -532,8 +530,13 @@ def limiting_elements(
     # is_limiting's check; the elements lie in the absolute's universe
     if elements and not topo.universe == topo.absolute.universe == f.universe:
         raise UniverseMismatchError("mixed universes in is_limiting")
-    failing = _cached(topo, ("failing", f.bits), lambda: _failing_bits(topo, f.bits))
+    failing = _failing(topo, f.bits)
     return tuple(x for x in elements if not x.bits & failing)
+
+
+def _failing(topo: SoftTopology, f: int) -> int:
+    """``_failing_bits``, cached on the topology per f."""
+    return _cached(topo, ("failing", f), lambda: _failing_bits(topo, f))
 
 
 def _failing_bits(topo: SoftTopology, f: int) -> int:

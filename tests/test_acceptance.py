@@ -50,7 +50,7 @@ from softtopo.topology import (
     is_closed,
     is_nbd,
     nbd_witness,
-    verify_topology,
+    verify,
 )
 
 from conftest import FIXTURES, fixture_path, soft
@@ -86,7 +86,7 @@ def test_worked_example_regressions():
     # the six-member topology: closed list, closure, interior, neighborhoods
     doc = parse_file(fixture_path("ex23.json"))
     u, topo = doc.universe, doc.topology
-    assert verify_topology(u, topo.members).valid
+    assert verify(topo).valid
     assert closed_sets(topo) == (
         full_set(u),
         null_set(u),
@@ -288,3 +288,20 @@ def test_every_export_has_a_caller():
                     if not any(word.search(other) for p, other in files.items() if p != path):
                         unused.append(f"{path.relative_to(REPO_ROOT)}: {name}")
     assert unused == []
+
+
+def test_package_roots_bind_only_their_submodules():
+    """Each public name is imported from its defining module.  A package
+    root that binds it again gives it a second path, which the ``__all__``
+    check above cannot see."""
+    import softtopo
+    import softtopo.fuzzing
+
+    for package in (softtopo, softtopo.fuzzing):
+        extra = [
+            name
+            for name, value in vars(package).items()
+            if not name.startswith("_")
+            and getattr(value, "__name__", None) != f"{package.__name__}.{name}"
+        ]
+        assert extra == [], package.__name__

@@ -886,12 +886,12 @@ def _check_documents(tmp_path):
         GeneratorConfig, gen_topology_with_subbase, trial_rng, universe_for,
     )
     from softtopo.fuzzing.instances import Instance, to_text
-    from softtopo.topology import full_topology, verify_topology
+    from softtopo.topology import full_topology
 
     docs = {}
     for path in sorted(FIXTURES.glob("*.json")):
         topo = parse(path.read_text()).topology
-        if topo is not None and verify_topology(topo.universe, topo.members, topo.absolute).valid:
+        if topo is not None and topology.verify(topo).valid:
             docs[path.name] = path.read_text()
     for points, params in ((2, 4), (3, 3)):
         universe = universe_for(GeneratorConfig(points, params, seed=0))

@@ -15,10 +15,10 @@ from softtopo.core import (
     full_set,
     null_set,
 )
-from softtopo.document import canonical_json
+from softtopo.document import canonical_json, parse
 from softtopo.errors import GenerationError, InputError, PreconditionError
-from softtopo.fuzzing import REGISTRY, GeneratorConfig, TheoremCase, run_theorem
 from softtopo.fuzzing.generate import (
+    GeneratorConfig,
     all_spans,
     close_subbase,
     draw_subbase,
@@ -31,12 +31,12 @@ from softtopo.fuzzing.generate import (
     trial_seed,
     universe_for,
 )
-from softtopo.fuzzing.harness import report_payload, serialize_report
+from softtopo.fuzzing.harness import report_payload, run_theorem, serialize_report
 from softtopo.fuzzing.instances import (
     Instance,
     _drop_bit,
     candidate_mutations,
-    from_text,
+    from_document,
     instance_size,
     to_text,
 )
@@ -45,10 +45,11 @@ from softtopo.fuzzing.oracles import (
     intersection_via_elements,
     union_via_elements,
 )
+from softtopo.fuzzing.registry import REGISTRY, TheoremCase
 from softtopo.fuzzing.shrink import is_minimal, shrink_instance, still_falsifies
 from softtopo.maps import SoftFunction
 from softtopo.separation import is_hausdorff
-from softtopo.topology import SoftTopology, _minimal_masks, full_topology, verify_topology
+from softtopo.topology import SoftTopology, _minimal_masks, full_topology, verify
 
 from conftest import soft
 
@@ -133,7 +134,7 @@ def test_close_subbase_frozen():
     u = Universe.of(("a", "b", "c", "d"), ("e1", "e2"))
     f1 = soft(u, e1="a", e2="b")
     f2 = soft(u, e1="bc", e2="cd")
-    members = close_subbase(u, (f1, f2), None)
+    members = close_subbase(u, (f1, f2), full_size(u))
     assert members == (
         null_set(u),
         full_set(u),
@@ -153,7 +154,7 @@ def _close_subbase_reference(universe, subbase, cap):
     for s in subbase:
         p = s.bits
         if p not in seen:
-            if cap is not None and len(rows) >= cap:
+            if len(rows) >= cap:
                 return None
             seen.add(p)
             rows.append(p)
@@ -165,7 +166,7 @@ def _close_subbase_reference(universe, subbase, cap):
             b = rows[j]
             for w in (a | b, collapse(a & b)):
                 if w not in seen:
-                    if cap is not None and len(rows) >= cap:
+                    if len(rows) >= cap:
                         return None
                     seen.add(w)
                     rows.append(w)
@@ -183,8 +184,8 @@ def test_close_subbase_matches_the_reference_loop():
             subbase = [random_admissible(rng, u) for _ in range(rng.randrange(5))]
             if rng.random() < 0.2:
                 subbase.append(full_set(u))
-            whole = _close_subbase_reference(u, subbase, None)
-            assert close_subbase(u, subbase, None) == whole
+            whole = _close_subbase_reference(u, subbase, full_size(u))
+            assert close_subbase(u, subbase, full_size(u)) == whole
             size = len(whole)
             for cap in (3, 5, 8, size - 1, size, size + 1):
                 expected = _close_subbase_reference(u, subbase, cap)
@@ -210,7 +211,7 @@ def test_close_subbase_of_spans_is_the_full_topology():
             tuple(f"x{i}" for i in range(points)),
             tuple(f"e{k}" for k in range(params)),
         )
-        members = close_subbase(u, all_spans(u), None)
+        members = close_subbase(u, all_spans(u), full_size(u))
         assert len(members) == full_size(u)
         assert set(members) == set(full_topology(u).members)
 
@@ -218,7 +219,7 @@ def test_close_subbase_of_spans_is_the_full_topology():
 def test_gen_topology_postconditions():
     config = GeneratorConfig(points=3, params=2, seed=5)
     topo = gen_topology(config)
-    assert verify_topology(topo.universe, topo.members, topo.absolute).valid
+    assert verify(topo).valid
     assert len(topo.members) <= config.max_topology
     assert topo.universe == universe_for(config)
     # pure function of (seed, trial index)
@@ -237,7 +238,7 @@ def test_gen_hausdorff_draw():
     config = GeneratorConfig(points=2, params=2, seed=9)
     subbase, topo = gen_hausdorff(config)
     assert is_hausdorff(topo).holds
-    assert set(close_subbase(topo.universe, subbase, None)) == set(topo.members)
+    assert set(close_subbase(topo.universe, subbase, full_size(topo.universe))) == set(topo.members)
 
 
 def test_separated_draw_is_the_full_topology():
@@ -300,7 +301,7 @@ def test_bit_separation_decides_full_closure():
             for s in rng.sample(spans, min(len(spans), rng.randrange(5))):
                 if s not in base:
                     base.append(s)
-            closes = len(close_subbase(u, base, None)) == full_size(u)
+            closes = len(close_subbase(u, base, full_size(u))) == full_size(u)
             masks = _minimal_masks([u.packing.full, *(s.bits for s in base)])
             assert all(m == b for b, m in masks.items()) == closes, base
             checked += 1
@@ -326,7 +327,7 @@ def test_instance_text_round_trip():
     }
     inst = Instance(u, subbase, topo, aux)
     text = to_text(inst, {"case": "round_trip_demo"})
-    back = from_text(text)
+    back = from_document(parse(text))
     assert back.universe == u
     assert back.subbase == subbase
     assert back.topology.members == topo.members
@@ -378,10 +379,10 @@ def _projection_instance(**aux_changes) -> Instance:
         "carrier": ("a", "c"),
         "function": SoftFunction(u, u, ((0, 1, 2), (0, 1, 2))),
         "codomain_subbase": cod_subbase,
-        "codomain": SoftTopology.of(u, close_subbase(u, cod_subbase, None)),
+        "codomain": SoftTopology.of(u, close_subbase(u, cod_subbase, full_size(u))),
     }
     aux.update(aux_changes)
-    topo = SoftTopology.of(u, close_subbase(u, subbase, None))
+    topo = SoftTopology.of(u, close_subbase(u, subbase, full_size(u)))
     return Instance(u, subbase, topo, aux)
 
 
@@ -408,14 +409,14 @@ def test_shrink_projections_of_every_aux_key():
         u = Universe.of(tuple(points), params)
         assert cand.universe == u, label
         assert cand.subbase == _sets(u, *gens), label
-        assert cand.topology.members == close_subbase(u, cand.subbase, None), label
+        assert cand.topology.members == close_subbase(u, cand.subbase, full_size(u)), label
         assert set(cand.aux) == set(inst.aux), label
         assert cand.aux["set"] == _sets(u, f)[0], label
         assert cand.aux["sets"] == _sets(u, *ks), label
         assert cand.aux["carrier"] == carrier, label
         assert cand.aux["function"] == SoftFunction(u, u, maps), label
         assert cand.aux["codomain_subbase"] == _sets(u, *cod), label
-        assert cand.aux["codomain"].members == close_subbase(u, _sets(u, *cod), None), label
+        assert cand.aux["codomain"].members == close_subbase(u, _sets(u, *cod), full_size(u)), label
 
     def reductions(inst):
         return [label for label, _ in candidate_mutations(inst, config)

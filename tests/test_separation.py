@@ -9,8 +9,7 @@ from softtopo import separation, topology
 from softtopo.baire import is_locally_compact, locally_compact_oracle
 from softtopo.core import SoftSet, Universe, full_set, null_set
 from softtopo.document import parse_file
-from softtopo.fuzzing import GeneratorConfig, gen_topology
-from softtopo.fuzzing.generate import full_size, trial_rng
+from softtopo.fuzzing.generate import GeneratorConfig, full_size, gen_topology, trial_rng
 from softtopo.errors import PreconditionError, UniverseMismatchError
 from softtopo.separation import (
     hausdorff_oracle,
@@ -340,7 +339,7 @@ def test_regular_checks_the_element_budget_before_the_absolute(monkeypatch):
 
 def _verified(topo):
     try:
-        return topology.verify_topology(topo.universe, topo.members).valid
+        return topology.verify(SoftTopology.of(topo.universe, topo.members)).valid
     except UniverseMismatchError:
         return False
 

@@ -43,7 +43,7 @@ from softtopo.core import (
     is_admissible,
     is_soft_subset,
 )
-from softtopo.fuzzing.generate import close_subbase
+from softtopo.fuzzing.generate import close_subbase, full_size
 from softtopo.maps import (
     SoftFunction,
     definitional_continuity,
@@ -102,7 +102,7 @@ def all_topologies(u: Universe) -> list[SoftTopology]:
     set and closes.  Any topology is reached by adding its members one at a
     time, since every closure on the way stays inside it."""
     admissible = admissible_sets(u)
-    first = close_subbase(u, (), None)
+    first = close_subbase(u, (), full_size(u))
     found = {frozenset(m.bits for m in first): first}
     frontier = [first]
     while frontier:
@@ -112,7 +112,7 @@ def all_topologies(u: Universe) -> list[SoftTopology]:
             for s in admissible:
                 if s.bits in bits:
                     continue
-                closed = close_subbase(u, (*members, s), None)
+                closed = close_subbase(u, (*members, s), full_size(u))
                 key = frozenset(m.bits for m in closed)
                 if key not in found:
                     found[key] = closed

@@ -31,10 +31,15 @@ from softtopo.core import (
 )
 from softtopo import topology
 from softtopo.document import parse_file
-from softtopo.fuzzing import run_theorem
+from softtopo.fuzzing.harness import run_theorem
 from softtopo.fuzzing.generate import GeneratorConfig, gen_topology, trial_rng, universe_for
 from softtopo.fuzzing.oracles import verify_topology_oracle
-from softtopo.errors import NotAdmissibleError, PreconditionError, UniverseMismatchError
+from softtopo.errors import (
+    InvalidTopologyError,
+    NotAdmissibleError,
+    PreconditionError,
+    UniverseMismatchError,
+)
 from softtopo.topology import (
     LimitingMode,
     _minimal_masks,
@@ -60,7 +65,6 @@ from softtopo.topology import (
     space_elements,
     topology_from,
     verify,
-    verify_topology,
 )
 
 from conftest import FIXTURES, soft
@@ -77,7 +81,7 @@ def all_admissible(u: Universe):
 
 
 def test_regression_space_is_valid(abcd_doc, abcd_topo):
-    report = verify_topology(abcd_doc.universe, abcd_topo.members)
+    report = verify(SoftTopology.of(abcd_doc.universe, abcd_topo.members))
     assert report.valid
     assert report.violations == ()
     assert len(abcd_topo) == 6
@@ -88,7 +92,7 @@ def test_verifier_reports_every_violation():
     f = soft(u, e1=["a"], e2=["a", "b"])
     g = soft(u, e1=["a", "b"], e2=["a"])
     # no null, no absolute, union and meet of f and g missing: all reported
-    report = verify_topology(u, (f, g))
+    report = verify(SoftTopology.of(u, (f, g)))
     assert not report.valid
     axioms = sorted(v.axiom for v in report.violations)
     assert axioms == [
@@ -103,7 +107,7 @@ def test_verifier_flags_union_closure():
     u = Universe.of(("a", "b", "c"), ("e1", "e2"))
     f = soft(u, e1=["a"], e2=["a"])
     g = soft(u, e1=["b"], e2=["b"])
-    report = verify_topology(u, (null_set(u), full_set(u), f, g))
+    report = verify(SoftTopology.of(u, (null_set(u), full_set(u), f, g)))
     assert not report.valid
     assert [v.axiom for v in report.violations] == ["union-closure"]
     (viol,) = report.violations
@@ -113,15 +117,38 @@ def test_verifier_flags_union_closure():
 def test_verifier_flags_inadmissible_member():
     u = Universe.of(("a", "b"), ("e1", "e2"))
     mixed = soft(u, e1=["a"], e2=[])
-    report = verify_topology(u, (null_set(u), full_set(u), mixed))
+    report = verify(SoftTopology.of(u, (null_set(u), full_set(u), mixed)))
     assert not report.valid
     assert any(v.axiom == "member-admissible" for v in report.violations)
 
 
 def test_topology_from_rejects_invalid_families():
     u = Universe.of(("a", "b"), ("e1",))
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidTopologyError, match="phi-member") as exc:
         topology_from(u, (full_set(u),))  # missing the null set
+    assert [v.axiom for v in exc.value.violations] == ["phi-member"]
+
+
+def test_topology_from_scans_only_the_violations_it_names(monkeypatch):
+    # PHI, ABS and 998 distinct random sets at 20x1, which are never closed
+    # under union; the error names four violations and reads no more.
+    rng = random.Random(1)
+    u = Universe.of(tuple(f"p{i}" for i in range(20)), ("e0",))
+    members = [null_set(u), full_set(u)]
+    members += [SoftSet.of(u, [m]) for m in rng.sample(range(1, 2**20 - 1), 998)]
+    read = []
+
+    def counted(topo):
+        for v in violations_of(topo):
+            read.append(v)
+            yield v
+
+    violations_of = topology.violations_of
+    monkeypatch.setattr(topology, "violations_of", counted)
+    with pytest.raises(InvalidTopologyError) as exc:
+        topology_from(u, members)
+    assert len(exc.value.violations) == 4
+    assert tuple(read) == exc.value.violations
 
 
 def test_full_topology_size_formula():
@@ -130,14 +157,14 @@ def test_full_topology_size_formula():
                         tuple(f"e{i}" for i in range(params)))
         expected = (2**points - 1) ** params + 1
         assert len(full_topology(u)) == expected
-        assert verify_topology(u, full_topology(u).members).valid
+        assert verify(SoftTopology.of(u, full_topology(u).members)).valid
 
 
 def test_full_topology_verifies_at_five_by_two():
     u = Universe.of(tuple(f"p{i}" for i in range(5)), ("e1", "e2"))
     members = full_topology(u).members
     assert len(members) == 962
-    assert verify_topology(u, members).valid
+    assert verify(SoftTopology.of(u, members)).valid
 
 
 def _mutated_member_lists(count: int, seed: int):
@@ -183,7 +210,7 @@ def _mutated_member_lists(count: int, seed: int):
 def test_verifier_matches_the_soft_set_oracle():
     axioms = set()
     for u, members, absolute in _mutated_member_lists(300, seed=5):
-        report = verify_topology(u, members, absolute)
+        report = verify(SoftTopology.of(u, members, absolute))
         assert report == verify_topology_oracle(u, members, absolute)
         # The stream's prefixes are the oracle's: callers may stop reading early.
         assert all(
@@ -236,7 +263,7 @@ def test_ring_decides_pairwise_closure():
         assert _ring_accepts(u.packing, _minimal_masks(seen), len(seen), math.inf) == expected
         members = [SoftSet(u, b) for b in sorted(seen)]
         if full_set(u).bits in seen:
-            assert verify_topology(u, members).valid == expected
+            assert verify(SoftTopology.of(u, members)).valid == expected
         lists += 1
         closed += expected
     assert lists >= 6000 and closed >= 2000
@@ -281,7 +308,7 @@ def test_ring_accepts_full_topologies_without_a_scan(monkeypatch):
     for points, params in ((3, 3), (5, 2)):
         u = Universe.of(tuple(f"p{i}" for i in range(points)),
                         tuple(f"e{i}" for i in range(params)))
-        assert verify_topology(u, full_topology(u).members).valid
+        assert verify(SoftTopology.of(u, full_topology(u).members)).valid
     assert calls == []
 
 
@@ -298,7 +325,7 @@ def test_ring_over_budget_falls_back_to_the_scan(monkeypatch):
     assert _ring_accepts(u.packing, minimal, len(seen), 11)
 
     calls = _count_collapses(monkeypatch)
-    report = verify_topology(u, members)
+    report = verify(SoftTopology.of(u, members))
     assert len(calls) == 10  # the scan ran: one meet per pair
     assert report.valid and report == verify_topology_oracle(u, members)
 
@@ -323,7 +350,7 @@ def test_indiscrete_topology():
     u = Universe.of(("a", "b"), ("e1", "e2"))
     topo = indiscrete_topology(u)
     assert topo.members == (null_set(u), full_set(u))
-    assert verify_topology(u, topo.members).valid
+    assert verify(SoftTopology.of(u, topo.members)).valid
 
 
 # --- closed sets ------------------------------------------------------------------
@@ -458,6 +485,24 @@ def test_lem_3_1_finds_the_failing_bits_once_per_trial(monkeypatch):
     monkeypatch.setattr(topology, "_failing_bits", counted)
     run_theorem("lem_3_1", GeneratorConfig(3, 2, seed=1, trials=50))
     assert len(calls) == len({(id(topo), f) for topo, f in calls}) == 50
+
+
+def test_is_limiting_shares_the_cached_failing_bits(abcd_doc, abcd_topo, monkeypatch):
+    # Element by element or as a list, one topology and set find their
+    # failing bits once.
+    calls = []
+
+    def counted(topo, f):
+        calls.append(f)
+        return failing_bits(topo, f)
+
+    failing_bits = topology._failing_bits
+    monkeypatch.setattr(topology, "_failing_bits", counted)
+    topo = SoftTopology.of(abcd_doc.universe, abcd_topo.members)
+    f = abcd_doc.sets["F"]
+    listed = tuple(x for x in space_elements(topo) if is_limiting(topo, f, x))
+    assert listed == limiting_elements(topo, f)
+    assert calls == [f.bits]
 
 
 def test_limiting_elements_reject_an_absolute_of_another_universe():
@@ -639,7 +684,7 @@ def _full_absolute_fixture_topologies():
     for path in sorted(FIXTURES.glob("*.json")):
         topo = parse_file(str(path)).topology
         if (topo is not None and topo.absolute == full_set(topo.universe)
-                and verify_topology(topo.universe, topo.members).valid):
+                and verify(SoftTopology.of(topo.universe, topo.members)).valid):
             out.append(topo)
     return out
 
@@ -673,7 +718,7 @@ def test_side_condition_and_interior_match_their_scans(monkeypatch):
         assert pairwise_admissible_violations(topo) == expected, topo.members
         assert admissible_meets(topo) == (not expected), topo.members
         try:
-            verified = verify_topology(topo.universe, topo.members, topo.absolute).valid
+            verified = verify(topo).valid
         except UniverseMismatchError:
             verified = False
         verdicts.add((verified, not expected))
