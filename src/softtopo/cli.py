@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 import typing as t
@@ -35,20 +36,26 @@ from .document import (
     resolve_set,
     serialize,
 )
-from .errors import DocumentError, InputError, PreconditionError, SoftTopoError
+from .errors import (
+    DocumentError,
+    InputError,
+    PreconditionError,
+    SoftTopoError,
+    SubspacePreconditionError,
+)
 from .fuzzing.generate import GeneratorConfig
 from .fuzzing.harness import report_text, run_theorem, serialize_report
 from .maps import SoftFunction, definitional_continuity, preimage_continuity
 from .separation import is_hausdorff, is_normal, is_regular
-from .subspace import SubspacePreconditionError, build_subspace
+from .subspace import build_subspace
 from .topology import (
     LimitingMode,
     SoftTopology,
     closure,
     interior,
     limiting_elements,
-    named_violations,
     verify,
+    violations_of,
 )
 
 __all__ = ["main"]
@@ -100,11 +107,12 @@ def _parse_with_topology(path: str) -> SpaceDocument:
 
 
 def _load_topology(path: str) -> tuple[SpaceDocument, SoftTopology]:
+    """The one refusal of a member list that is not a topology: it names
+    the first four violations, and the pairwise scan stops there."""
     doc = _parse_with_topology(path)
-    shown = named_violations(doc.topology)
+    shown = [v.describe() for v in itertools.islice(violations_of(doc.topology), 4)]
     if shown:
-        details = "; ".join(v.describe() for v in shown)
-        raise PreconditionError(f"{path}: topology is not valid: {details}")
+        raise PreconditionError(f"{path}: topology is not valid: {'; '.join(shown)}")
     return doc, doc.topology
 
 

@@ -90,18 +90,26 @@ def is_compact_set(topo: SoftTopology, f: SoftSet) -> CompactSetReport:
     return CompactSetReport(f, compact, admissible, comp_admissible)
 
 
+def is_closed_null_family(topo: SoftTopology, family: t.Sequence[SoftSet]) -> bool:
+    """``fip_witness``'s precondition: a nonempty family of closed sets
+    whose joint elementary meet is null."""
+    return (
+        bool(family)
+        and all(is_closed(topo, m) for m in family)
+        and is_null(elementary_intersection_family(topo.universe, family))
+    )
+
+
 def fip_witness(topo: SoftTopology, family: t.Sequence[SoftSet]) -> tuple[int, ...]:
     """Minimal subfamily of a closed family whose elementary meet is null.
 
-    Preconditions: every member closed, joint elementary meet null.  The
-    full family always qualifies, so the increasing-size search terminates
-    with a witness; ties break lexicographically.
+    The full family always qualifies, so the increasing-size search
+    terminates with a witness; ties break lexicographically.
     """
-    for m in family:
-        if not is_closed(topo, m):
-            raise PreconditionError(f"fip_witness: family member not closed: {m!r}")
-    if not is_null(elementary_intersection_family(topo.universe, family)):
-        raise PreconditionError("fip_witness: joint elementary meet is not null")
+    if not is_closed_null_family(topo, family):
+        raise PreconditionError(
+            "fip_witness: the family must be nonempty and closed, with a null joint meet"
+        )
     n = len(family)
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -113,26 +121,26 @@ def fip_witness(topo: SoftTopology, family: t.Sequence[SoftSet]) -> tuple[int, .
     raise AssertionError("unreachable: the full family is a witness")
 
 
+def is_nonnull_closed_chain(topo: SoftTopology, chain: t.Sequence[SoftSet]) -> bool:
+    """``nested_intersection_check``'s chain precondition: a nonempty chain
+    of nonnull closed sets, each containing the next."""
+    return (
+        bool(chain)
+        and all(not is_null(m) and is_closed(topo, m) for m in chain)
+        and all(is_soft_subset(nxt, prev) for prev, nxt in zip(chain, chain[1:]))
+    )
+
+
 def nested_intersection_check(
     topo: SoftTopology, chain: t.Sequence[SoftSet]
 ) -> bool:
-    """True when a decreasing chain of nonempty closed sets has nonnull meet.
-
-    Preconditions: compact space, nonempty chain, members closed and
-    nonempty, each containing the next.
-    """
+    """True when a decreasing chain of nonempty closed sets in a compact
+    space has nonnull meet."""
     if not is_compact_space(topo).compact:
         raise PreconditionError("nested chains are only checked in compact spaces")
-    if not chain:
-        raise PreconditionError("empty chain")
-    for m in chain:
-        if is_null(m):
-            raise PreconditionError("chain member is the null soft set")
-        if not is_closed(topo, m):
-            raise PreconditionError(f"chain member not closed: {m!r}")
-    for prev, nxt in zip(chain, chain[1:]):
-        if not is_soft_subset(nxt, prev):
-            raise PreconditionError("chain is not decreasing")
+    if not is_nonnull_closed_chain(topo, chain):
+        raise PreconditionError(
+            "the chain must be nonempty and decreasing, of nonnull closed sets"
+        )
     meet = elementary_intersection_family(topo.universe, chain)
     return not is_null(meet)
-

@@ -343,9 +343,8 @@ def parse(text: str) -> SpaceDocument:
         issues.add("$.format", f"expected {FORMAT!r}")
 
     universe = _decode_universe(raw.get("universe"), issues)
-    if universe is None:
-        issues.raise_if_any()
-        raise AssertionError("unreachable")
+    if universe is None:  # _decode_universe added an issue
+        raise DocumentError(issues.items)
 
     sets = _decode_sets(raw, universe, issues)
 

@@ -34,16 +34,6 @@ class NotAdmissibleError(PreconditionError):
     """
 
 
-class InvalidTopologyError(InputError):
-    """A member list failed topology verification; carries the violations
-    it names."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        lines = "; ".join(v.describe() for v in self.violations)
-        super().__init__(f"not a valid topology: {lines}")
-
-
 class SubspacePreconditionError(PreconditionError):
     """Subspace construction preconditions failed; carries the report."""
 

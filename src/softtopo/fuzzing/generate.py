@@ -53,6 +53,8 @@ _TOPOLOGY_REDRAWS = 20
 # Largest full topology a separated draw may build.  It holds every
 # admissible set, (2**points - 1)**params + 1 of them, so the budget bounds
 # memory before anything is built; 5x2 (962 members) fits, 7x2 does not.
+# It also bounds ``subbase_size`` and ``max_topology``: draws and closures
+# allocate in proportion to them.
 _FULL_TOPOLOGY_BUDGET = 4096
 
 @d.dataclass(frozen=True)
@@ -85,6 +87,10 @@ class GeneratorConfig:
             raise InputError("subbase_size must be non-negative")
         if self.max_topology < 2:
             raise InputError("max_topology must allow the two mandatory members")
+        if max(self.subbase_size, self.max_topology) > _FULL_TOPOLOGY_BUDGET:
+            raise InputError(
+                f"subbase_size and max_topology must each be at most {_FULL_TOPOLOGY_BUDGET}"
+            )
         if self.trials < 0:
             raise InputError("trials must be non-negative")
 

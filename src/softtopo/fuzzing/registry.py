@@ -16,8 +16,10 @@ import typing as t
 from ..baire import is_baire, is_baire_by_nowhere_dense, is_locally_compact
 from ..compactness import (
     fip_witness,
+    is_closed_null_family,
     is_compact_set,
     is_compact_space,
+    is_nonnull_closed_chain,
     nested_intersection_check,
 )
 from ..core import (
@@ -229,24 +231,6 @@ def _preconditions_ok(inst: Instance) -> bool:
     return check_subspace_preconditions(inst.topology, _carrier_of(inst)).satisfied
 
 
-def _family_closed_null_fold(inst: Instance) -> bool:
-    family = inst.aux["sets"]
-    if not family:
-        return False
-    if not all(is_closed(inst.topology, c) for c in family):
-        return False
-    return is_null(elementary_intersection_family(inst.universe, family))
-
-
-def _decreasing_nonnull_closed(inst: Instance) -> bool:
-    chain = inst.aux["sets"]
-    if not chain:
-        return False
-    if any(is_null(c) or not is_closed(inst.topology, c) for c in chain):
-        return False
-    return all(is_soft_subset(b, a) for a, b in zip(chain, chain[1:]))
-
-
 def _limiting_conclusion(inst: Instance) -> bool:
     topo, f = inst.topology, inst.aux["set"]
     collapse = topo.universe.packing.collapse
@@ -328,7 +312,7 @@ _case(
     "thm_4_1",
     "closed families with empty joint meet admit a finite empty-meet subfamily",
     _build_closed_null_family,
-    _family_closed_null_fold,
+    lambda inst: is_closed_null_family(inst.topology, inst.aux["sets"]),
     lambda inst: is_null(
         elementary_intersection_family(
             inst.universe,
@@ -342,7 +326,7 @@ _case(
     "decreasing nonempty closed chains in compact spaces have nonempty meet",
     _build_closed_chain,
     lambda inst: is_compact_space(inst.topology).compact
-    and _decreasing_nonnull_closed(inst),
+    and is_nonnull_closed_chain(inst.topology, inst.aux["sets"]),
     lambda inst: nested_intersection_check(inst.topology, inst.aux["sets"]),
 )
 

@@ -64,7 +64,6 @@ from .core import (
     pointwise_complement,
 )
 from .errors import (
-    InvalidTopologyError,
     NotAdmissibleError,
     PreconditionError,
     UniverseMismatchError,
@@ -283,26 +282,6 @@ def _hull_table(topo: SoftTopology) -> dict[int, int]:
     """The topology's ``_minimal_masks``, built here unless ``verify`` kept
     them.  The hot callers read the cache first."""
     return _cached(topo, "hulls", lambda: _minimal_masks(topo.packed))
-
-
-def topology_from(
-    universe: Universe,
-    members: t.Iterable[SoftSet],
-    absolute: SoftSet | None = None,
-) -> SoftTopology:
-    """Verify and wrap; raises InvalidTopologyError naming the
-    ``named_violations``."""
-    topo = SoftTopology.of(universe, members, absolute)
-    shown = named_violations(topo)
-    if shown:
-        raise InvalidTopologyError(shown)
-    return topo
-
-
-def named_violations(topo: SoftTopology) -> tuple[Violation, ...]:
-    """The first four of ``verify``'s violations, the ones a refusal names;
-    the pairwise scan stops after them."""
-    return tuple(itertools.islice(violations_of(topo), 4))
 
 
 def indiscrete_topology(universe: Universe) -> SoftTopology:

@@ -6,6 +6,7 @@ import pytest
 
 from softtopo.core import SoftSet, Universe
 from softtopo.document import parse_file
+from softtopo.topology import SoftTopology, verify
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -17,6 +18,13 @@ def fixture_path(name: str) -> str:
 def soft(universe: Universe, **by_param) -> SoftSet:
     """Shorthand: soft(u, e1=["a"], e2=["b", "c"])."""
     return SoftSet.from_points(universe, by_param)
+
+
+def verified(universe: Universe, members, absolute: SoftSet | None = None) -> SoftTopology:
+    """A hand-made topology, asserted valid before a test uses it."""
+    topo = SoftTopology.of(universe, members, absolute)
+    assert verify(topo).valid
+    return topo
 
 
 @pytest.fixture(scope="session")

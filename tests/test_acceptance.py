@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
 import itertools
 import json
 import pathlib
@@ -305,3 +306,31 @@ def test_package_roots_bind_only_their_submodules():
             and getattr(value, "__name__", None) != f"{package.__name__}.{name}"
         ]
         assert extra == [], package.__name__
+
+
+def test_each_import_names_the_defining_module():
+    """Every ``from softtopo... import name`` under ``src/`` and ``tests/``
+    names the module that defines the value, by its ``__module__``."""
+    second_paths = []
+    for top in ("src", "tests"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            # the package a relative import in a src/ file starts from
+            package = ".".join(path.relative_to(REPO_ROOT / top).parent.parts)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                source = node.module or ""
+                if node.level:
+                    base = package.rsplit(".", node.level - 1)[0]
+                    source = f"{base}.{source}" if source else base
+                if source.split(".")[0] != "softtopo":
+                    continue
+                module = importlib.import_module(source)
+                for alias in node.names:
+                    defined = getattr(getattr(module, alias.name), "__module__", source)
+                    if defined != source:
+                        second_paths.append(
+                            f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {alias.name} from "
+                            f"{source}, defined in {defined}"
+                        )
+    assert second_paths == []

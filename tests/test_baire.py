@@ -16,9 +16,9 @@ from softtopo.core import SoftSet, Universe, full_set, null_set
 from softtopo.errors import NotAdmissibleError, PreconditionError
 from softtopo.fuzzing.instances import Instance
 from softtopo.fuzzing.registry import REGISTRY
-from softtopo.topology import SoftTopology, full_topology, indiscrete_topology, topology_from
+from softtopo.topology import SoftTopology, full_topology, indiscrete_topology
 
-from conftest import soft
+from conftest import soft, verified
 
 U22 = Universe.of(("a", "b"), ("e1", "e2"))
 UABC = Universe.of(("a", "b", "c"), ("e1", "e2"))
@@ -35,7 +35,7 @@ def ladder_topo():
         soft(UABC, e1="c", e2="c"),
         soft(UABC, e1="bc", e2="bc"),
     )
-    return topology_from(UABC, members)
+    return verified(UABC, members)
 
 
 def test_nowhere_dense(abcd_topo):

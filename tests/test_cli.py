@@ -125,15 +125,26 @@ def _unclosed_document(path: pathlib.Path, members: int, seed: int) -> str:
     return str(path)
 
 
-def test_refusal_scans_only_the_violations_it_names(capsys, tmp_path):
+def test_refusal_scans_only_the_violations_it_names(capsys, tmp_path, monkeypatch):
     # A thousand members have about 5 * 10**5 pairs; listing every violation
     # took over 5 s, the four the message names take a fraction of that.
     big = _unclosed_document(tmp_path / "big.json", 1000, seed=1)
+    read = []
+
+    def counted(topo):
+        for v in violations_of(topo):
+            read.append(v)
+            yield v
+
+    violations_of = cli.violations_of
+    monkeypatch.setattr(cli, "violations_of", counted)
     start = time.perf_counter()
     code, out, err = run(capsys, "check", "hausdorff", big)
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith(f"error: {big}: topology is not valid: ")
+    assert len(read) == 4
+    assert err.endswith("; ".join(v.describe() for v in read) + "\n")
 
     small = _unclosed_document(tmp_path / "small.json", 60, seed=2)
     code, out, err = run(capsys, "check", "hausdorff", small)
@@ -525,6 +536,17 @@ def test_fuzz_shape_over_budget(capsys):
         "error: a 65x2 universe is over the budget: points, params and "
         "points ** params must each be at most 4096\n"
     )
+
+
+def test_fuzz_sizes_over_budget(capsys):
+    # Draws and closures allocate in proportion to these sizes; 4097 is
+    # refused before any trial runs, 4096 is the budget itself.
+    for flag in ("--subbase", "--max-topology"):
+        code, out, err = run(capsys, "fuzz", "--case", "thm_4_3", flag, "4097")
+        assert (code, out) == (2, ""), flag
+        assert err == "error: subbase_size and max_topology must each be at most 4096\n"
+        code, out, err = run(capsys, "fuzz", "--case", "thm_4_3", "--trials", "2", flag, "4096")
+        assert (code, err) == (0, ""), flag
 
 
 def _constant_doc(tmp_path, points, params):

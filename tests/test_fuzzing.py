@@ -122,6 +122,11 @@ def test_config_validation():
         GeneratorConfig(points=1, params=1, seed=-1)
     with pytest.raises(InputError):
         GeneratorConfig(points=1, params=1, seed=0, max_topology=1)
+    # the generator's sizes are bounded before anything is drawn
+    GeneratorConfig(points=1, params=1, seed=0, subbase_size=4096, max_topology=4096)
+    for sizes in ({"subbase_size": 4097}, {"max_topology": 4097}):
+        with pytest.raises(InputError, match="at most 4096"):
+            GeneratorConfig(points=1, params=1, seed=0, **sizes)
     # shapes are bounded before any name is built
     GeneratorConfig(points=64, params=2, seed=0)  # 4096 soft elements
     GeneratorConfig(points=1, params=4096, seed=0)

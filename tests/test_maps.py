@@ -29,7 +29,7 @@ from softtopo.maps import (
 )
 from softtopo.topology import full_topology, indiscrete_topology, space_elements
 
-from conftest import fixture_path, soft
+from conftest import fixture_path, soft, verified
 
 U22 = Universe.of(("a", "b"), ("e1", "e2"))
 UXY = Universe.of(("x", "y", "z"), ("e1", "e2"))
@@ -175,9 +175,7 @@ def test_criteria_diverge_on_degenerate_preimage():
     # is ({a,b},{}), which is mixed, so the preimage reading rejects it
     dt = indiscrete_topology(U22)
     ct_members = dt.members[:1] + (dt.absolute, soft(U22, e1="a", e2="b"))
-    from softtopo.topology import topology_from
-
-    ct = topology_from(U22, ct_members)
+    ct = verified(U22, ct_members)
     definitional = definitional_continuity(CONST_A, dt, ct)
     assert definitional.continuous and definitional.failure is None
 

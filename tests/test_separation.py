@@ -10,7 +10,7 @@ from softtopo.baire import is_locally_compact, locally_compact_oracle
 from softtopo.core import SoftSet, Universe, full_set, null_set
 from softtopo.document import parse_file
 from softtopo.fuzzing.generate import GeneratorConfig, full_size, gen_topology, trial_rng
-from softtopo.errors import PreconditionError, UniverseMismatchError
+from softtopo.errors import PreconditionError, SubspacePreconditionError, UniverseMismatchError
 from softtopo.separation import (
     hausdorff_oracle,
     is_hausdorff,
@@ -19,16 +19,15 @@ from softtopo.separation import (
     normal_oracle,
     regular_oracle,
 )
-from softtopo.subspace import SubspacePreconditionError, build_subspace
+from softtopo.subspace import build_subspace
 from softtopo.topology import (
     SoftTopology,
     full_topology,
     indiscrete_topology,
     open_hull,
-    topology_from,
 )
 
-from conftest import FIXTURES, soft
+from conftest import FIXTURES, soft, verified
 
 U22 = Universe.of(("a", "b"), ("e1", "e2"))
 
@@ -104,7 +103,7 @@ def test_normal_negative():
         soft(u, e1="ac"),
         soft(u, e1="c"),
     )
-    topo = topology_from(u, members)
+    topo = verified(u, members)
     report = is_normal(topo)
     assert not report.holds
     assert report.counterexample == (soft(u, e1="a"), soft(u, e1="b"))
@@ -256,7 +255,7 @@ def _hull_filling_a_slice():
     absolute = soft(u, e0="ab", e1="a", e2="ab")
     members = (null_set(u), absolute, soft(u, e0="ab", e1="a", e2="a"),
                soft(u, e0="ab", e1="a", e2="b"))
-    return topology_from(u, members, absolute)
+    return verified(u, members, absolute)
 
 
 def _member_outside_the_absolute():
@@ -315,11 +314,11 @@ def test_normal_witness_keeps_the_scan_order():
     ab, bc, c, b = (soft(u, e1=s) for s in ("ab", "bc", "c", "b"))
     # closed sets c, a, abc, null, ab, ac: the first pointwise-disjoint pair
     # is the open {c} with {a}, which is not open
-    topo = topology_from(u, (ab, bc, null_set(u), full_set(u), c, b))
+    topo = verified(u, (ab, bc, null_set(u), full_set(u), c, b))
     assert is_normal(topo).witness == (c, soft(u, e1="a"), c, ab)
     # with the absolute first, the null closed set comes first and pairs
     # with itself
-    topo = topology_from(u, (full_set(u), null_set(u), ab, bc, c, b))
+    topo = verified(u, (full_set(u), null_set(u), ab, bc, c, b))
     assert is_normal(topo).witness == (null_set(u),) * 4
 
 

@@ -35,7 +35,6 @@ from softtopo.fuzzing.harness import run_theorem
 from softtopo.fuzzing.generate import GeneratorConfig, gen_topology, trial_rng, universe_for
 from softtopo.fuzzing.oracles import verify_topology_oracle
 from softtopo.errors import (
-    InvalidTopologyError,
     NotAdmissibleError,
     PreconditionError,
     UniverseMismatchError,
@@ -63,7 +62,6 @@ from softtopo.topology import (
     open_hull,
     pairwise_admissible_violations,
     space_elements,
-    topology_from,
     verify,
 )
 
@@ -120,35 +118,6 @@ def test_verifier_flags_inadmissible_member():
     report = verify(SoftTopology.of(u, (null_set(u), full_set(u), mixed)))
     assert not report.valid
     assert any(v.axiom == "member-admissible" for v in report.violations)
-
-
-def test_topology_from_rejects_invalid_families():
-    u = Universe.of(("a", "b"), ("e1",))
-    with pytest.raises(InvalidTopologyError, match="phi-member") as exc:
-        topology_from(u, (full_set(u),))  # missing the null set
-    assert [v.axiom for v in exc.value.violations] == ["phi-member"]
-
-
-def test_topology_from_scans_only_the_violations_it_names(monkeypatch):
-    # PHI, ABS and 998 distinct random sets at 20x1, which are never closed
-    # under union; the error names four violations and reads no more.
-    rng = random.Random(1)
-    u = Universe.of(tuple(f"p{i}" for i in range(20)), ("e0",))
-    members = [null_set(u), full_set(u)]
-    members += [SoftSet.of(u, [m]) for m in rng.sample(range(1, 2**20 - 1), 998)]
-    read = []
-
-    def counted(topo):
-        for v in violations_of(topo):
-            read.append(v)
-            yield v
-
-    violations_of = topology.violations_of
-    monkeypatch.setattr(topology, "violations_of", counted)
-    with pytest.raises(InvalidTopologyError) as exc:
-        topology_from(u, members)
-    assert len(exc.value.violations) == 4
-    assert tuple(read) == exc.value.violations
 
 
 def test_full_topology_size_formula():
@@ -747,7 +716,6 @@ def test_verify_keeps_the_minimal_mask_table(abcd_doc, abcd_topo):
     topo = SoftTopology.of(abcd_doc.universe, abcd_topo.members[1:])
     assert not verify(topo).valid
     assert "hulls" not in topo._cache
-    assert "hulls" in topology_from(abcd_doc.universe, abcd_topo.members)._cache
 
 
 def test_packed_kernels_match_core_operations():
