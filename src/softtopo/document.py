@@ -175,22 +175,24 @@ def _decode_sets(raw: dict, universe: Universe, issues: _Issues) -> dict[str, So
             issues.add(f"$.sets.{name}", "reserved name cannot be redefined")
             continue
         if body.__class__ is dict and len(body) == n_params:
-            bits = 0
+            bits = names = 0
             # A sum of layout bits has one set bit per name exactly when the
-            # names are distinct, since a repeated bit carries.  A missing
-            # parameter, or a name that is not a known point, raises.
+            # names are distinct, since a repeated bit carries, and a carry
+            # lowers the popcount of the slices' OR however far it runs.  So
+            # the OR has one bit per name exactly when every slice's names
+            # are distinct.  A missing parameter, or a name that is not a
+            # known point, raises.
             try:
                 for param, bit in tables:
                     entries = body[param]
                     if entries.__class__ is not list:
                         break
-                    mask = sum(map(bit, entries))
-                    if mask.bit_count() != len(entries):
-                        break
-                    bits |= mask
+                    bits |= sum(map(bit, entries))
+                    names += len(entries)
                 else:
-                    decoded[name] = SoftSet.unchecked(universe, bits)
-                    continue
+                    if bits.bit_count() == names:
+                        decoded[name] = SoftSet.unchecked(universe, bits)
+                        continue
             except (KeyError, TypeError):
                 pass
         value = _decode_set(universe, body, issues, name)

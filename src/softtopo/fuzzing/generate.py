@@ -57,6 +57,11 @@ _TOPOLOGY_REDRAWS = 20
 # allocate in proportion to them.
 _FULL_TOPOLOGY_BUDGET = 4096
 
+# Most trials one run may ask for.  A run keeps every counterexample record,
+# document included, until its report is written, so memory grows with the
+# trial count.
+_TRIAL_BUDGET = 100_000
+
 @d.dataclass(frozen=True)
 class GeneratorConfig:
     points: int
@@ -93,6 +98,8 @@ class GeneratorConfig:
             )
         if self.trials < 0:
             raise InputError("trials must be non-negative")
+        if self.trials > _TRIAL_BUDGET:
+            raise InputError(f"trials must be at most {_TRIAL_BUDGET}")
 
 
 @functools.lru_cache(maxsize=16)

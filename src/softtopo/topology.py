@@ -8,10 +8,11 @@ the pairwise check for finite lists; the reduction itself is covered by a
 test rather than assumed silently.  ``verify`` settles that check
 without visiting the pairs when it can: a list is closed exactly when the
 admissible sets in the ring of unions of its minimal-neighbourhood masks are
-its members (``_ring_accepts``; Birkhoff's rings of sets).  A list the ring
-does not accept within the scan's own pair count gets the pairwise scan;
-``violations_of`` yields its violations one at a time, so a caller that
-names only the first few stops the scan there.
+its members (``_ring_accepts``; Birkhoff's rings of sets), which it counts
+one block of fields at a time.  A list the ring does not accept within the
+scan's own pair count gets the pairwise scan; ``violations_of`` yields its
+violations one at a time, so a caller that names only the first few stops
+the scan there.
 
 The kernels work on ``SoftSet.bits``, the packed layout of ``core``:
 ``SoftTopology.packed`` holds the members' bits in member order so scans
@@ -157,38 +158,42 @@ def verify(topo: SoftTopology) -> TopologyReport:
 def violations_of(topo: SoftTopology) -> t.Iterator[Violation]:
     """``verify``'s violations in its order, scanning pairs only as far as
     the caller reads.  The per-member checks come first, collected in one
-    pass.  When the ring test accepts the list, its minimal-mask table
-    becomes the topology's hull table, so no check builds that table
-    again."""
+    pass over the members.  When the ring test accepts the list, its
+    minimal-mask table becomes the topology's hull table, so no check
+    builds that table again."""
     universe, members, absolute = topo.universe, topo.members, topo.absolute
-    violations: list[Violation] = []
+    packing = universe.packing
+    full, spare, outside = packing.full, packing.spare, ~absolute.bits
 
+    seen: set[int] = set()
+    duplicates: list[Violation] = []
+    checks: list[Violation] = []
+    admissible: list[SoftSet] = []
     for m in members:
-        if m.universe != universe:
+        # ``Universe.of`` shares one object per shape, so identity settles
+        # most comparisons without a call.
+        if m.universe is not universe and m.universe != universe:
             raise UniverseMismatchError("member from a different universe")
-    if absolute.universe != universe:
+        bits = m.bits
+        if bits in seen:
+            duplicates.append(Violation("duplicate-member", (m,), m))
+        seen.add(bits)
+        # nonnull with an empty slice: Packing.is_admissible, inlined
+        if bits and (bits + full) & spare != spare:
+            checks.append(Violation("member-admissible", (m,), m))
+            continue
+        admissible.append(m)
+        if bits & outside:
+            checks.append(Violation("member-inside-absolute", (m,), m))
+    if absolute.universe is not universe and absolute.universe != universe:
         raise UniverseMismatchError("absolute from a different universe")
 
-    packing = universe.packing
-    seen: set[int] = set()
-    for m in members:
-        if m.bits in seen:
-            violations.append(Violation("duplicate-member", (m,), m))
-        seen.add(m.bits)
-
+    violations = duplicates
     if 0 not in seen:
         violations.append(Violation("phi-member", (), null_set(universe)))
     if absolute.bits not in seen:
         violations.append(Violation("absolute-member", (), absolute))
-
-    admissible: list[SoftSet] = []
-    for m in members:
-        if not packing.is_admissible(m.bits):
-            violations.append(Violation("member-admissible", (m,), m))
-            continue
-        admissible.append(m)
-        if m.bits & ~absolute.bits:
-            violations.append(Violation("member-inside-absolute", (m,), m))
+    violations += checks
 
     yield from violations
     if not violations:
@@ -245,20 +250,57 @@ def _ring_accepts(
     and ``d`` is a member.
 
     Since every member lies in ``D``, the test counts the admissible sets
-    in ``D`` instead of listing them.  Building ``D`` may take at most
-    ``budget`` unions, past which the answer is False and the caller scans.
+    in ``D`` instead of listing them, one block of fields at a time
+    (``_field_blocks``).  Masks in different blocks touch disjoint fields,
+    so ``D`` is the product of the blocks' rings, and a nonnull union is
+    admissible exactly when its part in each block touches every field of
+    that block.  So ``D`` holds ``1 + A_1 * ... * A_k`` admissible sets,
+    where ``A_j`` counts the sets in block ``j``'s ring that touch each of
+    its fields (FINDINGS.md, "The ring factors over blocks of fields").  A
+    full ``p``x``q`` topology has ``q`` blocks of ``2**p`` sets in place of
+    one ring of ``2**(p*q)``.  Building the rings may take at most
+    ``budget`` unions in all, past which the answer is False and the caller
+    scans.
     """
-    ring = {0}
-    # No mask is a union of others, so each one grows the ring: a part
-    # ``M_c`` of such a union holding the bit ``b`` of ``M_b`` contains
-    # ``M_b``, so the two are equal, and the masks are distinct.  Smallest
-    # first is the fixed order the union budget is counted in.
-    for mask in sorted(set(minimal.values()), key=int.bit_count):
-        budget -= len(ring)
-        if budget < 0:
-            return False
-        ring |= {r | mask for r in ring}
-    return sum(map(packing.is_admissible, ring)) == count
+    full = packing.full
+    masks = sorted(set(minimal.values()), key=int.bit_count)
+    admissible = 1
+    for block in _field_blocks(packing, masks):
+        ring = {0}
+        # No mask is a union of others, so each one grows its block's ring:
+        # a part ``M_c`` of such a union holding the bit ``b`` of ``M_b``
+        # contains ``M_b``, so the two are equal, and the masks are
+        # distinct.  Smallest first is the fixed order the union budget is
+        # counted in.
+        for mask in masks:
+            if (mask + full) & block:
+                budget -= len(ring)
+                if budget < 0:
+                    return False
+                ring |= {r | mask for r in ring}
+        admissible *= sum((r + full) & block == block for r in ring)
+    return admissible + 1 == count
+
+
+def _field_blocks(packing: Packing, masks: t.Sequence[int]) -> list[int]:
+    """The fields of ``masks`` in blocks, each block as its spare bits: two
+    masks share a block when they share a field, directly or through other
+    masks.  One block of every field when a mask touches every field, or
+    when there is no mask.  A nonnull member is a union of masks and
+    touches every field, so the blocks cover every field."""
+    full, spare = packing.full, packing.spare
+    blocks: list[int] = []
+    # The largest masks come first: any one of them that touches every
+    # field settles the answer.
+    for mask in reversed(masks):
+        fields = (mask + full) & spare
+        if fields == spare:
+            return [spare]
+        # The blocks are disjoint, so their sum is their union.
+        fields |= sum(b for b in blocks if b & fields)
+        blocks = [b for b in blocks if not b & fields]
+        blocks.append(fields)
+    return blocks or [spare]
 
 
 def _minimal_masks(members: t.Collection[int]) -> dict[int, int]:

@@ -547,6 +547,10 @@ def test_fuzz_sizes_over_budget(capsys):
         assert err == "error: subbase_size and max_topology must each be at most 4096\n"
         code, out, err = run(capsys, "fuzz", "--case", "thm_4_3", "--trials", "2", flag, "4096")
         assert (code, err) == (0, ""), flag
+    # Every counterexample record is kept until the report is written, so
+    # the trial count is bounded too.
+    code, out, err = run(capsys, "fuzz", "--case", "thm_4_3", "--trials", "100001")
+    assert (code, out, err) == (2, "", "error: trials must be at most 100000\n")
 
 
 def _constant_doc(tmp_path, points, params):

@@ -414,7 +414,7 @@ def _mutated_document(rng: random.Random) -> str:
         name, body = rng.choice(objects)
         index = rng.randrange(len(body))
         param, entries = body[index]
-        kind = rng.randrange(12)
+        kind = rng.randrange(13)
         if 3 <= kind <= 5 and type(entries) is not list:
             entries = []
             body[index] = (param, entries)
@@ -445,8 +445,26 @@ def _mutated_document(rng: random.Random) -> str:
         elif kind == 10:  # a repeated key at the top or in the universe
             target = rng.choice((top, top[1][1]))
             target.append(rng.choice(target))
-        else:  # a parameter swapped for an unknown key, keeping the key count
+        elif kind == 11:  # a parameter swapped for an unknown key, keeping the key count
             body[index] = ("zz", entries)
+        elif (
+            param in params[:-1] and type(entries) is list and entries
+            and all(e in points for e in entries)
+        ):
+            # The last point repeated until the slice's sum carries into the
+            # next field, which names the point the carry lands on.
+            total = sum(1 << points.index(e) for e in entries)
+            while total >> len(points) + 1 == 0:
+                entries.append(entries[-1])
+                total += 1 << points.index(entries[-1])
+            carry = total >> len(points) + 1
+            landed = points[(carry & -carry).bit_length() - 1]
+            after = params[params.index(param) + 1]
+            for j, (key, value) in enumerate(body):
+                if key == after:
+                    named = value if type(value) is list else []
+                    body[j] = (key, named if landed in named else named + [landed])
+                    break
     return _dump(top)
 
 

@@ -127,6 +127,10 @@ def test_config_validation():
     for sizes in ({"subbase_size": 4097}, {"max_topology": 4097}):
         with pytest.raises(InputError, match="at most 4096"):
             GeneratorConfig(points=1, params=1, seed=0, **sizes)
+    # so is the trial count; a config at the bound is built, never run
+    GeneratorConfig(points=1, params=1, seed=0, trials=100_000)
+    with pytest.raises(InputError, match="trials must be at most 100000"):
+        GeneratorConfig(points=1, params=1, seed=0, trials=100_001)
     # shapes are bounded before any name is built
     GeneratorConfig(points=64, params=2, seed=0)  # 4096 soft elements
     GeneratorConfig(points=1, params=4096, seed=0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -120,6 +121,25 @@ def test_verifier_flags_inadmissible_member():
     assert any(v.axiom == "member-admissible" for v in report.violations)
 
 
+def test_verifier_refuses_a_foreign_member_before_a_foreign_absolute():
+    u = Universe.of(("a", "b"), ("e1", "e2"))
+    other = Universe.of(("a", "b", "c"), ("e1", "e2"))
+    members = [null_set(u), null_set(u), full_set(u)]  # a duplicate first
+    for absolute in (full_set(other), full_set(u)):
+        topo = SoftTopology.of(u, members + [full_set(other)], absolute)
+        # raised before the duplicate is yielded
+        with pytest.raises(UniverseMismatchError, match="^member from a different universe$"):
+            next(topology.violations_of(topo))
+        with pytest.raises(UniverseMismatchError, match="^member from a different universe$"):
+            verify_topology_oracle(u, topo.members, absolute)
+    with pytest.raises(UniverseMismatchError, match="^absolute from a different universe$"):
+        next(topology.violations_of(SoftTopology.of(u, members, full_set(other))))
+    # An equal universe that is another object is not foreign.
+    twin = Universe(("a", "b"), ("e1", "e2"))
+    assert twin is not u
+    assert verify(SoftTopology.of(u, [null_set(twin), full_set(twin)], full_set(twin))).valid
+
+
 def test_full_topology_size_formula():
     for points, params in ((2, 1), (2, 2), (3, 2)):
         u = Universe.of(tuple(f"p{i}" for i in range(points)),
@@ -202,9 +222,47 @@ def _pairwise_closed(packing: Packing, seen: set[int]) -> bool:
     )
 
 
+def _block_count(packing: Packing, seen: set[int]) -> int:
+    """How many blocks the fields of the minimal masks of ``seen`` fall
+    into, masks that share a field joining one block."""
+    blocks: list[set[int]] = []
+    for mask in set(_minimal_masks(seen).values()):
+        fields = {k for k, field in enumerate(packing.fields) if mask & field}
+        joined = [b for b in blocks if b & fields]
+        blocks = [b for b in blocks if not b & fields] + [fields.union(*joined)]
+    return len(blocks)
+
+
+def _product_cases():
+    """Products of seeded closures over disjoint groups of parameters, each
+    also with a member dropped and with a union added.  A product's minimal
+    masks stay inside one group whenever the other factors' nonnull
+    members meet in nothing, which gives the ring several blocks."""
+    rng = random.Random(29)
+    for points in (2, 3):
+        width = points + 1
+        for groups in ((1, 1), (2, 1), (1, 2), (1, 1, 1)):
+            u = Universe.of(tuple(f"x{i}" for i in range(points)),
+                            tuple(f"e{k}" for k in range(sum(groups))))
+            configs = [GeneratorConfig(points=points, params=g, seed=points * 10 + g)
+                       for g in groups]
+            offsets = list(itertools.accumulate(groups, initial=0))
+            for _ in range(40):
+                factors = [
+                    [b << k * width for b in gen_topology(c, trial_rng(c, rng.randrange(1000))).packed if b]
+                    for c, k in zip(configs, offsets)
+                ]
+                seen = {0} | set(map(sum, itertools.product(*factors)))
+                yield u, seen
+                yield u, seen - {rng.choice(sorted(seen - {0, u.packing.full}))}
+                extra = SoftSet.of(u, tuple(rng.randint(1, u.full_mask) for _ in u.params))
+                yield u, seen | {rng.choice(sorted(seen)) | extra.bits}
+
+
 def _ring_cases():
     """Seeded closures, each also with a member dropped and with a set
-    added, then every full topology up to 5x2 and the full 2x3, 3x3, 2x4."""
+    added, then every full topology up to 5x2 and the full 2x3, 3x3, 2x4,
+    the null set alone, then ``_product_cases``."""
     rng = random.Random(17)
     shapes = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4))
     for points, params in shapes:
@@ -223,10 +281,14 @@ def _ring_cases():
         u = Universe.of(tuple(f"p{i}" for i in range(points)),
                         tuple(f"e{i}" for i in range(params)))
         yield u, set(full_topology(u).packed)
+    yield u, {0}  # no minimal mask, so no block
+    yield from _product_cases()
 
 
 def test_ring_decides_pairwise_closure():
     lists = closed = 0
+    # verdicts on lists whose ring factors into two or more blocks
+    factored = collections.Counter()
     for u, seen in _ring_cases():
         expected = _pairwise_closed(u.packing, seen)
         assert _ring_accepts(u.packing, _minimal_masks(seen), len(seen), math.inf) == expected
@@ -235,7 +297,10 @@ def test_ring_decides_pairwise_closure():
             assert verify(SoftTopology.of(u, members)).valid == expected
         lists += 1
         closed += expected
+        if _block_count(u.packing, seen) >= 2:
+            factored[expected] += 1
     assert lists >= 6000 and closed >= 2000
+    assert factored.total() >= 100 and factored[True] and factored[False]
 
 
 def test_no_minimal_mask_is_a_union_of_the_masks_before_it():
@@ -274,7 +339,7 @@ def _count_collapses(monkeypatch) -> list[int]:
 
 def test_ring_accepts_full_topologies_without_a_scan(monkeypatch):
     calls = _count_collapses(monkeypatch)
-    for points, params in ((3, 3), (5, 2)):
+    for points, params in ((3, 3), (5, 2), (6, 2), (4, 3)):
         u = Universe.of(tuple(f"p{i}" for i in range(points)),
                         tuple(f"e{i}" for i in range(params)))
         assert verify(SoftTopology.of(u, full_topology(u).members)).valid
