@@ -249,7 +249,8 @@ def _product_cases():
             offsets = list(itertools.accumulate(groups, initial=0))
             for _ in range(40):
                 factors = [
-                    [b << k * width for b in gen_topology(c, trial_rng(c, rng.randrange(1000))).packed if b]
+                    [b << k * width
+                     for b in gen_topology(c, trial_rng(c, rng.randrange(1000))).packed if b]
                     for c, k in zip(configs, offsets)
                 ]
                 seen = {0} | set(map(sum, itertools.product(*factors)))
