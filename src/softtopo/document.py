@@ -325,10 +325,35 @@ def _decode_element(
     return SoftElement(universe, tuple(coords))
 
 
+def _counted_keys(raw: dict) -> int:
+    """A count of the keys of the objects in ``raw``, never more than the
+    true count: the ``sets`` bodies and every object reached from another
+    top-level value through objects alone.  An object inside an array is
+    not counted."""
+    count = len(raw)
+    stack = [value for key, value in raw.items() if key != "sets" and value.__class__ is dict]
+    sets = raw.get("sets")
+    if sets.__class__ is dict:
+        count += len(sets) + sum(map(len, filter(dict.__instancecheck__, sets.values())))
+    while stack:
+        obj = stack.pop()
+        count += len(obj)
+        stack.extend(filter(dict.__instancecheck__, obj.values()))
+    return count
+
+
 def parse(text: str) -> SpaceDocument:
     issues = _Issues()
     try:
-        raw = json.loads(text, object_pairs_hook=_duplicate_checking_hook(issues))
+        raw = json.loads(text)
+        # Every key in the text is followed by its own ":", and a repeated
+        # key is parsed once, so a colon count equal to the counted keys
+        # shows that no key repeats (FINDINGS.md, "Colons bound the keys of
+        # a JSON text").  Otherwise (a ":" inside a string, an object inside
+        # an array, or a repeated key) load again through the hook that
+        # names every repeated key.
+        if raw.__class__ is dict and text.count(":") != _counted_keys(raw):
+            raw = json.loads(text, object_pairs_hook=_duplicate_checking_hook(issues))
     except json.JSONDecodeError as exc:
         raise DocumentError([("$", f"invalid JSON at line {exc.lineno}: {exc.msg}")]) from None
     except RecursionError:

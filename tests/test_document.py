@@ -19,6 +19,10 @@ from softtopo.document import (
     to_payload,
 )
 from softtopo.errors import DocumentError, InputError
+from softtopo.fuzzing.generate import GeneratorConfig, universe_for
+from softtopo.fuzzing.harness import run_theorem
+from softtopo.fuzzing.instances import Instance, to_text
+from softtopo.topology import full_topology
 
 from conftest import FIXTURES, fixture_path, soft
 
@@ -388,25 +392,48 @@ _NON_LISTS = ("a", 3, None, _Obj(), _Obj([("a", ["a"])]))
 
 
 def _mutated_document(rng: random.Random) -> str:
-    # One-character names let a string slice spell declared points.
-    points = list("abcd" if rng.random() < 0.5 else ("p0", "p1", "p2", "p3"))
+    # One-character names let a string slice spell declared points; names
+    # holding ":" put colons outside the keys.
+    spelling = rng.random()
+    points = list(
+        "abcd" if spelling < 0.5
+        else ("p0", "p1", "p2", "p3") if spelling < 0.8
+        else ("p:0", "p:1", "p:2", "p:3")
+    )
     points = points[: rng.randint(1, 4)]
-    params = [f"e{k}" for k in range(rng.randint(1, 3))]
+    colon = ":" if rng.random() < 0.2 else ""
+    params = [f"e{colon}{k}" for k in range(rng.randint(1, 3))]
     sets = _Obj(
-        (f"S{j}", _Obj((a, rng.sample(points, rng.randint(0, len(points)))) for a in params))
+        (
+            f"S{':' if rng.random() < 0.2 else ''}{j}",
+            _Obj((a, rng.sample(points, rng.randint(0, len(points)))) for a in params),
+        )
         for j in range(rng.randint(1, 4))
     )
-    top = _Obj(
-        [
-            ("format", "soft-space/1"),
-            ("universe", _Obj([("points", points), ("params", params)])),
-            ("sets", sets),
-        ]
-    )
+    universe = _Obj([("points", points), ("params", params)])
+    top = _Obj([("format", "soft-space/1"), ("universe", universe), ("sets", sets)])
     if rng.random() < 0.5:
         top.append(("topology", ["PHI", "ABS"] + [name for name, _ in sets]))
     if rng.random() < 0.3:
         top.append(("absolute", rng.choice(sets)[0]))
+    # The other object sections, each valid; a mutation that needs one
+    # adds it.
+    sections = {
+        "functions": _Obj(
+            [("f", _Obj((a, _Obj((p, rng.choice(points)) for p in points)) for a in params))]
+        ),
+        "elements": _Obj([("x", _Obj((a, rng.choice(points)) for a in params))]),
+        "fuzz": _Obj([("case", "c"), ("aux", _Obj([("deep", _Obj([("leaf", [1, "s"])]))]))]),
+    }
+    for key, section in sections.items():
+        if rng.random() < 0.3:
+            top.append((key, section))
+
+    def section(key: str) -> _Obj:
+        if all(k != key for k, _ in top):
+            top.append((key, sections[key]))
+        return sections[key]
+
     for _ in range(rng.randint(0, 3)):
         objects = [(name, body) for name, body in sets if isinstance(body, _Obj) and body]
         if not objects:
@@ -414,7 +441,7 @@ def _mutated_document(rng: random.Random) -> str:
         name, body = rng.choice(objects)
         index = rng.randrange(len(body))
         param, entries = body[index]
-        kind = rng.randrange(13)
+        kind = rng.randrange(19)
         if 3 <= kind <= 5 and type(entries) is not list:
             entries = []
             body[index] = (param, entries)
@@ -442,11 +469,30 @@ def _mutated_document(rng: random.Random) -> str:
             sets.append((rng.choice(("PHI", "ABS")), body))
         elif kind == 9:  # a repeated set name
             sets.append((name, _Obj((a, []) for a in params)))
-        elif kind == 10:  # a repeated key at the top or in the universe
-            target = rng.choice((top, top[1][1]))
-            target.append(rng.choice(target))
+        elif kind == 10:  # a repeated key at the top
+            top.append(rng.choice(top))
         elif kind == 11:  # a parameter swapped for an unknown key, keeping the key count
             body[index] = ("zz", entries)
+        elif kind == 13:  # a repeated key in the universe, with another value
+            key, value = rng.choice(universe)
+            universe.append((key, value[::-1]))
+        elif kind == 14:  # a repeated function name
+            functions = section("functions")
+            functions.append(rng.choice(functions))
+        elif kind == 15:  # a repeated source point in a function's point table
+            _, table = rng.choice(rng.choice(section("functions"))[1])
+            source, _ = rng.choice(table)
+            table.insert(rng.randrange(len(table) + 1), (source, rng.choice(points)))
+        elif kind == 16:  # a repeated element name, or parameter in an element
+            elements = section("elements")
+            target = rng.choice((elements, rng.choice(elements)[1]))
+            target.append(rng.choice(target))
+        elif kind == 17:  # a repeated key in the fuzz block, three objects deep
+            deep = section("fuzz")[1][1][0][1]
+            deep.append(("leaf", [2]))
+        elif kind == 18:  # a set name holding ":" right before a repeated set name
+            sets.append((f"{name}:{name}", _Obj((a, []) for a in params)))
+            sets.append((name, _Obj((a, []) for a in params)))
         elif (
             param in params[:-1] and type(entries) is list and entries
             and all(e in points for e in entries)
@@ -476,12 +522,15 @@ def _outcome(text: str):
     return "parsed", ({name: f.bits for name, f in doc.sets.items()}, serialize(doc))
 
 
-def test_decoder_matches_the_slice_wise_oracle(monkeypatch):
+def _mutated_documents() -> list[str]:
     rng = random.Random(20261018)
+    return [_mutated_document(rng) for _ in range(800)]
+
+
+def test_decoder_matches_the_slice_wise_oracle(monkeypatch):
     seen: set[str] = set()
     parsed = 0
-    for _ in range(800):
-        text = _mutated_document(rng)
+    for text in _mutated_documents():
         fast = _outcome(text)
         with monkeypatch.context() as patch:
             patch.setattr(document, "_decode_sets", _slice_wise_decode_sets)
@@ -513,3 +562,110 @@ def test_two_parses_of_one_document_share_the_universe():
     assert first is not second
     assert first.universe is second.universe
     assert first.universe.point_bits is second.universe.point_bits
+
+
+# --- one load, or two -------------------------------------------------------
+
+def _hook_calls(monkeypatch) -> list:
+    """Each ``_duplicate_checking_hook`` built from now on, by issue list."""
+    calls = []
+    hook = document._duplicate_checking_hook
+
+    def counting(issues):
+        calls.append(issues)
+        return hook(issues)
+
+    monkeypatch.setattr(document, "_duplicate_checking_hook", counting)
+    return calls
+
+
+def test_one_load_and_the_hooked_load_agree(monkeypatch):
+    # A count of -1 never equals the colon count, so with it every text
+    # takes the second, hooked load.
+    texts = (
+        _mutated_documents()
+        + [read_fixture(name) for name in VALID]
+        + [read_fixture(f"invalid/{name}") for name in INVALID]
+    )
+    calls = _hook_calls(monkeypatch)
+    one_load = repeated = colon_names = 0
+    seen: set[str] = set()
+    for text in texts:
+        before = len(calls)
+        fast = _outcome(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(document, "_counted_keys", lambda raw: -1)
+            hooked = _outcome(text)
+        assert fast == hooked, text
+        kind, detail = fast
+        if len(calls) == before + 1:
+            one_load += 1
+        if kind == "parsed" and ":" in json.dumps(json.loads(text)["universe"]):
+            colon_names += 1
+        if kind == "issues":
+            keys = {message for _, message in detail if message.startswith("duplicate key")}
+            repeated += bool(keys)
+            seen |= keys
+    # both paths ran often, universes with ":" in their names parsed, and a
+    # repeated key was reported in every section the mutations reach
+    assert one_load >= 120 and len(texts) - one_load >= 300
+    assert colon_names >= 100
+    assert repeated >= 200
+    assert {
+        "duplicate key 'f'",
+        "duplicate key 'x'",
+        "duplicate key 'leaf'",
+        "duplicate key 'points'",
+        "duplicate key 'params'",
+        "duplicate key 'F'",
+    } <= seen
+
+
+def _full_document(points: int, params: int) -> str:
+    universe = universe_for(GeneratorConfig(points=points, params=params, seed=0))
+    return to_text(Instance(universe, (), full_topology(universe), {}))
+
+
+def test_valid_documents_load_once(monkeypatch):
+    calls = _hook_calls(monkeypatch)
+    for name in VALID:
+        parse(read_fixture(name))
+    parse(_full_document(2, 4))
+    parse(_full_document(3, 3))
+    assert calls == []
+
+
+def test_colons_in_strings_and_repeated_keys_load_again(monkeypatch):
+    report = run_theorem("continuity_criteria_agree", GeneratorConfig(2, 2, seed=23, trials=2))
+    text = canonical_json(report.counterexamples[0].document)
+    assert '"drop-generator:' in text  # a shrink label
+    calls = _hook_calls(monkeypatch)
+    parse(text)
+    assert len(calls) == 1
+    with pytest.raises(DocumentError) as exc:
+        parse_file(fixture_path("invalid/duplicate_name.json"))
+    assert len(calls) == 2 and exc.value.issues == (("$", "duplicate key 'F'"),)
+    # a name holding ":" beside a repeated key: both add to the colon
+    # count's lead, so neither hides the other
+    text = (
+        '{"format": "soft-space/1", "universe": {"points": ["a:b"], "params": ["e"]},'
+        ' "sets": {"S": {"e": []}, "S:T": {"e": ["a:b"]}, "S": {"e": []}}}'
+    )
+    with pytest.raises(DocumentError) as exc:
+        parse(text)
+    assert exc.value.issues == (("$", "duplicate key 'S'"),)
+
+
+def test_a_deeply_nested_fuzz_block_parses(monkeypatch):
+    calls = _hook_calls(monkeypatch)
+    payload = json.loads(read_fixture("singleton.json"))
+    block: dict = {}
+    for _ in range(500):
+        block = {"k": block}
+    payload["fuzz"] = block
+    doc = parse(json.dumps(payload))
+    assert calls == []
+    depth, block = 0, doc.extras["fuzz"]
+    while block:
+        depth, block = depth + 1, block["k"]
+    assert depth == 500
