@@ -425,9 +425,9 @@ def _mutated_document(rng: random.Random) -> str:
         "elements": _Obj([("x", _Obj((a, rng.choice(points)) for a in params))]),
         "fuzz": _Obj([("case", "c"), ("aux", _Obj([("deep", _Obj([("leaf", [1, "s"])]))]))]),
     }
-    for key, section in sections.items():
+    for key, value in sections.items():
         if rng.random() < 0.3:
-            top.append((key, section))
+            top.append((key, value))
 
     def section(key: str) -> _Obj:
         if all(k != key for k, _ in top):
