@@ -27,6 +27,7 @@ from .core import (
 from .errors import NotAdmissibleError, PreconditionError
 from .separation import is_hausdorff
 from .topology import (
+    _NOT_A_TOPOLOGY,
     SoftTopology,
     _cached,
     _closure_bits,
@@ -238,9 +239,11 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
     absolute only when O is, and otherwise has every slice proper exactly
     when U fills no slice, which passes to subsets.  So O qualifies when it
     is the absolute or the open hull of x, the smallest U, fills no slice.
-    A list with a member outside the absolute, or an element hull that is
-    not a member, gets the oracle.  Opens are scanned in member order.  The
-    report is cached on the topology; a non-Hausdorff one raises each time.
+    The space must be a topology: a member outside the absolute, or an
+    element hull that is not a member, raises PreconditionError, while
+    ``locally_compact_oracle`` scans any list.  Opens are scanned in member
+    order.  The report is cached on the topology; a non-Hausdorff one
+    raises each time.
     """
 
     def build() -> LocalCompactnessReport:
@@ -250,8 +253,8 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
             )
         hulls = [open_hull(topo, x.bits) for x in space_elements(topo)]
         absolute = topo.absolute.bits
-        if None in hulls or any(o & ~absolute for o in topo.packed):
-            return locally_compact_oracle(topo)
+        if any(o & ~absolute for o in topo.packed):
+            raise PreconditionError(_NOT_A_TOPOLOGY)
         fields = topo.universe.packing.fields
         fills = [any(h & field == field for field in fields) for h in hulls]
         return _scan_opens(topo, lambda xi, o, around: o == absolute or not fills[xi])

@@ -11,8 +11,10 @@ Both run on ``SoftSet.bits``: a function keeps, per layout bit, the bit it
 maps to and the bits mapping onto it, so an image or preimage is one OR
 per set bit.  The elementwise reading decides each element on two open
 hulls, the smallest open around it and the smallest around its image,
-and scans the image bits of the members only for a witness; the preimage
-reading tests each preimage's bits against the domain's member bits.
+and scans the image bits of the members only for a witness.  It takes
+verified topologies: ``topology.open_hull`` refuses a list that lacks a
+hull it needs.  The preimage reading tests each preimage's bits against the
+domain's member bits.
 """
 
 from __future__ import annotations
@@ -143,48 +145,37 @@ def is_continuous_at(
     x: SoftElement,
 ) -> bool:
     """Every open around the image pulls back to an open around x whose
-    image it contains."""
+    image it contains, decided on the two open hulls."""
     if (
         x.universe != f.domain
         or domain_topology.universe != f.domain
         or codomain_topology.universe != f.codomain
     ):
         raise UniverseMismatchError("element or topology from a different universe")
-    if _hulls_pass(f, domain_topology, codomain_topology, x.bits):
-        return True
-    images = _images(f, domain_topology)
-    return _failure_at(f, domain_topology, codomain_topology, images, x) is None
+    return _hulls_pass(f, domain_topology, codomain_topology, x.bits)
 
 
 def _hulls_pass(f: SoftFunction, dt: SoftTopology, ct: SoftTopology, xb: int) -> bool:
     """Whether the element with bits ``xb`` passes on its two open hulls:
     the image of the smallest open around it lies in the smallest open
-    around its image.  Exact when both hulls exist (FINDINGS.md,
-    "Continuity from open hulls"); False when either is missing, so the
-    caller scans."""
-    around = open_hull(dt, xb)
-    if around is None:
-        return False
+    around its image (FINDINGS.md, "Continuity from open hulls").  An image
+    that no open contains passes; otherwise an element that no open
+    contains fails.  ``open_hull`` refuses a list that is not a topology."""
     target = open_hull(ct, _image_bits(f, xb))
-    return target is not None and _image_bits(f, around) & ~target == 0
-
-
-def _images(f: SoftFunction, dt: SoftTopology) -> list[int]:
-    return [_image_bits(f, u) for u in dt.packed]
+    if target is None:
+        return True
+    around = open_hull(dt, xb)
+    return around is not None and _image_bits(f, around) & ~target == 0
 
 
 def _failure_at(
-    f: SoftFunction,
-    dt: SoftTopology,
-    ct: SoftTopology,
-    images: t.Sequence[int],
-    x: SoftElement,
+    f: SoftFunction, dt: SoftTopology, ct: SoftTopology, x: SoftElement
 ) -> SoftSet | None:
     """First codomain open around f(x) containing the image of no domain
-    open around x; ``images`` holds the image bits of each domain member."""
+    open around x."""
     xb = x.bits
     fx = _image_bits(f, xb)
-    around = [w for u, w in zip(dt.packed, images) if xb & ~u == 0]
+    around = [_image_bits(f, u) for u in dt.packed if xb & ~u == 0]
     for v, vb in zip(ct.members, ct.packed):
         # f(x) in v, and no image of an open around x inside v
         if fx & ~vb == 0 and all(w & ~vb for w in around):
@@ -197,18 +188,12 @@ def definitional_continuity(
     domain_topology: SoftTopology,
     codomain_topology: SoftTopology,
 ) -> DefinitionalContinuityReport:
-    """Elementwise reading, decided in canonical element order.  Only an
-    element that fails on its hulls, or lacks one, is scanned for its
-    witness."""
+    """Elementwise reading, decided in canonical element order.  Only the
+    first element that fails on its hulls is scanned, for its witness."""
     _check_spaces(f, domain_topology, codomain_topology)
-    images = None
     for x in space_elements(domain_topology):
-        if _hulls_pass(f, domain_topology, codomain_topology, x.bits):
-            continue
-        if images is None:
-            images = _images(f, domain_topology)
-        v = _failure_at(f, domain_topology, codomain_topology, images, x)
-        if v is not None:
+        if not _hulls_pass(f, domain_topology, codomain_topology, x.bits):
+            v = _failure_at(f, domain_topology, codomain_topology, x)
             return DefinitionalContinuityReport(False, (x, v))
     return DefinitionalContinuityReport(True, None)
 

@@ -19,10 +19,11 @@ around the two sides are disjoint, pointwise or elementary, exactly when
 the two hulls are, because disjointness passes to subsets.  Regular and
 normal decide the whole property with one test per element or closed set
 (``_by_largest_avoiders``).  Members are scanned in member order only for
-the first witness.  A member list in which some hull the checker needs is
-not a member is not closed, which only library callers can pass; it gets
-the checker's oracle, the definitional scan of member pairs for every
-instance, which the fast path must match report for report.
+the first witness.  The checkers take a verified topology: a list in which
+some hull a checker needs is not a member is not a topology, and
+``open_hull`` refuses it with PreconditionError.  Each checker's oracle, the
+definitional scan of member pairs for every instance, takes any list; the
+tests hold each checker to its oracle's report or that refusal.
 """
 
 from __future__ import annotations
@@ -58,23 +59,21 @@ def _check(
     disjoint: t.Callable[[int, int], bool],
     hulls: bool = False,
     open_sides: bool = False,
-) -> SeparationReport | None:
+) -> SeparationReport:
     """Scan the hypothesis instances ``(a, b)`` in order.  An instance is
     separated by members ``U`` around ``a`` and ``V`` around ``b`` with
     ``disjoint(U, V)``, which must still hold for subsets of ``U`` and
     ``V``.  So with ``hulls`` the open hulls of ``a`` and ``b``, each
-    computed once, decide it, and a hull that is not a member makes the
-    report None: the list is not closed, and the caller takes its oracle.
-    Without ``hulls`` (the oracle) member pairs are scanned for every
-    instance.  The first witness takes the first ``U``, then ``V``, in
-    member order; with ``open_sides`` two sides that are both members are
-    their own.
+    computed once, decide it.  Without ``hulls`` (the oracles) member pairs
+    are scanned for every instance.  The first witness takes the first
+    ``U``, then ``V``, in member order; with ``open_sides`` two sides that
+    are both members are their own.
     """
     packed, members = topo.packed, topo.members
     member_bits = topo.member_bits if open_sides else frozenset()
-    hulls_of: dict[int, int | None] = {}
+    hulls_of: dict[int, int] = {}
 
-    def hull(bits: int) -> int | None:
+    def hull(bits: int) -> int:
         if bits not in hulls_of:
             hulls_of[bits] = open_hull(topo, bits)
         return hulls_of[bits]
@@ -94,10 +93,7 @@ def _check(
     witness = None
     for inst in instances:
         if hulls:
-            u, v = hull(inst[0].bits), hull(inst[1].bits)
-            if u is None or v is None:
-                return None
-            separated = disjoint(u, v)
+            separated = disjoint(hull(inst[0].bits), hull(inst[1].bits))
         else:
             separated = separating(inst) is not None
         if not separated:
@@ -113,7 +109,7 @@ def _by_largest_avoiders(
     instances: t.Iterable[tuple],
     sides: t.Iterable[int],
     open_sides: bool = False,
-) -> SeparationReport | None:
+) -> SeparationReport:
     """``_check`` for regular (the elements as ``sides``) and normal (the
     closed sets), whose instances pair a closed set with a side it avoids
     pointwise and ask for elementary-disjoint opens.  The closed sets
@@ -123,22 +119,15 @@ def _by_largest_avoiders(
     set needs the null member as its hull (FINDINGS.md, "The largest closed
     set avoiding a set").  When every side passes, only the first instance
     is scanned, for its witness; otherwise the scan runs to the first
-    counterexample.  None when a needed hull is not a member.
+    counterexample.
     """
     packing, disjoint = topo.universe.packing, _elementary(topo)
-    if open_hull(topo, 0) is None:
-        return None
+    open_hull(topo, 0)  # the null closed set's hull; refuses a list without it
     for s in sides:
         o = open_hull(topo, s)
-        if o is None:
-            return None
         g = packing.full ^ o
-        if packing.is_admissible(g):
-            h = open_hull(topo, g)
-            if h is None:
-                return None
-            if packing.collapse(h & o):
-                return _check(topo, name, instances, disjoint, True, open_sides)
+        if packing.is_admissible(g) and packing.collapse(open_hull(topo, g) & o):
+            return _check(topo, name, instances, disjoint, True, open_sides)
     return _check(topo, name, itertools.islice(instances, 1), disjoint, True, open_sides)
 
 
@@ -167,7 +156,7 @@ def is_hausdorff(topo: SoftTopology) -> SeparationReport:
 
     def build() -> SeparationReport:
         instances = _differing_pairs(space_elements(topo))
-        return _check(topo, "hausdorff", instances, _pointwise, True) or hausdorff_oracle(topo)
+        return _check(topo, "hausdorff", instances, _pointwise, True)
 
     return _cached(topo, "hausdorff", build)
 
@@ -190,8 +179,7 @@ def is_regular(topo: SoftTopology) -> SeparationReport:
 
     def build() -> SeparationReport:
         elements = (x.bits for x in space_elements(topo))
-        report = _by_largest_avoiders(topo, "regular", _regular_instances(topo), elements)
-        return report or regular_oracle(topo)
+        return _by_largest_avoiders(topo, "regular", _regular_instances(topo), elements)
 
     return _cached(topo, "regular", build)
 
@@ -215,8 +203,7 @@ def is_normal(topo: SoftTopology) -> SeparationReport:
 
     def build() -> SeparationReport:
         closed = (c.bits for c in closed_sets(topo))
-        report = _by_largest_avoiders(topo, "normal", _normal_instances(topo), closed, True)
-        return report or normal_oracle(topo)
+        return _by_largest_avoiders(topo, "normal", _normal_instances(topo), closed, True)
 
     return _cached(topo, "normal", build)
 

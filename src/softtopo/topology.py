@@ -21,12 +21,13 @@ for membership.  A per-topology table of the same minimal masks, kept
 from the ring test when the topology went through ``violations_of``, gives
 ``open_hull``, the smallest member around a set, ``interior``, the largest
 member inside one, and ``admissible_meets``, the side condition on
-pairwise meets.  In a verified topology a hull always exists, and a list
-that is not closed shows by lacking one; the separation and local
-compactness checkers decide their hypotheses with it.  ``closure`` and
-``interior`` check their input and call bit kernels, ``_closure_bits``
-over a cached tuple of closed bits and ``_interior_bits``, which the Baire
-checks call directly on sets that ``closure`` or ``closed_sets`` returned.
+pairwise meets.  In a verified topology a hull always exists; a list
+that lacks one is not a topology, and ``open_hull`` refuses it.  The
+separation, local compactness and continuity checkers decide their
+hypotheses with it.  ``closure`` and ``interior`` check their input and
+call bit kernels, ``_closure_bits`` over a cached tuple of closed bits and
+``_interior_bits``, which the Baire checks call directly on sets that
+``closure`` or ``closed_sets`` returned.
 ``space_elements`` is the one value shared across topologies: a
 process-wide cache holds one element tuple per absolute, so every topology
 over that absolute reuses the same elements and their cached bits, and an
@@ -69,6 +70,10 @@ from .errors import (
     PreconditionError,
     UniverseMismatchError,
 )
+
+# The refusal of the hull-based kernels and checkers, raised only on member
+# lists that ``verify`` rejects.
+_NOT_A_TOPOLOGY = "the member list is not a topology"
 
 
 @d.dataclass(frozen=True)
@@ -438,7 +443,8 @@ def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
     over the bits of f, so a ``U`` that is a member is the interior, and an
     inadmissible ``U`` leaves only the null open once every member is
     admissible (FINDINGS.md, "The largest closed set avoiding a set").
-    Other lists get ``interior_oracle``.
+    Any other ``U`` shows a list that is not a topology and raises
+    PreconditionError; ``interior_oracle`` scans any list.
     """
     _require_full_absolute(topo, "interior")
     p = _require_subject(topo, f, "interior")
@@ -459,7 +465,7 @@ def _interior_bits(topo: SoftTopology, p: int) -> int:
         if is_admissible(union) or not _cached(
             topo, "admissible", lambda: all(map(is_admissible, topo.packed))
         ):
-            return interior_oracle(topo, SoftSet.unchecked(topo.universe, p)).bits
+            raise PreconditionError(_NOT_A_TOPOLOGY)
         union = 0
     return union
 
@@ -613,11 +619,12 @@ def _elements_of(absolute: SoftSet) -> tuple[SoftElement, ...]:
 
 
 def open_hull(topo: SoftTopology, bits: int) -> int | None:
-    """The smallest member containing ``bits``, as bits, or None: the union
-    of the ``M_b`` over its bits, when that is a member (FINDINGS.md, "The
-    smallest open around a set").  In a verified topology it is one for
-    every admissible ``bits`` inside the absolute, so None only comes from
-    lists that are not closed, or from bits that no member contains.
+    """The smallest member containing ``bits``, as bits: the union of the
+    ``M_b`` over its bits (FINDINGS.md, "The smallest open around a set").
+    None when a bit outside the absolute lies in no member, so no open
+    contains ``bits``.  In a verified topology every other admissible
+    ``bits`` has its union as a member; a union that is not one, or a bit
+    inside the absolute that no member holds, raises PreconditionError.
     """
     minimal = topo._cache.get("hulls") or _hull_table(topo)
     hull = 0
@@ -626,9 +633,13 @@ def open_hull(topo: SoftTopology, bits: int) -> int | None:
         bits ^= bit
         mask = minimal.get(bit)
         if mask is None:
+            if bit & topo.absolute.bits:
+                raise PreconditionError(_NOT_A_TOPOLOGY)
             return None
         hull |= mask
-    return hull if hull in topo.member_bits else None
+    if hull not in topo.member_bits:
+        raise PreconditionError(_NOT_A_TOPOLOGY)
+    return hull
 
 
 def pairwise_admissible_violations(

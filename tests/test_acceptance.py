@@ -334,3 +334,18 @@ def test_each_import_names_the_defining_module():
                             f"{source}, defined in {defined}"
                         )
     assert second_paths == []
+
+
+def test_no_module_calls_an_oracle():
+    """The ``*_oracle`` functions are references for the tests: no module
+    under ``src/`` calls one, so a list a fast path cannot decide is
+    refused rather than handed to a slow scan."""
+    calls = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name.endswith("_oracle"):
+                    calls.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {name}")
+    assert calls == []

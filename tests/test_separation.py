@@ -27,7 +27,7 @@ from softtopo.topology import (
     open_hull,
 )
 
-from conftest import FIXTURES, soft, verified
+from conftest import FIXTURES, oracle_or_refusal, soft, verified
 
 U22 = Universe.of(("a", "b"), ("e1", "e2"))
 
@@ -146,40 +146,33 @@ def _oracle_lists():
     return topologies
 
 
-def test_hausdorff_matches_the_pairwise_scan(monkeypatch):
-    scans = _count_scans(monkeypatch)
-    topologies = _oracle_lists()
+def _hausdorff(topo):
+    """``is_hausdorff`` held to ``hausdorff_oracle``; None for a refusal."""
+    return oracle_or_refusal(lambda: is_hausdorff(topo), lambda: hausdorff_oracle(topo), topo)
+
+
+def test_hausdorff_matches_the_pairwise_scan():
     outcomes = set()
     subspaces = 0
-    for topo in topologies:
-        report = is_hausdorff(topo)
-        assert report == hausdorff_oracle(topo), topo
+    refused = []
+    for topo in _oracle_lists():
+        report = _hausdorff(topo)
+        if report is None:
+            refused.append(topo)
+            continue
         outcomes.add((report.holds, report.witness is not None))
         subspaces += topo.absolute != full_set(topo.universe)
     # separated with a witness, vacuous, and not separated all occur
     assert outcomes == {(True, True), (True, False), (False, False)}
     assert subspaces >= 100
-    assert scans == _lacking_a_span()
+    assert refused == _lacking_a_span()
 
 
 def _shape(points, params, names="x"):
     return Universe.of([f"{names}{i}" for i in range(points)], [f"e{k}" for k in range(params)])
 
 
-def _count_scans(monkeypatch):
-    """Record each Hausdorff check that falls back to the pairwise oracle."""
-    scans = []
-
-    def counting(topo):
-        scans.append(topo)
-        return hausdorff_oracle(topo)
-
-    monkeypatch.setattr(separation, "hausdorff_oracle", counting)
-    return scans
-
-
-def test_hausdorff_decides_full_topologies_by_structure(monkeypatch):
-    scans = _count_scans(monkeypatch)
+def test_hausdorff_decides_full_topologies_by_structure():
     rng = random.Random(9)
     checked = 0
     for points, params in ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (2, 3)):
@@ -192,13 +185,13 @@ def test_hausdorff_decides_full_topologies_by_structure(monkeypatch):
             assert report == hausdorff_oracle(topo), members
             checked += 1
     assert checked == 140
-    assert scans == []
 
 
 def _near_full_lists(u):
     """Member lists that miss being the full topology by one property.  The
     first three lack the span of one element, so its open hull is not a
-    member; the others keep every span."""
+    member; the others keep every span.  The last has members outside its
+    absolute."""
     full = list(full_topology(u).members)
     twin = _shape(u.n_points, u.n_params, names="y")
     yield SoftTopology.of(u, full[:4] + full[5:])
@@ -218,19 +211,17 @@ def _near_full_topologies():
 
 
 def _lacking_a_span():
-    """The near-full lists without some element's span: only these need
-    the pairwise scan."""
+    """The near-full lists without some element's span: the only near-full
+    lists that Hausdorff, regular and normal refuse."""
     near = _near_full_topologies()
     return [t for i in range(0, 18, 6) for t in near[i:i + 3]]
 
 
-def test_hausdorff_scans_lists_that_are_not_the_full_topology(monkeypatch):
-    scans = _count_scans(monkeypatch)
+def test_hausdorff_refuses_only_near_full_lists_lacking_a_span():
     topologies = _near_full_topologies()
     assert len(topologies) == 19
-    for topo in topologies:
-        assert is_hausdorff(topo) == hausdorff_oracle(topo), topo.members
-    assert scans == _lacking_a_span()
+    refused = [topo for topo in topologies if _hausdorff(topo) is None]
+    assert refused == _lacking_a_span()
 
 
 def test_hausdorff_on_full_topologies_keeps_the_element_budget(monkeypatch):
@@ -239,13 +230,6 @@ def test_hausdorff_on_full_topologies_keeps_the_element_budget(monkeypatch):
     members = full_topology(U22).members
     with pytest.raises(PreconditionError, match="over the budget of 3"):
         is_hausdorff(SoftTopology.of(U22, members))
-
-
-def _outcome(check, *args):
-    try:
-        return check(*args)
-    except PreconditionError as exc:
-        return str(exc)
 
 
 def _hull_filling_a_slice():
@@ -280,22 +264,35 @@ def _without_the_null_member():
 
 def test_regular_normal_and_local_compactness_match_their_oracles():
     outcomes = set()
+    refused = {"regular": [], "normal": [], "locally-compact": []}
     extra = [_hull_filling_a_slice(), _member_outside_the_absolute(), _without_the_null_member()]
+    checks = {
+        "regular": (is_regular, regular_oracle),
+        "normal": (is_normal, normal_oracle),
+        "locally-compact": (is_locally_compact, locally_compact_oracle),
+    }
     for topo in _oracle_lists() + extra:
-        report = _outcome(is_regular, topo)
-        assert report == _outcome(regular_oracle, topo), topo
-        outcomes.add(("regular", getattr(report, "holds", None)))
-        report = _outcome(is_normal, topo)
-        assert report == _outcome(normal_oracle, topo), topo
-        outcomes.add(("normal", getattr(report, "holds", None)))
-        if is_hausdorff(topo).holds:
-            report = is_locally_compact(topo)
-            assert report == locally_compact_oracle(topo), topo
-            outcomes.add(("locally-compact", report.holds))
+        hausdorff = _hausdorff(topo)
+        for name, (check, oracle) in checks.items():
+            if name == "locally-compact" and not getattr(hausdorff, "holds", False):
+                continue
+            report = oracle_or_refusal(lambda: check(topo), lambda: oracle(topo), topo)
+            if report is None:
+                refused[name].append(topo)
+            else:
+                outcomes.add((name, getattr(report, "holds", None)))
     # both verdicts, and the full-absolute precondition, occur for each
     assert outcomes == {
         (name, verdict) for name in ("regular", "normal") for verdict in (True, False, None)
     } | {("locally-compact", True), ("locally-compact", False)}
+    # the lists lacking a hull, and for local compactness those with a
+    # member outside the absolute: near-full lists with the smaller absolute
+    near = _near_full_topologies()
+    assert refused == {
+        "regular": _lacking_a_span() + extra[2:],
+        "normal": _lacking_a_span() + extra[2:],
+        "locally-compact": [near[i] for i in (5, 11, 17)] + extra[1:2],
+    }
 
 
 def test_open_hull_needs_a_member_around_every_bit():
@@ -303,10 +300,17 @@ def test_open_hull_needs_a_member_around_every_bit():
     a = soft(U22, e1="a", e2="a")
     topo = SoftTopology.of(U22, (null_set(U22), a))
     assert open_hull(topo, a.bits) == a.bits
-    assert open_hull(topo, full_set(U22).bits) is None
-    report = is_hausdorff(topo)
-    assert report == hausdorff_oracle(topo)
+    with pytest.raises(PreconditionError, match="^the member list is not a topology$"):
+        open_hull(topo, full_set(U22).bits)
+    with pytest.raises(PreconditionError, match="^the member list is not a topology$"):
+        is_hausdorff(topo)
+    report = hausdorff_oracle(topo)
     assert [x.coords for x in report.counterexample] == [(0, 0), (1, 1)]
+    # with a as the absolute, no open contains (b,b): no hull, no refusal
+    topo = verified(U22, (null_set(U22), a), a)
+    assert open_hull(topo, full_set(U22).bits) is None
+    assert open_hull(topo, soft(U22, e1="b", e2="a").bits) is None
+    assert open_hull(topo, 0) == 0
 
 
 def test_normal_witness_keeps_the_scan_order():
@@ -343,31 +347,26 @@ def _verified(topo):
         return False
 
 
-def test_regular_and_normal_take_their_oracles_only_off_verified_topologies(monkeypatch):
+def test_regular_and_normal_refuse_only_unverified_lists():
     """The tests on the largest closed set avoiding each element or closed
-    set decide every verified topology; lists without a hull they need take
-    the oracle.  The reports agree either way."""
-    oracles = {name: getattr(separation, name) for name in ("regular_oracle", "normal_oracle")}
-    calls = []
-    for name, oracle in oracles.items():
-        monkeypatch.setattr(
-            separation, name, lambda topo, *args, _o=oracle: calls.append(topo) or _o(topo, *args)
-        )
-    fallbacks, verdicts = set(), set()
+    set decide every verified topology.  Off verified topologies they give
+    the oracle's report wherever the hulls they need are members, and
+    refuse the list otherwise."""
+    verdicts = set()
     for topo in _oracle_lists():
         if topo.absolute != full_set(topo.universe):
             continue
         verified = _verified(topo)
-        for check, oracle in zip((is_regular, is_normal), oracles.values()):
-            calls.clear()
-            report = check(topo)
-            assert report == oracle(topo), topo.members
-            assert not (verified and calls), topo.members
-            fallbacks.add(bool(calls))
-            verdicts.add((check.__name__, verified, report.holds))
-    assert fallbacks == {True, False}
+        for check, oracle in ((is_regular, regular_oracle), (is_normal, normal_oracle)):
+            report = oracle_or_refusal(lambda: check(topo), lambda: oracle(topo), topo)
+            verdicts.add((check.__name__, verified, getattr(report, "holds", None)))
+    # verified lists get both verdicts and no refusal; unverified lists
+    # get refusals and answers
     assert {(name, True, holds) for name in ("is_regular", "is_normal")
             for holds in (True, False)} <= verdicts
+    assert {(name, False, None) for name in ("is_regular", "is_normal")} <= verdicts
+    assert not {(name, True, None) for name in ("is_regular", "is_normal")} & verdicts
+    assert {holds for name, verified, holds in verdicts if not verified} > {None}
 
 
 def test_regular_and_normal_scan_instances_only_when_they_fail(monkeypatch):

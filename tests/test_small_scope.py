@@ -41,7 +41,9 @@ from softtopo.core import (
     elementary_intersection,
     elementary_intersection_family,
     is_admissible,
+    is_member,
     is_soft_subset,
+    null_set,
 )
 from softtopo.fuzzing.generate import close_subbase, full_size
 from softtopo.maps import (
@@ -63,18 +65,21 @@ from softtopo.topology import (
     LimitingMode,
     SoftTopology,
     closure,
+    full_topology,
+    indiscrete_topology,
     interior,
     interior_oracle,
     is_closed,
     is_limiting,
     is_open,
     limiting_elements,
-    open_hull,
     space_elements,
     verify,
 )
 
+from conftest import oracle_or_refusal
 from test_maps import (
+    _reference_apply,
     _reference_definitional,
     _reference_failure_at,
     _reference_preimage_continuity,
@@ -237,10 +242,11 @@ def map_sweep(
     The triples are every (domain, codomain, point map) with both lists
     from ``topologies``, members shuffled, and each list with one member
     dropped, paired with the list it came from both ways and with itself.
-    A dropped list is mostly not closed, and where an element or image
-    lacks an open hull the checker falls back to its scan.  Returns the
-    triple count, how many dropped lists are not closed, and how many
-    elements of dropped lists lack a hull.
+    A dropped list is mostly not closed.  The two hull-based readings must
+    match their references or refuse a list that ``verify`` rejects, where
+    an element or image lacks an open hull.  Returns the triple count, how
+    many dropped lists are not closed, and how many triples the
+    elementwise reading refuses.
     """
     rng = random.Random(seed)
     listed = [SoftTopology.of(u, rng.sample(t.members, len(t.members))) for t in topologies]
@@ -252,27 +258,35 @@ def map_sweep(
             dropped.append(d)
             pairs += [(d, t), (t, d), (d, d)]
     rows = list(itertools.product(range(u.n_points), repeat=u.n_points))
-    count = 0
+    count = refused = 0
     for point_maps in itertools.product(rows, repeat=u.n_params):
         f = SoftFunction(u, u, point_maps)
         for dt, ct in pairs:
             context = (point_maps, dt.members, ct.members)
-            assert definitional_continuity(f, dt, ct) == _reference_definitional(
-                f, dt, ct
-            ), context
-            for x in space_elements(dt):
-                assert is_continuous_at(f, dt, ct, x) == (
-                    _reference_failure_at(f, dt, ct, x) is None
-                ), (context, x)
+            refused += _continuity_or_refusal(f, dt, ct) is None
             assert preimage_continuity(f, dt, ct) == (
                 _reference_preimage_continuity(f, dt, ct)
             ), context
             count += 1
     open_lists = sum(not verify(d).valid for d in dropped)
-    hulless = sum(
-        open_hull(d, x.bits) is None for d in dropped for x in space_elements(d)
+    return count, open_lists, refused
+
+
+def _continuity_or_refusal(f, dt, ct, elements=None):
+    """``definitional_continuity``, and ``is_continuous_at`` on each of
+    ``elements`` (the domain's by default), held to their references or a
+    refusal of ``dt`` or ``ct``; returns the report, or None if refused."""
+    for x in space_elements(dt) if elements is None else elements:
+        oracle_or_refusal(
+            lambda: is_continuous_at(f, dt, ct, x),
+            lambda: _reference_failure_at(f, dt, ct, x) is None,
+            dt, ct,
+        )
+    return oracle_or_refusal(
+        lambda: definitional_continuity(f, dt, ct),
+        lambda: _reference_definitional(f, dt, ct),
+        dt, ct,
     )
-    return count, open_lists, hulless
 
 
 @pytest.mark.parametrize(
@@ -303,8 +317,61 @@ def test_both_continuity_readings_match_their_references_on_every_map():
     # 4 topologies of 2, 3, 3 and 4 members, and 4 point maps: 16 pairs of
     # topologies and 3 pairs for each of the 12 dropped lists, under each
     # map.  The 8 lists without the null set or the absolute are not
-    # closed, and without the absolute 4 elements have no hull.
-    assert map_sweep(u, all_topologies(u)) == ((16 + 3 * 12) * 4, 8, 4)
+    # closed, and 3 of those without the absolute lack some element's
+    # hull.  Under the 4 maps they take part in 36 triples, of which the
+    # elementwise reading refuses the 33 that ask for a missing hull.
+    assert map_sweep(u, all_topologies(u)) == ((16 + 3 * 12) * 4, 8, 33)
+
+
+def topologies_within(absolute: SoftSet) -> list[SoftTopology]:
+    """Every topology with the given absolute: the null set and the
+    absolute with each family of its other admissible subsets, verified."""
+    u = absolute.universe
+    inside = [s for s in admissible_sets(u) if s.bits and is_soft_subset(s, absolute)]
+    inside.remove(absolute)
+    found = []
+    for size in range(len(inside) + 1):
+        for extra in itertools.combinations(inside, size):
+            topo = SoftTopology.of(u, (null_set(u), absolute, *extra), absolute)
+            if verify(topo).valid:
+                found.append(topo)
+    return found
+
+
+def test_continuity_into_a_smaller_absolute_matches_the_references():
+    """No open contains an image outside the codomain's absolute, so an
+    element mapped there passes, and an element outside the domain's
+    absolute fails unless its image lies in no open.  Every 2x2 point map,
+    between the topologies on the 8 smaller absolutes and the full and
+    indiscrete topologies, checked on every element of the universe."""
+    u = universe_of(2, 2)
+    smaller = [t for a in admissible_sets(u)[1:-1] for t in topologies_within(a)]
+    assert len(smaller) == 4 * 1 + 4 * 4
+    domains = smaller + [full_topology(u), indiscrete_topology(u)]
+    everywhere = space_elements(full_topology(u))
+    rows = list(itertools.product(range(2), repeat=2))
+    seen = set()
+    for point_maps in itertools.product(rows, repeat=2):
+        f = SoftFunction(u, u, point_maps)
+        for dt, ct in itertools.product(domains, smaller):
+            report = definitional_continuity(f, dt, ct)
+            assert report == _reference_definitional(f, dt, ct), (point_maps, dt, ct)
+            for x in everywhere:
+                continuous = is_continuous_at(f, dt, ct, x)
+                assert continuous == (_reference_failure_at(f, dt, ct, x) is None), (
+                    point_maps, dt, ct, x
+                )
+                image = _reference_apply(f, x)
+                seen.add((is_member(x, dt.absolute), is_member(image, ct.absolute), continuous))
+            seen.add(report.continuous)
+    # both verdicts of the whole map; at single elements, an image outside
+    # the codomain's absolute always passes, an element outside the
+    # domain's absolute with its image inside always fails, and elements
+    # inside both absolutes get both verdicts
+    assert seen == {True, False} | {
+        (True, True, True), (True, True, False), (False, True, False),
+        (True, False, True), (False, False, True),
+    }
 
 
 def main(argv: list[str]) -> None:
@@ -325,11 +392,12 @@ def main(argv: list[str]) -> None:
         points, params = map(int, shape.split("x"))
         u = universe_of(points, params)
         start = time.perf_counter()
-        triples, open_lists, hulless = map_sweep(u, all_topologies(u))
+        triples, open_lists, refused = map_sweep(u, all_topologies(u))
         print(
             f"{shape} maps: {triples} triples match the continuity references"
-            f" ({open_lists} dropped lists not closed, {hulless} elements of"
-            f" dropped lists without a hull) in {time.perf_counter() - start:.1f} s"
+            f" or refuse a list that is not a topology ({open_lists} dropped"
+            f" lists not closed, {refused} triples refused)"
+            f" in {time.perf_counter() - start:.1f} s"
         )
 
 
