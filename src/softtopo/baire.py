@@ -112,8 +112,9 @@ def is_baire_by_nowhere_dense(topo: SoftTopology) -> bool:
 
     For nonnull closed sets the closure step is the identity, so this
     family coincides with the rare closed family up to the null set, which
-    contributes nothing to the union; kept as an independent route, taking
-    the closure and then the interior of each closed set.
+    contributes nothing to the union; kept as a second route, taking the
+    closure, itself read from the interior of the complement, and then the
+    interior of each closed set.
     """
     family = (
         c.bits
@@ -225,7 +226,6 @@ class LocalCompactnessReport:
     holds: bool
     counterexample: tuple[SoftElement, SoftSet] | None
     """Element and open around it with no compact neighborhood inside."""
-    pairs_checked: int
 
 
 def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
@@ -239,11 +239,14 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
     absolute only when O is, and otherwise has every slice proper exactly
     when U fills no slice, which passes to subsets.  So O qualifies when it
     is the absolute or the open hull of x, the smallest U, fills no slice.
-    The space must be a topology: a member outside the absolute, or an
-    element hull that is not a member, raises PreconditionError, while
-    ``locally_compact_oracle`` scans any list.  Opens are scanned in member
-    order.  The report is cached on the topology; a non-Hausdorff one
-    raises each time.
+    So x fails exactly when its hull fills a slice and is not the
+    absolute: the hull is then itself an open around x that fails.
+    Elements are decided in order; only the failing one scans members, for
+    its first open in member order that is not the absolute.  The space
+    must be a topology: a member outside the absolute, or an element hull
+    that is not a member, raises PreconditionError, while
+    ``locally_compact_oracle`` scans any list.  The report is cached on the
+    topology; a non-Hausdorff one raises each time.
     """
 
     def build() -> LocalCompactnessReport:
@@ -251,49 +254,42 @@ def is_locally_compact(topo: SoftTopology) -> LocalCompactnessReport:
             raise PreconditionError(
                 "local compactness is only defined over Hausdorff spaces"
             )
-        hulls = [open_hull(topo, x.bits) for x in space_elements(topo)]
+        elements = space_elements(topo)
+        hulls = [open_hull(topo, x.bits) for x in elements]
         absolute = topo.absolute.bits
         if any(o & ~absolute for o in topo.packed):
             raise PreconditionError(_NOT_A_TOPOLOGY)
         fields = topo.universe.packing.fields
-        fills = [any(h & field == field for field in fields) for h in hulls]
-        return _scan_opens(topo, lambda xi, o, around: o == absolute or not fills[xi])
+        for x, h in zip(elements, hulls):
+            if h != absolute and any(h & field == field for field in fields):
+                xb = x.bits
+                o = next(m for m in topo.members if m.bits & xb == xb and m.bits != absolute)
+                return LocalCompactnessReport(False, (x, o))
+        return LocalCompactnessReport(True, None)
 
     return _cached(topo, "locally_compact", build)
 
 
 def locally_compact_oracle(topo: SoftTopology) -> LocalCompactnessReport:
-    """``is_locally_compact`` without its Hausdorff precondition, trying
-    every open U around x inside O, in member order, for each O."""
+    """``is_locally_compact`` without its Hausdorff precondition: the first
+    element and open O around it, in order, such that no open U around the
+    element inside O, tried in member order, gives a compact K."""
     fields = topo.universe.packing.fields
     absolute = topo.absolute.bits
-
-    def found(xi: int, o: int, around: list[int]) -> bool:
-        filled = sum(field for field in fields if o & field == field)
-        for u in map(topo.packed.__getitem__, around):
-            k = o & ~filled | u & filled
-            # K is admissible by construction; its complement is admissible
-            # exactly when K is the absolute or every slice is proper, which
-            # is all compactness asks of a set here.
-            if not u & ~o and (k == absolute or all(k & f != f for f in fields)):
-                return True
-        return False
-
-    return _scan_opens(topo, found)
-
-
-def _scan_opens(topo: SoftTopology, found: t.Callable) -> LocalCompactnessReport:
-    """The first element and open around it, in order, that ``found``
-    rejects, given the element's index, the open's bits and the indices of
-    the members around the element."""
     packed = topo.packed
-    pairs = 0
-    for xi, x in enumerate(space_elements(topo)):
+    for x in space_elements(topo):
         xb = x.bits
         around = [i for i, o in enumerate(packed) if o & xb == xb]
         for oi in around:
-            pairs += 1
-            if not found(xi, packed[oi], around):
-                return LocalCompactnessReport(False, (x, topo.members[oi]), pairs)
-    return LocalCompactnessReport(True, None, pairs)
-
+            o = packed[oi]
+            filled = sum(field for field in fields if o & field == field)
+            for u in map(packed.__getitem__, around):
+                k = o & ~filled | u & filled
+                # K is admissible by construction; its complement is
+                # admissible exactly when K is the absolute or every slice
+                # is proper, which is all compactness asks of a set here.
+                if not u & ~o and (k == absolute or all(k & f != f for f in fields)):
+                    break
+            else:
+                return LocalCompactnessReport(False, (x, topo.members[oi]))
+    return LocalCompactnessReport(True, None)

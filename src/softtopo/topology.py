@@ -23,11 +23,11 @@ from the ring test when the topology went through ``violations_of``, gives
 member inside one, and ``admissible_meets``, the side condition on
 pairwise meets.  In a verified topology a hull always exists; a list
 that lacks one is not a topology, and ``open_hull`` refuses it.  The
-separation, local compactness and continuity checkers decide their
-hypotheses with it.  ``closure`` and ``interior`` check their input and
-call bit kernels, ``_closure_bits`` over a cached tuple of closed bits and
-``_interior_bits``, which the Baire checks call directly on sets that
-``closure`` or ``closed_sets`` returned.
+separation, local compactness, continuity and whole-open limiting
+checkers decide with it.  ``closure`` and ``interior`` check their input
+and call bit kernels, ``_interior_bits`` and ``_closure_bits`` (the
+complement of the interior of the complement), which the Baire checks
+call directly on sets that ``closure`` or ``closed_sets`` returned.
 ``space_elements`` is the one value shared across topologies: a
 process-wide cache holds one element tuple per absolute, so every topology
 over that absolute reuses the same elements and their cached bits, and an
@@ -380,21 +380,12 @@ def is_closed(topo: SoftTopology, f: SoftSet) -> bool:
 def closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
     """All closed sets, in member order of their complements, deduplicated."""
     _require_full_absolute(topo, "closed_sets")
+    u = topo.universe
     # The complement of a member lies inside the layout.
     return _cached(topo, "closed", lambda: tuple(
-        SoftSet.unchecked(topo.universe, c) for c in _closed_bits(topo)
+        SoftSet.unchecked(u, c) for c in dict.fromkeys(u.packing.full ^ o for o in topo.packed)
+        if u.packing.is_admissible(c)
     ))
-
-
-def _closed_bits(topo: SoftTopology) -> tuple[int, ...]:
-    """``closed_sets`` as bits, for callers that checked the absolute."""
-
-    def build() -> tuple[int, ...]:
-        packing = topo.universe.packing
-        comps = (packing.full ^ o for o in topo.packed)
-        return tuple(dict.fromkeys(filter(packing.is_admissible, comps)))
-
-    return _cached(topo, "closed-bits", build)
 
 
 def nonnull_closed_sets(topo: SoftTopology) -> tuple[SoftSet, ...]:
@@ -418,6 +409,11 @@ def closure(topo: SoftTopology, f: SoftSet) -> SoftSet:
     """Elementary intersection of every closed superset of f.
 
     The absolute is always a closed superset, so the family is nonempty.
+    The closed supersets of a nonnull f are the complements of the members
+    avoiding f, so the closure is the complement of the interior of f's
+    complement (FINDINGS.md, "Closure is the complement of the interior of
+    the complement").  Like ``interior``, it raises PreconditionError on
+    some lists that are not topologies.
     """
     _require_full_absolute(topo, "closure")
     p = _require_subject(topo, f, "closure")
@@ -427,11 +423,12 @@ def closure(topo: SoftTopology, f: SoftSet) -> SoftSet:
 def _closure_bits(topo: SoftTopology, p: int) -> int:
     """``closure`` of the bits ``p``, for callers that ran its guards."""
     packing = topo.universe.packing
-    meet = packing.full
-    for c in _closed_bits(topo):
-        if p & ~c == 0:
-            meet &= c
-    return packing.collapse(meet)
+    shut = packing.full ^ _interior_bits(topo, packing.full ^ p)
+    # Only the null set's closure, in a list without the absolute, can
+    # miss a slice.
+    if not packing.is_admissible(shut):
+        raise PreconditionError(_NOT_A_TOPOLOGY)
+    return shut
 
 
 def interior(topo: SoftTopology, f: SoftSet) -> SoftSet:
@@ -516,23 +513,20 @@ def is_limiting(
     mode: LimitingMode = LimitingMode.PER_PARAMETER,
 ) -> bool:
     """Whether x is limiting for f.  The per-parameter reading holds when x
-    holds no failing bit (``_failing_bits``); the whole-open reading scans
-    the members holding x, field by field."""
+    holds no failing bit (``_failing_bits``); the whole-open reading tests
+    x's open hull alone, and holds when no member holds x (FINDINGS.md,
+    "Closure is the complement of the interior of the complement")."""
     if x.universe != topo.universe or f.universe != topo.universe:
         raise UniverseMismatchError("mixed universes in is_limiting")
     xb = x.bits
     if mode is LimitingMode.PER_PARAMETER:
         return not xb & _failing(topo, f.bits)
-    fields = topo.universe.packing.fields
-    for g in topo.packed:
-        if xb & ~g:
-            continue
-        # f's bits inside g's slices punctured at x's coordinates
-        near = f.bits & g & ~xb
-        for field in fields:
-            if near & field == 0:
-                return False
-    return True
+    hull = open_hull(topo, xb)
+    if hull is None:
+        return True
+    # f's bits inside the hull's slices punctured at x's coordinates
+    near = f.bits & hull & ~xb
+    return all(near & field for field in topo.universe.packing.fields)
 
 
 def limiting_elements(
@@ -549,7 +543,7 @@ def limiting_elements(
     some bit other than ``b`` (FINDINGS.md, "Limiting elements split over
     bits").  So one pass over the members per field decides every element,
     and the topology caches its failing bits per f.  The whole-open reading
-    scans each element with ``is_limiting``.
+    tests each element's open hull with ``is_limiting``.
     """
     elements = space_elements(topo)
     if mode is LimitingMode.WHOLE_OPEN:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from softtopo.baire import (
+    LocalCompactnessReport,
     baire_subfamily_oracle,
     first_category_oracle,
     is_baire,
@@ -10,6 +11,7 @@ from softtopo.baire import (
     is_first_category,
     is_locally_compact,
     is_nowhere_dense,
+    locally_compact_oracle,
     rare_closed_sets,
 )
 from softtopo.core import SoftSet, Universe, full_set, null_set
@@ -124,9 +126,28 @@ def test_category_guards(abcd_topo):
 def test_local_compactness(abcd_topo):
     report = is_locally_compact(full_topology(U22))
     assert report.holds and report.counterexample is None
-    assert report.pairs_checked > 0
     with pytest.raises(PreconditionError):
         is_locally_compact(abcd_topo)
+    # Two spaces with a smaller absolute.  Each is vacuously Hausdorff: all
+    # its elements share the last coordinate.  In the first, each element's
+    # hull is the absolute, which fills e1, yet the only open around an
+    # element is the absolute, so it holds.
+    a = soft(U22, e1="ab", e2="b")
+    topo = verified(U22, (null_set(U22), a), a)
+    assert is_locally_compact(topo) == locally_compact_oracle(topo)
+    assert is_locally_compact(topo) == LocalCompactnessReport(True, None)
+    # In the second, the hull S of (a,a,a) fills e1 and is not the absolute;
+    # S is the counterexample's open whether or not the absolute precedes it.
+    u = Universe.of(("a", "b"), ("e1", "e2", "e3"))
+    a = soft(u, e1="ab", e2="ab", e3="a")
+    s = soft(u, e1="ab", e2="a", e3="a")
+    for members in ((null_set(u), s, a), (null_set(u), a, s)):
+        topo = verified(u, members, a)
+        report = is_locally_compact(topo)
+        assert report == locally_compact_oracle(topo)
+        assert not report.holds
+        x, o = report.counterexample
+        assert x.coords == (0, 0, 0) and o == s
 
 
 def test_theorem_trial_verdicts(abcd_topo):

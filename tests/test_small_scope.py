@@ -9,8 +9,10 @@ are closure, interior, nowhere density, first category and both
 limiting-element readings, as a list and element by element, with an
 oracle or a literal reference.  Both continuity readings are compared with
 their literal references on every (domain topology, codomain topology,
-point map) triple of a shape.  Run as a script to sweep other shapes, the
-map sweep after ``--maps``:
+point map) triple of a shape.  Closure and the whole-open reading are also
+held to their references, or to a refusal, on lists that are mostly not
+topologies.  Run as a script to sweep other shapes, the map sweep after
+``--maps``:
 
     PYTHONPATH=src python tests/test_small_scope.py 5x1 2x3 --maps 3x1 2x2
 """
@@ -40,6 +42,7 @@ from softtopo.core import (
     Universe,
     elementary_intersection,
     elementary_intersection_family,
+    full_set,
     is_admissible,
     is_member,
     is_soft_subset,
@@ -77,13 +80,15 @@ from softtopo.topology import (
     verify,
 )
 
-from conftest import oracle_or_refusal
+from conftest import _rejected, oracle_or_refusal
 from test_maps import (
     _reference_apply,
     _reference_definitional,
     _reference_failure_at,
     _reference_preimage_continuity,
 )
+from test_separation import _near_full_topologies
+from test_topology import _unclosed_lists
 
 
 def universe_of(points: int, params: int) -> Universe:
@@ -321,6 +326,56 @@ def test_both_continuity_readings_match_their_references_on_every_map():
     # hull.  Under the 4 maps they take part in 36 triples, of which the
     # elementwise reading refuses the 33 that ask for a missing hull.
     assert map_sweep(u, all_topologies(u)) == ((16 + 3 * 12) * 4, 8, 33)
+
+
+def test_closure_and_whole_open_limiting_match_their_scans_or_refuse():
+    """``closure`` against ``_reference_closure``, and the whole-open
+    reading, as a list and element by element, against
+    ``_reference_limiting``, on every admissible set of lists that are
+    mostly not topologies: the near-full lists, seeded unclosed lists and
+    every 2x2 topology with one member dropped.  Each must match its
+    reference or refuse a list that ``verify`` rejects."""
+    whole = LimitingMode.WHOLE_OPEN
+    lists = _near_full_topologies() + list(_unclosed_lists())
+    for t in all_topologies(universe_of(2, 2)):
+        lists += [
+            SoftTopology.of(t.universe, t.members[:i] + t.members[i + 1:])
+            for i in range(len(t.members))
+        ]
+    outcomes = set()
+    for topo in lists:
+        u = topo.universe
+        if topo.absolute.universe != u:
+            continue  # both kernels refuse mixed universes before reading members
+        closing = topo.absolute == full_set(u)
+        refused = dict.fromkeys(("closure", "limiting") if closing else ("limiting",), False)
+        for f in admissible_sets(u):
+            if closing:
+                refused["closure"] |= oracle_or_refusal(
+                    lambda: closure(topo, f), lambda: _reference_closure(topo, f), topo
+                ) is None
+            limiting = _reference_limiting(topo, f, whole)
+            refused["limiting"] |= oracle_or_refusal(
+                lambda: limiting_elements(topo, f, whole), lambda: limiting, topo
+            ) is None
+            for x in space_elements(topo):
+                refused["limiting"] |= oracle_or_refusal(
+                    lambda: is_limiting(topo, f, x, whole), lambda: x in limiting, topo
+                ) is None
+        valid = not _rejected(topo)
+        outcomes |= {(name, valid, r) for name, r in refused.items()}
+    # rejected lists both refused and decided by each kernel, and no
+    # verified list refused
+    assert outcomes == {
+        (name, valid, r) for name in ("closure", "limiting")
+        for valid, r in ((True, False), (False, True), (False, False))
+    }
+    # a verified topology's closure reads no closed set
+    topo = SoftTopology.of(universe_of(2, 2), full_topology(universe_of(2, 2)).members)
+    assert verify(topo).valid
+    for f in admissible_sets(topo.universe):
+        closure(topo, f)
+    assert "closed" not in topo._cache
 
 
 def topologies_within(absolute: SoftSet) -> list[SoftTopology]:
